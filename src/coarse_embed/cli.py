@@ -319,8 +319,13 @@ def run_embed(cfg, rows):
     depth = cfg.get("depth", 14)
     p = cfg.get("p", 2)
     a = cfg.get("a", 1.0)
-    tree = tree_ball(3, depth)
     levels = cfg.get("S_levels", [2, 4, 8, 16, 32])
+    if (not isinstance(levels, list) or len(levels) < 2
+            or not all(type(S) is int and S >= 2 for S in levels)
+            or any(lo >= hi for lo, hi in zip(levels, levels[1:]))):
+        raise ValueError(f"S_levels must be a strictly increasing list of at "
+                         f"least 2 integers >= 2, got {levels!r}")
+    tree = tree_ball(3, depth)
     u = overlog_shape(a, p)
     curve = [(float(S), float(S)) for S in levels]   # linear mesh growth
     weight = weight_from_type(u, curve, cutoff=levels[0])

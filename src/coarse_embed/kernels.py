@@ -182,7 +182,7 @@ def kernel_stats(kernel, min_interior=0, seed=0, sample_pairs=20_000,
     return KernelStats(
         support_radius=sup_radius, lipschitz=best, argmax_pair=arg,
         policy=policy, pairs_evaluated=count,
-        norm_error=kernel.norm_error(eligible if len(eligible) <= 4000 else eligible[:4000]))
+        norm_error=kernel.norm_error(eligible))
 
 
 # ---------------------------------------------------------------------------

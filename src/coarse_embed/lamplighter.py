@@ -172,7 +172,8 @@ def lamplighter_ball(radius, certify=True):
 
 
 def identity_ball_labels(radius):
-    """Cached list of labels with word length <= radius (for translated shells)."""
+    """Cached elements of word length <= radius, grouped by length (for
+    translated shells and the cursor-0 balls)."""
     if radius not in _IDENTITY_BALL_CACHE:
         depth = bfs_ball(radius, certify=False)
         by_r = {}
@@ -216,8 +217,8 @@ def lamp_window(ball_space, max_radius=None):
 
 def cursor_zero_ball_labels(radius):
     """Labels of cursor-0 elements with word length <= radius."""
-    return sorted(g.label() for g in bfs_ball(radius, certify=False)
-                  if g.cursor == 0)
+    return sorted(g.label() for shell in identity_ball_labels(radius).values()
+                  for g in shell if g.cursor == 0)
 
 
 def lamp_parts_window(ball_space, ir_cap=3):
@@ -231,14 +232,14 @@ def lamp_parts_window(ball_space, ir_cap=3):
     """
     parts = sorted({(label[0], 0) for label in ball_space.points})
     present = set(parts)
+    shells = [[LamplighterElement.from_label(u) for u in cursor_zero_ball_labels(r)]
+              for r in range(1, ir_cap + 1)]
     radii = []
     for part in parts:
         g = LamplighterElement.from_label(part)
         r = 0
         while r < ir_cap:
-            shell = cursor_zero_ball_labels(r + 1)
-            if all(g.mul(LamplighterElement.from_label(u)).label() in present
-                   for u in shell):
+            if all(g.mul(u).label() in present for u in shells[r]):
                 r += 1
             else:
                 break
@@ -266,11 +267,6 @@ def lamp_coordinates(label, m):
         raise ValueError(f"lamp support outside -{m - 1}..{m - 1}")
     d = dict(lamps)
     return tuple(d.get(p, 0) for p in range(-m + 1, m))
-
-
-def coordinates_to_label(vec, m):
-    lamps = tuple((p, v) for p, v in zip(range(-m + 1, m), vec) if v != 0)
-    return (lamps, 0)
 
 
 def coset_key(label, m):

@@ -22,6 +22,24 @@ family stay disjoint, and any point of a closed cell keeps an l1 ball of
 radius tau inside the enlarged cell.  Unlike the exact l1 neighborhood,
 membership stays a finite list of rational comparisons.
 
+Decoding.  membership lists the (family, lattice point) pairs whose
+enlarged scaled cell holds a point, in the sorted style of the A_n*
+quantizer (Conway & Sloane, "Fast quantizing and decoding algorithms for
+lattice quantizers and codes", IEEE Trans. IT 28, 1982; SPLAG ch. 20).
+The point is cleared to integers X_j over one denominator D, and the
+residues r_j = X_j mod D are sorted once.  Family i subtracts the glue
+shift, which rotates every residue by i D / n, so the coordinates that
+can round neither way, those that must round up and those that may round
+either way (band b = (n-1)/(2n) + tau/2 of at least 1/2) each form a
+circular interval of the sorted residues and are counted by bisection.
+The zero-sum condition then fixes how many ambiguous coordinates round
+up; only families where that count is feasible build their lattice
+points and run the sorted-prefix cell check.  The spec-only integers
+(offset numerators, band and prefix thresholds) are computed once per
+spec and point denominator; no Fraction is built per point.
+membership_reference (per-family rational rounding) and
+cell_contains_bruteforce (every subset inequality) stay as the oracles.
+
 Box covers.  zk_cover also tries one cover that does not come from the
 lattice: cubes of side 2L-2 tiling Z^2, each grown by its closed l1
 (L-1)-neighbourhood.  It certifies Lebesgue level L with multiplicity 4
@@ -33,8 +51,11 @@ the budget 2k for k >= 3, so it is a plane-only candidate.
 from __future__ import annotations
 
 import itertools
+import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import CoverageError
 
@@ -98,6 +119,10 @@ class LatticeCoverSpec:
     @staticmethod
     def standard(n, scale=1):
         return LatticeCoverSpec(n, Fraction(scale), default_thickening(n))
+
+    @cached_property
+    def _decoder(self):
+        return _SortedDecoder(self)
 
 
 @dataclass(frozen=True)
@@ -258,94 +283,129 @@ def membership_reference(x, spec, closed=False):
     return out
 
 
+def _circular_count(residues, lo, hi, D):
+    """How many sorted residues in [0, D) lie in [lo, hi) taken mod D, for
+    0 <= lo <= hi <= lo + D and hi < 2D."""
+    if hi <= D:
+        return bisect_left(residues, hi) - bisect_left(residues, lo)
+    if lo >= D:
+        return bisect_left(residues, hi - D) - bisect_left(residues, lo - D)
+    return (len(residues) - bisect_left(residues, lo)
+            + bisect_left(residues, hi - D))
+
+
+class _SortedDecoder:
+    """Everything the sorted decode needs that depends only on the spec.
+
+    Coordinates are cleared to one integer denominator D per point; the
+    integer thresholds that turn the band and prefix comparisons into
+    comparisons of integers depend on D and closed only, and are kept per
+    point denominator (grid points have one or two).
+    """
+
+    def __init__(self, spec):
+        n = spec.n
+        self.scale_num = spec.scale.numerator
+        self.scale_den = spec.scale.denominator
+        self.offset_den = math.lcm(n, *(o.denominator for o in spec.offset))
+        self.offset_num = [o.numerator * (self.offset_den // o.denominator)
+                           for o in spec.offset]
+        self.band = Fraction(n - 1, 2 * n) + spec.thickening / 2
+        bounds = _prefix_bounds(n, spec.thickening)
+        self.bound_den = math.lcm(*(lim.denominator for lim in bounds))
+        self.bound_num = [lim.numerator * (self.bound_den // lim.denominator)
+                          for lim in bounds]
+        self._tables = {}
+
+    def tables(self, point_den, closed):
+        key = (point_den, closed)
+        if key not in self._tables:
+            self._tables[key] = self._build(point_den, closed)
+        return self._tables[key]
+
+    def _build(self, point_den, closed):
+        D = math.lcm(self.offset_den, self.scale_num * point_den)
+        # X_j = D (x_j / scale - offset_j) = x_num_j * (mult // x_den_j) - shift_j
+        mult = D // self.scale_num * self.scale_den
+        shift = [o * (D // self.offset_den) for o in self.offset_num]
+
+        def first_rejected(num, den):
+            # least integer t failing t < q (open) or t <= q (closed), q = num D / den
+            return (num * D) // den + 1 if closed else -((-num * D) // den)
+
+        # residue f may keep the floor iff f < low, take the ceiling iff f >= high
+        raw = first_rejected(self.band.numerator, self.band.denominator)
+        low, high = min(raw, D), max(D + 1 - raw, 0)
+        # a prefix sum s of the sorted residual violates the j-th bound iff s >= limits[j-1]
+        limits = [first_rejected(b, self.bound_den) for b in self.bound_num]
+        return D, mult, shift, low, high, limits
+
+
+def _inside(v, limits):
+    run = 0
+    for s, lim in zip(sorted(v, reverse=True), limits):
+        run += s
+        if run >= lim:
+            return False
+    return True
+
+
 def membership(x, spec, closed=False):
     """All (family, lattice point) pairs whose enlarged scaled cell holds x.
 
     x is a zero-sum rational vector in ambient (scaled) coordinates.  The
-    arithmetic is exact: the point is rescaled to a common integer
-    denominator and every comparison is an integer comparison.  An empty
+    arithmetic is exact and on integers only: one sorted pass over the
+    residues of the cleared coordinates (see the module notes on
+    decoding).  Pairs come family by family, and within a family in the
+    lexicographic order of the ambiguous coordinates rounded up.  An empty
     result means the configuration failed to cover, a fatal geometry bug.
     """
-    import math
-
     n = spec.n
     if len(x) != n:
         raise ValueError("dimension mismatch")
-    if sum(x) != 0:
+    x = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in x]
+    dens = [c.denominator for c in x]
+    D, mult, shift, low, high, limits = spec._decoder.tables(math.lcm(*dens), closed)
+    X = [c.numerator * (mult // d) - s for c, d, s in zip(x, dens, shift)]
+    if sum(X):
         raise ValueError("point is not in the zero-sum hyperplane")
-    tau = spec.thickening
-    xs = [Fraction(c) / spec.scale - o for c, o in zip(x, spec.offset)]
-    D = n
-    for c in xs:
-        D = D * c.denominator // math.gcd(D, c.denominator)
-    X = [int(c * D) for c in xs]
+    quot = [c // D for c in X]
+    res = [c - q * D for c, q in zip(X, quot)]
+    ordered = sorted(res)
+    floor_sum = sum(quot)
     step = D // n
-    # per-coordinate admissibility band and per-cardinality prefix bounds
-    b = Fraction(n - 1, 2 * n) + tau / 2
-    b_num, b_den = b.numerator, b.denominator
-    bounds = _prefix_bounds(n, tau)
+    up_from = max(low, high)
     out = []
     for i in range(n):
-        lo_shift = (i - n) * step
-        hi_shift = i * step
-        y = [X[j] - (lo_shift if j < i else hi_shift) for j in range(n)]
-        candidates = _decode_int(y, D, n, b_num, b_den, closed)
-        for mu in candidates:
-            v = sorted((yj - D * mj for yj, mj in zip(y, mu)), reverse=True)
-            run = 0
-            ok = True
-            for j in range(1, n):
-                run += v[j - 1]
-                lim = bounds[j - 1]
-                if closed:
-                    if run * lim.denominator > lim.numerator * D:
-                        ok = False
-                        break
-                else:
-                    if run * lim.denominator >= lim.numerator * D:
-                        ok = False
-                        break
-            if ok:
-                out.append((i, mu))
-    return out
-
-
-def _decode_int(y, D, n, b_num, b_den, closed):
-    """Integer-arithmetic version of the floor/ceiling decoding."""
-    base = []
-    ambiguous = []
-    for idx, yj in enumerate(y):
-        fl = yj // D
-        fr = yj - fl * D            # in [0, D)
-        lo = fr * b_den
-        hi = (D - fr) * b_den
-        lim = b_num * D
-        if closed:
-            lo_ok = lo <= lim
-            hi_ok = hi <= lim
-        else:
-            lo_ok = lo < lim
-            hi_ok = hi < lim
-        if lo_ok and hi_ok:
-            base.append(fl)
-            ambiguous.append(idx)
-        elif lo_ok:
-            base.append(fl)
-        elif hi_ok:
-            base.append(fl + 1)
-        else:
-            return []
-    need = -sum(base)
-    if need < 0 or need > len(ambiguous):
-        return []
-    if not ambiguous:
-        return [tuple(base)] if need == 0 else []
-    out = []
-    for chosen in itertools.combinations(ambiguous, need):
-        mu = list(base)
-        for idx in chosen:
-            mu[idx] += 1
-        out.append(tuple(mu))
+        c = i * step
+        if low < high and _circular_count(ordered, c + low, c + high, D):
+            continue
+        up = _circular_count(ordered, c + up_from, c + D, D)
+        ambiguous = _circular_count(ordered, c + high, c + low, D) if high < low else 0
+        need = bisect_left(ordered, c) - floor_sum - i - up
+        if need < 0 or need > ambiguous:
+            continue
+        base, v, free = [], [], []
+        for j in range(n):
+            f = res[j] - c
+            m = quot[j] + (j < i)
+            if f < 0:
+                f += D
+                m -= 1
+            if f >= up_from:
+                m += 1
+                f -= D
+            elif f >= high:
+                free.append(j)
+            base.append(m)
+            v.append(f)
+        for chosen in itertools.combinations(free, need):
+            mu, w = list(base), list(v)
+            for j in chosen:
+                mu[j] += 1
+                w[j] -= D
+            if _inside(w, limits):
+                out.append((i, tuple(mu)))
     return out
 
 
@@ -354,11 +414,6 @@ def membership_or_fail(x, spec):
     if not found:
         raise CoverageError(f"lattice cover misses point {x}", witness=x)
     return found
-
-
-def closed_cell_membership(x, spec):
-    """Same listing for the closed unthickened cells (the exact tiling)."""
-    return membership(x, spec, closed=True)
 
 
 def in_family_separation_bound(delta, tau=0):

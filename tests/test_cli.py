@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from coarse_embed.cli import main
 from coarse_embed.reports import read_csv_rows
 
@@ -58,6 +60,14 @@ def test_embed_report_columns(tmp_path):
     assert code == 0
     text = open(out + ".csv").read()
     assert text.splitlines()[0].startswith("d,rho_minus,rho_plus,floor_2f")
+
+
+@pytest.mark.parametrize("levels", ["[4,2]", "[2,2]", "[8]", "[1,4]", "[2.5,4]"])
+def test_bad_s_levels_exit_two(tmp_path, levels):
+    out = tmp_path / "r"
+    code = main(["embed", "--set", f"S_levels={levels}", "--out", str(out)])
+    assert code == 2
+    assert not (tmp_path / "r.csv").exists()
 
 
 def test_deterministic_output_bytes(tmp_path):

@@ -25,6 +25,17 @@ def test_constant_kernel_has_zero_lipschitz():
     assert st.lipschitz == 0.0
 
 
+def test_norm_error_checks_every_eligible_point():
+    # 4225 points; the one row off the unit sphere sits past index 4000
+    g = grid_space(2, 32)
+    bad = 4100
+
+    from coarse_embed.kernels import Kernel
+    kern = Kernel(g, 1, lambda i: {i: 2.0 if i == bad else 1.0}, name="one bad row")
+    st = kernel_stats(kern, sample_pairs=10)
+    assert st.norm_error == 1.0
+
+
 def test_single_set_cover_kernel():
     g = grid_space(1, 6)
     cover = Cover(g, [list(range(len(g)))])

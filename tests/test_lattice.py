@@ -3,9 +3,12 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coarse_embed.covers import cover_stats, lebesgue_condition
 from coarse_embed.errors import ContractViolation
+from coarse_embed.lamplighter import lamp_coordinates, lamp_parts_window
 from coarse_embed.lattice import (BoxCoverSpec, LatticeCoverSpec,
                                   box_grid_cover, candidate_specs,
                                   canonical_spec, cell_contains,
@@ -114,6 +117,73 @@ def test_membership_fast_equals_reference():
             for closed in (False, True):
                 assert sorted(membership(x, spec, closed=closed)) == \
                     sorted(membership_reference(x, spec, closed=closed))
+
+
+SMALL_FRACTIONS = st.builds(Fraction, st.integers(-40, 40),
+                            st.sampled_from((1, 2, 3, 4, 6, 8)))
+
+
+def zero_sum(head):
+    return tuple(head) + (-sum(head),)
+
+
+@st.composite
+def decode_cases(draw, dims=(2, 4, 6, 8)):
+    """A spec with random scale, offset and thickening, with the band
+    b = (n-1)/(2n) + tau/2 drawn on either side of 1/2 (and below 1), a
+    zero-sum point, and whether the cells are closed."""
+    n = draw(st.sampled_from(dims))
+    scale = Fraction(draw(st.integers(1, 40)), draw(st.integers(1, 8)))
+    k = draw(st.integers(0, 39))
+    # tau < 1/n gives b < 1/2 (forced rounding); tau >= 1/n leaves an
+    # ambiguous band of coordinates that may round either way
+    tau = Fraction(k + 1, 41 * n) if draw(st.booleans()) else Fraction(1, n) + Fraction(k, 80)
+    offset = zero_sum(draw(st.lists(SMALL_FRACTIONS, min_size=n - 1, max_size=n - 1)))
+    x = zero_sum(draw(st.lists(SMALL_FRACTIONS, min_size=n - 1, max_size=n - 1)))
+    return LatticeCoverSpec(n, scale, tau, offset), x, draw(st.booleans())
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(decode_cases())
+def test_membership_equals_reference_property(case):
+    spec, x, closed = case
+    assert membership(x, spec, closed=closed) == \
+        membership_reference(x, spec, closed=closed)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(decode_cases())
+def test_membership_agrees_with_bruteforce_cells(case):
+    # every zero-sum rounding of every shifted point is a lattice point
+    # whose cell may hold it (the band stays below 1); the decode must
+    # list exactly those whose cell the subset oracle accepts
+    spec, x, closed = case
+    n, tau = spec.n, spec.thickening
+    found = membership(x, spec, closed=closed)
+    xs = [c / spec.scale - o for c, o in zip(x, spec.offset)]
+    expected = []
+    for i in range(n):
+        y = [a - b for a, b in zip(xs, glue_shift(i, n))]
+        floors = [c.numerator // c.denominator for c in y]
+        fractional = [j for j in range(n) if y[j] != floors[j]]
+        for chosen in combinations(fractional, -sum(floors)):
+            mu = tuple(f + (j in chosen) for j, f in enumerate(floors))
+            v = [a - b for a, b in zip(y, mu)]
+            if cell_contains_bruteforce(v, tau, closed=closed):
+                expected.append((i, mu))
+    assert sorted(found) == sorted(expected)
+
+
+def test_membership_equals_reference_on_lamp_block(ball8):
+    # the k = 23 block of the lamplighter cover: lamp coordinates of the
+    # ball's lamp parts, through the canonical level-24 spec (n = 46)
+    spec = canonical_spec(23, 24)
+    parts = lamp_parts_window(ball8).points
+    picked = parts[::max(1, len(parts) // 200)]
+    assert len(picked) >= 200
+    for label in picked:
+        x = embed_grid_point(lamp_coordinates(label, 12))
+        assert membership(x, spec) == membership_reference(x, spec)
 
 
 def test_membership_covers_and_is_unique_per_family():
