@@ -16,9 +16,6 @@ from dataclasses import dataclass, field
 
 from .errors import CoverageError, ContractViolation
 
-MESH_PAIR_BUDGET = 30_000_000
-
-
 class Cover:
     """A finite family of point sets over a FiniteMetricSpace.
 
@@ -71,8 +68,11 @@ class Cover:
 class CoverStats:
     """Measured statistics of a cover on its window.
 
-    mesh is exact when mesh_exact is set; otherwise it is a certified
-    upper bound and mesh_witnessed the largest diameter actually seen.
+    mesh is exact: every set's diameter comes from ``set_diameter``, the
+    grid signed-sum extremes or a pairwise scan pruned through the better
+    of two pivots (the set's first point and the window's deepest point).
+    mesh_exact is therefore always True and mesh_witnessed always mesh;
+    both stay for reports that print them.
     """
     lebesgue: int
     lebesgue_truncated: bool
@@ -80,8 +80,11 @@ class CoverStats:
     mesh: object            # int or Fraction
     delta: dict = field(default_factory=dict)   # p -> lebesgue / multiplicity^(2/p)
     n_sets: int = 0
-    mesh_exact: bool = True
-    mesh_witnessed: int = 0
+    mesh_exact = True
+
+    @property
+    def mesh_witnessed(self):
+        return self.mesh
 
 
 def multiplicity(cover):
@@ -90,13 +93,18 @@ def multiplicity(cover):
     return len(mem[best_i]), cover.space.points[best_i]
 
 
-def set_diameter(space, point_indices, pair_budget=MESH_PAIR_BUDGET):
+def set_diameter(space, point_indices):
     """Exact diameter of one set.
 
     Grids use the signed-coordinate trick (l1 diameter from linear
-    extremes).  Other spaces run a pairwise scan, pruned by the triangle
-    inequality through a base point; the prune is exact, the budget only
-    guards against pathological runtimes.
+    extremes).  Other spaces run a pairwise scan over the points ranked by
+    their distance r to a pivot c, pruned by the triangle inequality
+    d(x, y) <= r(x) + r(y); c need not lie in the set, so the scan is
+    exact for any c.  The pivot is whichever of the set's first point and
+    the window's deepest point (``space.deepest``) has the smaller
+    eccentricity over the set.  On a ball window the deepest point is the
+    centre, so the scan stops as soon as the largest distance found
+    reaches twice the next point's radius.
     """
     pts = [space.points[i] for i in point_indices]
     if len(pts) == 1:
@@ -110,72 +118,34 @@ def set_diameter(space, point_indices, pair_budget=MESH_PAIR_BUDGET):
             vals = [sum(s * c for s, c in zip(signs, p)) for p in pts]
             best = max(best, max(vals) - min(vals))
         return best
-    base = pts[0]
-    ranked = sorted(pts, key=lambda p: space.dist(base, p), reverse=True)
-    radii = [space.dist(base, p) for p in ranked]
+    dist = space.dist
+    radii = [dist(pts[0], p) for p in pts]
+    if space.deepest != pts[0]:
+        centred = [dist(space.deepest, p) for p in pts]
+        if max(centred) < max(radii):
+            radii = centred
+    order = sorted(range(len(pts)), key=radii.__getitem__, reverse=True)
+    ranked = [pts[i] for i in order]
+    radii = [radii[i] for i in order]
     best = 0
-    ops = 0
     for i in range(len(ranked)):
         if radii[i] * 2 <= best:
             break
         for j in range(i + 1, len(ranked)):
             if radii[i] + radii[j] <= best:
                 break
-            ops += 1
-            if ops > pair_budget:
-                raise ContractViolation("set diameter scan exceeded pair budget")
-            d = space.dist(ranked[i], ranked[j])
+            d = dist(ranked[i], ranked[j])
             if d > best:
                 best = d
     return best
 
 
-def set_diameter_bounds(space, point_indices, probes=6, probe_top=40):
-    """Certified (lower, upper) bounds for a set too large for exact scan.
-
-    For any base b the diameter is at most the sum of the two largest
-    distances from b (triangle inequality); the upper bound minimizes this
-    over several probe bases.  The lower bound is the best distance seen
-    among the extremal elements of every probe.
-    """
-    pts = [space.points[i] for i in point_indices]
-    stride = max(1, len(pts) // probes)
-    upper = None
-    extremal = []
-    for b in pts[::stride][:probes]:
-        dists = sorted((space.dist(b, p), p) for p in pts)
-        top = dists[-probe_top:]
-        cand = dists[-1][0] + (dists[-2][0] if len(dists) > 1 else 0)
-        upper = cand if upper is None else min(upper, cand)
-        extremal.extend(p for _, p in top)
-    lower = 0
-    for i in range(len(extremal)):
-        for j in range(i + 1, len(extremal)):
-            d = space.dist(extremal[i], extremal[j])
-            if d > lower:
-                lower = d
-    return lower, upper
-
-
-def mesh(cover, exact_pair_cap=4_000_000):
-    """Largest set diameter.  Returns (value, exact, witnessed_lower):
-    sets whose pairwise scan would exceed the cap contribute certified
-    upper bounds instead of exact values."""
-    value = 0
-    exact = True
-    lower = 0
-    for s in cover.sets:
-        n = len(s)
-        if n * (n - 1) // 2 <= exact_pair_cap:
-            d = set_diameter(cover.space, s)
-            value = max(value, d)
-            lower = max(lower, d)
-        else:
-            lo, up = set_diameter_bounds(cover.space, s)
-            value = max(value, up)
-            lower = max(lower, lo)
-            exact = False
-    return value, exact, lower
+def mesh(cover):
+    """Largest set diameter, exact for every set.  Returns (value, True,
+    value): the exactness flag and the largest diameter witnessed, which
+    is the value itself."""
+    value = max((set_diameter(cover.space, s) for s in cover.sets), default=0)
+    return value, True, value
 
 
 def lebesgue_condition(cover, r):
@@ -228,10 +198,9 @@ def cover_stats(cover, p_list=(1, 2, 3), scan_cap=None, check=True):
         cover.check_coverage()
     leb, truncated = certified_lebesgue(cover, scan_cap=scan_cap)
     mult, _ = multiplicity(cover)
-    s, s_exact, s_lower = mesh(cover)
+    s, _, _ = mesh(cover)
     stats = CoverStats(lebesgue=leb, lebesgue_truncated=truncated,
-                       multiplicity=mult, mesh=s, n_sets=len(cover),
-                       mesh_exact=s_exact, mesh_witnessed=s_lower)
+                       multiplicity=mult, mesh=s, n_sets=len(cover))
     for p in p_list:
         stats.delta[p] = float(leb) / float(mult) ** (2.0 / p)
     return stats
@@ -303,32 +272,31 @@ def interval_cover(space, length=3, step=2, anchor=-1):
 
 
 def map_compression(pairs, dist_x, dist_y):
-    """Greatest non-decreasing minorant and least non-decreasing majorant
-    relating source and target distances over the given pairs.
+    """Monotone envelopes relating source and target distances over the
+    given pairs (see ``monotone_envelopes``)."""
+    return monotone_envelopes(sorted((dist_x(a, b), dist_y(a, b)) for a, b in pairs))
 
-    Returns two step functions as sorted (source_distance, value) lists:
-    rho_minus(t) = min target distance over pairs at source distance >= t,
-    rho_plus(t)  = max target distance over pairs at source distance <= t.
+
+def monotone_envelopes(rows):
+    """Greatest non-decreasing minorant and least non-decreasing majorant
+    of sorted (source_distance, target_distance) rows.
+
+    Returns two step functions as sorted (source_distance, value) lists,
+    one entry per distinct source distance:
+    rho_minus(t) = min target distance over rows at source distance >= t,
+    rho_plus(t)  = max target distance over rows at source distance <= t.
     """
-    rows = sorted((dist_x(a, b), dist_y(a, b)) for a, b in pairs)
-    rho_plus = []
+    plus = {}
     running = None
     for d, e in rows:
         running = e if running is None else max(running, e)
-        rho_plus.append((d, running))
-    rho_minus = [None] * len(rows)
+        plus[d] = running
+    minus = {}
     running = None
-    for i in range(len(rows) - 1, -1, -1):
-        running = rows[i][1] if running is None else min(running, rows[i][1])
-        rho_minus[i] = (rows[i][0], running)
-    dedup_plus = {}
-    for d, e in rho_plus:
-        dedup_plus[d] = e
-    dedup_minus = {}
-    for d, e in rho_minus:
-        if d not in dedup_minus:
-            dedup_minus[d] = e
-    return sorted(dedup_minus.items()), sorted(dedup_plus.items())
+    for d, e in reversed(rows):
+        running = e if running is None else min(running, e)
+        minus[d] = running
+    return sorted(minus.items()), sorted(plus.items())
 
 
 def eval_step(steps, t, default=0):

@@ -16,6 +16,7 @@ from __future__ import annotations
 import bisect
 import math
 
+from .covers import monotone_envelopes
 from .errors import ContractViolation
 from .kernels import diff_norm
 
@@ -208,29 +209,10 @@ class CompressionReport:
     """Monotone envelopes of an embedded (or arbitrary) pair mapping."""
 
     def __init__(self, rows, lipschitz_estimate, theoretical_C=None):
-        rows = sorted(rows)
-        self.rows = rows
-        plus, cur = [], None
-        for d, e in rows:
-            cur = e if cur is None else max(cur, e)
-            plus.append((d, cur))
-        minus = [None] * len(rows)
-        cur = None
-        for i in range(len(rows) - 1, -1, -1):
-            cur = rows[i][1] if cur is None else min(cur, rows[i][1])
-            minus[i] = (rows[i][0], cur)
-        self.rho_plus = self._dedup(plus, keep="last")
-        self.rho_minus = self._dedup(minus, keep="first")
+        self.rows = sorted(rows)
+        self.rho_minus, self.rho_plus = monotone_envelopes(self.rows)
         self.lipschitz_estimate = lipschitz_estimate
         self.theoretical_C = theoretical_C
-
-    @staticmethod
-    def _dedup(steps, keep):
-        out = {}
-        for d, e in steps:
-            if keep == "last" or d not in out:
-                out[d] = e
-        return sorted(out.items())
 
     def rho_minus_at(self, t):
         val = None

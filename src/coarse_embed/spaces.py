@@ -15,6 +15,7 @@ import itertools
 import random
 from collections import deque
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import guard_cap
 
@@ -66,6 +67,13 @@ class FiniteMetricSpace:
 
     def max_interior_radius(self):
         return max(self.interior_radius) if self.points else 0
+
+    @cached_property
+    def deepest(self):
+        """The point of largest interior radius, lowest index on ties: the
+        centre of a ball window."""
+        radii = self.interior_radius
+        return self.points[max(range(len(radii)), key=radii.__getitem__)]
 
     def edge_pairs(self):
         """Index pairs at distance exactly 1 (deduplicated)."""

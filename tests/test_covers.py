@@ -1,6 +1,11 @@
+import functools
+import json
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coarse_embed.covers import (Cover, balls_cover, certified_lebesgue,
                                  check_pullback_inequalities, cover_stats,
@@ -8,11 +13,13 @@ from coarse_embed.covers import (Cover, balls_cover, certified_lebesgue,
                                  eval_step, interval_cover, lebesgue_condition,
                                  map_compression, mesh, multiplicity,
                                  pullback_cover, set_diameter,
-                                 set_diameter_bounds, type_function_upper)
+                                 type_function_upper)
 from coarse_embed.errors import ContractViolation, CoverageError
-from coarse_embed.lamplighter import lamp_window, lamp_coordinates, block_window
+from coarse_embed.lamplighter import (lamp_window, lamp_coordinates, block_window,
+                                      lamplighter_ball)
 from coarse_embed.lattice import canonical_spec, zk_cover
-from coarse_embed.spaces import grid_space, lattice_window
+from coarse_embed.spaces import (FiniteMetricSpace, grid_space, lattice_window,
+                                 space_from_json, tree_ball)
 
 
 def test_single_set_cover_stats():
@@ -92,13 +99,56 @@ def test_multiplicity_and_mesh_against_bruteforce():
         assert value == brute
 
 
-def test_set_diameter_bounds_bracket_exact():
-    g = grid_space(2, 6)
-    rng = random.Random(5)
-    ids = rng.sample(range(len(g)), 60)
-    exact = set_diameter(g, ids)
-    lo, up = set_diameter_bounds(g, ids, probes=4, probe_top=10)
-    assert lo <= exact <= up
+def brute_diameter(space, ids):
+    return max(space.dist_i(i, j) for i in ids for j in ids)
+
+
+@functools.cache
+def diameter_window(name):
+    """Windows on which set_diameter runs its pivot-pruned scan."""
+    rng = random.Random(3)
+    if name == "tree":
+        return tree_ball(3, 5).space
+    if name == "lamplighter":
+        return lamplighter_ball(4)
+    if name == "rational":
+        # dimension 10 is past the grid signed-sum fast path (k <= 8)
+        pts = {tuple(Fraction(rng.randrange(-12, 13), rng.choice((1, 2, 3)))
+                     for _ in range(10)) for _ in range(60)}
+        return lattice_window(sorted(pts), 10, "sparse rational window")
+    # an untagged l-infinity metric serializes as an explicit matrix
+    pts = sorted({tuple(rng.randrange(-6, 7) for _ in range(3)) for _ in range(50)})
+    space = FiniteMetricSpace(
+        pts, lambda a, b: max(abs(x - y) for x, y in zip(a, b)), "l-inf sample",
+        [6 - max(map(abs, p)) for p in pts])
+    return space_from_json(json.loads(json.dumps(space.to_json())))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.sampled_from(["tree", "lamplighter", "rational", "explicit"]),
+       st.booleans(), st.data())
+def test_set_diameter_matches_all_pairs(name, drop_deepest, data):
+    space = diameter_window(name)
+    deepest = space.index[space.deepest]
+    pool = [i for i in range(len(space)) if not (drop_deepest and i == deepest)]
+    ids = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=40,
+                             unique=True))
+    assert set_diameter(space, ids) == brute_diameter(space, ids)
+
+
+def test_explicit_window_is_a_matrix_round_trip():
+    space = diameter_window("explicit")
+    assert space.kind is None and space.dist_tag is None
+    assert space.deepest != space.points[0]
+
+
+def test_lamplighter_cover_mesh_is_exact():
+    ball = lamplighter_ball(4)
+    cover = balls_cover(ball, 2)
+    st_ = cover_stats(cover, p_list=())
+    assert st_.mesh_exact is True
+    assert st_.mesh_witnessed == st_.mesh
+    assert st_.mesh == max(brute_diameter(ball, s) for s in cover.sets)
 
 
 def test_certified_lebesgue_scan_cap():

@@ -1,6 +1,9 @@
+import functools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coarse_embed.lamplighter import (LamplighterElement, bfs_ball,
                                       block_window, coset_key,
@@ -80,6 +83,22 @@ def test_label_dist_symmetry_and_triangle():
         a, b, c = (rng.choice(pts) for _ in range(3))
         assert label_dist(a, b) == label_dist(b, a)
         assert label_dist(a, c) <= label_dist(a, b) + label_dist(b, c)
+
+
+@functools.cache
+def bfs_depths(radius):
+    """Generator-BFS depths of the ball (no closed form involved)."""
+    return bfs_ball(radius, certify=False)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.data())
+def test_label_dist_matches_bfs_depth(data):
+    # a^-1 b has length <= 10 for a, b in the radius-5 ball
+    ball5 = list(bfs_depths(5))
+    a = data.draw(st.sampled_from(ball5))
+    b = data.draw(st.sampled_from(ball5))
+    assert label_dist(a.label(), b.label()) == bfs_depths(10)[a.inv().mul(b)]
 
 
 def test_block_coordinates_round_trip_and_bounds():
