@@ -6,8 +6,10 @@ some cover set.  On integer metrics the open r-ball is the closed
 (r-1)-ball, so the certified condition at level r reads: every point
 whose interior radius is at least r-1 admits a set containing its closed
 (r-1)-ball.  The reported Lebesgue number is the largest r for which the
-condition holds, capped at 1 + max interior radius; when the cap binds
-the value is flagged as window-truncated.
+condition holds at every level 1..r (a higher level constrains fewer
+points, so it can hold where a lower one fails), capped at 1 + max
+interior radius; when the cap binds the value is flagged as
+window-truncated.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ class Cover:
         if any(not s for s in self.sets):
             raise ValueError("empty cover set")
         self._membership = None
+        self._weights = None        # kernels.cover_weights fills it
 
     def __len__(self):
         return len(self.sets)

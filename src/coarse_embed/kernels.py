@@ -35,6 +35,8 @@ def p_norm(values, p):
 
 
 def diff_norm(row_a, row_b, p):
+    """l^p norm of row_a - row_b, summed in a fixed order: row_a's entries
+    in row order, then row_b's remaining entries in row order."""
     acc = 0.0
     for key, va in row_a.items():
         vb = row_b.get(key)
@@ -45,6 +47,20 @@ def diff_norm(row_a, row_b, p):
             d = abs(float(vb))
             acc += d if p == 1 else d ** p
     return acc if p == 1 else acc ** (1.0 / p)
+
+
+def _add_powers(acc, values, p, exact):
+    """acc + |v|^p over values, added left to right as diff_norm adds them
+    (each value through float() when the row holds rationals)."""
+    if exact:
+        values = map(float, values)
+    if p == 1:
+        for v in values:
+            acc += abs(v)
+    else:
+        for v in values:
+            acc += abs(v) ** p
+    return acc
 
 
 def diff_norm_exact(row_a, row_b):
@@ -62,9 +78,14 @@ class Kernel:
     """Sparse unit-sphere-valued map on a window.
 
     rows are dicts point-index -> value, built lazily through row_fn and
-    cached.  Values may be exact rationals (p = 1 constructions) or floats.
+    cached.  Values are exact rationals when exact is set (p = 1
+    constructions) and floats otherwise.
     domain_indices restricts where rows are defined (support may still use
     the whole window); None means everywhere.
+
+    pair_quotient also caches one float per row the first time the row is
+    the left one of a pair with disjoint supports: its p-power sum, added
+    left to right in row order.
     """
 
     def __init__(self, base, p, row_fn, name="", exact=False, domain_indices=None):
@@ -77,6 +98,7 @@ class Kernel:
                                else sorted(domain_indices))
         self._domain_set = set(self.domain_indices)
         self._rows = {}
+        self._powers = {}
 
     def row(self, i):
         if i not in self._rows:
@@ -104,10 +126,24 @@ class Kernel:
         return worst
 
     def pair_quotient(self, i, j):
+        """diff_norm(row(i), row(j), p) / dist(i, j), bit for bit.
+
+        When the supports are disjoint, diff_norm's sum is row i's cached
+        p-power sum followed by row j's terms in row order, so only row j
+        is walked; overlapping supports go through diff_norm itself.
+        """
         d = self.base.dist_i(i, j)
         if d == 0:
             raise ValueError("identical points")
-        return diff_norm(self.row(i), self.row(j), self.p) / float(d)
+        row_a, row_b = self.row(i), self.row(j)
+        p = self.p
+        if not row_a.keys().isdisjoint(row_b.keys()):
+            return diff_norm(row_a, row_b, p) / float(d)
+        acc = self._powers.get(i)
+        if acc is None:
+            acc = self._powers[i] = _add_powers(0.0, row_a.values(), p, self.exact)
+        acc = _add_powers(acc, row_b.values(), p, self.exact)
+        return (acc if p == 1 else acc ** (1.0 / p)) / float(d)
 
     def to_json(self, indices=None):
         rows = []
@@ -212,27 +248,37 @@ def boundary_distance(space, i, members, cap):
     return best
 
 
+def cover_weights(cover):
+    """Per set: dict i -> distance-to-complement weight, capped by the
+    ambient window margin (interior radius + 1).
+
+    The weights do not depend on p, so they are computed once per cover
+    and cached on it.
+    """
+    if cover._weights is None:
+        space = cover.space
+        cover._weights = [
+            {i: boundary_distance(space, i, cover.frozen[sid],
+                                  space.interior_radius[i] + 1) for i in s}
+            for sid, s in enumerate(cover.sets)]
+    return cover._weights
+
+
 def pou_kernel(cover, p, exact=False, name=""):
     """Partition-of-unity kernel of a cover.
 
     Each set contributes the distance-to-complement weight, capped by the
     ambient window margin (interior radius + 1) so that window truncation
-    never inflates a weight.  Rows are exactly unit norm by construction;
-    a row is supported on z exactly when some set contains both points.
+    never inflates a weight (``cover_weights``, shared by every p).  Rows
+    are exactly unit norm by construction; a row is supported on z exactly
+    when some set contains both points.
     With exact=True (p = 1 only) all values are rationals.
     """
     if exact and p != 1:
         raise ValueError("exact mode is the p=1 fast path")
     space = cover.space
     mem = cover.membership()
-    psi = []           # per set: dict i -> weight
-    for sid, s in enumerate(cover.sets):
-        members = cover.frozen[sid]
-        vals = {}
-        for i in s:
-            cap = space.interior_radius[i] + 1
-            vals[i] = boundary_distance(space, i, members, cap)
-        psi.append(vals)
+    psi = cover_weights(cover)
     if exact:
         set_norm = [Fraction(sum(vals.values())) for vals in psi]
     else:

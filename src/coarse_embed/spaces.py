@@ -12,6 +12,7 @@ sufficiently interior points so that window truncation never fakes a result.
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from collections import deque
 from fractions import Fraction
@@ -251,7 +252,7 @@ def space_from_json(doc):
 
 
 def l1_dist(a, b):
-    return sum(abs(x - y) for x, y in zip(a, b))
+    return sum(map(abs, map(operator.sub, a, b)))
 
 
 def _grid_shell_offsets(k, r):

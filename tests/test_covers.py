@@ -151,6 +151,66 @@ def test_lamplighter_cover_mesh_is_exact():
     assert st_.mesh == max(brute_diameter(ball, s) for s in cover.sets)
 
 
+@functools.cache
+def scan_window(name):
+    return {"grid": lambda: grid_space(2, 3), "tree": lambda: tree_ball(3, 4).space,
+            "lamplighter": lambda: lamplighter_ball(3)}[name]()
+
+
+def brute_ball(space, i, r):
+    return frozenset(j for j in range(len(space)) if space.dist_i(i, j) <= r)
+
+
+@st.composite
+def random_covers(draw):
+    """Balls of random centres and radii, sometimes the balls of one radius
+    around every point, and a few arbitrary sets; points may stay uncovered."""
+    space = scan_window(draw(st.sampled_from(["grid", "tree", "lamplighter"])))
+    n = len(space)
+    sets = [brute_ball(space, c, r)
+            for c, r in draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                                st.integers(0, 3)), max_size=6))]
+    if draw(st.booleans()):
+        r = draw(st.integers(1, 2))
+        sets += [brute_ball(space, i, r) for i in range(n)]
+    sets += draw(st.lists(st.sets(st.integers(0, n - 1), min_size=1, max_size=12),
+                          min_size=0 if sets else 1, max_size=3))
+    return Cover(space, sets, name="random")
+
+
+def brute_violation(cover, r):
+    """The level-r condition read off its definition: the first point, in
+    window order, with interior radius >= r - 1 whose closed (r-1)-ball
+    lies in no cover set."""
+    space = cover.space
+    for i, p in enumerate(space.points):
+        if space.interior_radius[i] >= r - 1 and not any(
+                brute_ball(space, i, r - 1) <= s for s in cover.frozen):
+            return p
+    return None
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(random_covers(), st.one_of(st.none(), st.integers(1, 5)))
+def test_multiplicity_and_lebesgue_scan_match_definitions(cover, scan_cap):
+    space = cover.space
+    counts = [sum(i in s for s in cover.frozen) for i in range(len(space))]
+    mult, witness = multiplicity(cover)
+    assert mult == max(counts) == counts[space.index[witness]]
+    cap = space.max_interior_radius() + 1
+    if scan_cap is not None:
+        cap = min(cap, scan_cap)
+    # certified: the condition holds at every level 1..value
+    want = (cap, True)
+    for r in range(1, cap + 1):
+        witness = brute_violation(cover, r)
+        assert lebesgue_condition(cover, r) == witness
+        if witness is not None:
+            want = (r - 1, False)
+            break
+    assert certified_lebesgue(cover, scan_cap=scan_cap) == want
+
+
 def test_certified_lebesgue_scan_cap():
     g = grid_space(2, 6)
     cover = Cover(g, [list(range(len(g)))])

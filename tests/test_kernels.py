@@ -1,9 +1,13 @@
+import functools
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from coarse_embed import kernels
 from coarse_embed.covers import Cover, balls_cover, cover_stats, interval_cover
 from coarse_embed.kernels import (diff_norm, kernel_stats, mazur_map,
                                   mazur_pairs_check, p_norm, pou_kernel,
@@ -82,14 +86,9 @@ def test_pou_support_iff_shared_set(small_grid):
 
 
 def test_pou_psi_is_one_lipschitz(small_grid):
-    from coarse_embed.kernels import boundary_distance
     cover = balls_cover(small_grid, 2)
     sid = len(cover) // 2
-    members = cover.frozen[sid]
-    vals = {}
-    for i in cover.sets[sid]:
-        cap = small_grid.interior_radius[i] + 1
-        vals[i] = boundary_distance(small_grid, i, members, cap)
+    vals = kernels.cover_weights(cover)[sid]
     for i in cover.sets[sid]:
         for j in cover.sets[sid]:
             d = small_grid.dist_i(i, j)
@@ -112,6 +111,94 @@ def test_zk_cover_kernel_bound(small_grid):
         kern = pou_kernel(cover, p)
         ks = kernel_stats(kern, min_interior=stats.lebesgue - 1)
         assert ks.lipschitz <= pou_lipschitz_bound(stats, p=p) + 1e-9
+
+
+def test_cover_weights_computed_once_per_cover(monkeypatch):
+    g = grid_space(2, 6)
+    cover = balls_cover(g, 2)
+    calls = []
+    bare = kernels.boundary_distance
+
+    def counted(*args):
+        calls.append(args[1])
+        return bare(*args)
+
+    monkeypatch.setattr(kernels, "boundary_distance", counted)
+    built = [(p, exact, pou_kernel(cover, p, exact=exact))
+             for p, exact in ((1, False), (2, False), (3, False), (1, True))]
+    assert len(calls) == sum(len(s) for s in cover.sets)
+    for p, exact, kern in built:
+        fresh = pou_kernel(balls_cover(g, 2), p, exact=exact)
+        assert all(kern.row(i) == fresh.row(i) for i in range(len(g)))
+
+
+# ---------------------------------------------------------------------------
+# pair quotients: the disjoint-support shortcut against diff_norm
+
+
+@functools.cache
+def quotient_window(name):
+    return {"line": lambda: grid_space(1, 12), "plane": lambda: grid_space(2, 4),
+            "tree": lambda: tree_ball(3, 5)}[name]()
+
+
+@st.composite
+def random_grid_covers(draw):
+    """Balls of random centres and radii, one set of every point no ball
+    reached (so points in it alone share one support), and sometimes the
+    whole window (so every row shares one support)."""
+    g = quotient_window(draw(st.sampled_from(["line", "plane"])))
+    n = len(g)
+    sets = [[g.index[q] for q in g.closed_ball(g.points[c], r)]
+            for c, r in draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                                st.integers(0, 3)), max_size=8))]
+    reached = {i for s in sets for i in s}
+    rest = [i for i in range(n) if i not in reached]
+    if rest:
+        sets.append(rest)
+    if draw(st.booleans()):
+        sets.append(list(range(n)))
+    return Cover(g, sets, name="random")
+
+
+@st.composite
+def quotient_kernels(draw):
+    family = draw(st.sampled_from(["pou", "pou exact", "tent", "flat",
+                                   "pullback", "pullback exact"]))
+    p = 1 if "exact" in family else draw(st.sampled_from([1, 2, 3]))
+    if family.startswith("pou"):
+        return pou_kernel(draw(random_grid_covers()), p, exact="exact" in family)
+    if family == "tent":
+        return tree_kernel_tent(quotient_window("tree"), draw(st.integers(1, 3)), p)
+    if family == "flat":
+        return tree_kernel_flat(quotient_window("tree"), draw(st.integers(1, 4)), p)
+    # the line's rows collect the plane rows along the retraction onto the axis
+    cover = balls_cover(quotient_window("plane"), draw(st.integers(1, 2)))
+    plane = pou_kernel(cover, p, exact="exact" in family)
+    sigma, _ = pullback_kernel(lambda z: (z[0], 0), grid_space(1, 4), plane)
+    return sigma
+
+
+def support_relation(row_a, row_b):
+    if row_a.keys() == row_b.keys():
+        return "identical"
+    return "disjoint" if row_a.keys().isdisjoint(row_b) else "overlapping"
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(quotient_kernels(), st.data())
+def test_pair_quotient_is_diff_norm_bit_for_bit(kern, data):
+    space = kern.base
+    i = data.draw(st.sampled_from(kern.domain_indices))
+    for relation in ("disjoint", "overlapping", "identical"):
+        partners = [j for j in kern.domain_indices if j != i and
+                    support_relation(kern.row(i), kern.row(j)) == relation]
+        if not partners:
+            continue
+        j = data.draw(st.sampled_from(partners))
+        for a, b in ((i, j), (j, i), (i, j)):   # the last reuses a cached sum
+            want = diff_norm(kern.row(a), kern.row(b), kern.p) / float(space.dist_i(a, b))
+            assert kern.pair_quotient(a, b) == want
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,13 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coarse_embed.errors import CapExceeded
-from coarse_embed.spaces import (bfs_distances, grid_space, lattice_window,
-                                 ray_point, space_from_json, tree_ball,
-                                 tree_dist)
+from coarse_embed.spaces import (bfs_distances, grid_space, l1_dist,
+                                 lattice_window, ray_point, space_from_json,
+                                 tree_ball, tree_dist)
 
 
 def test_grid_line_basics():
@@ -32,6 +34,14 @@ def test_grid_point_count_and_triangles():
         a, b, c = (rng.choice(pts) for _ in range(3))
         assert g.dist(a, c) <= g.dist(a, b) + g.dist(b, c)
         assert g.dist(a, b) == g.dist(b, a)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(st.integers(-10 ** 20, 10 ** 20),
+                          st.integers(-10 ** 20, 10 ** 20)), min_size=1, max_size=8))
+def test_l1_dist_matches_generator_sum(coords):
+    a, b = zip(*coords)
+    assert l1_dist(a, b) == sum(abs(x - y) for x, y in zip(a, b))
 
 
 def test_grid_cap_guard():
