@@ -102,9 +102,10 @@ def weight_from_type(u, growth_curve, cutoff):
         raise ContractViolation("growth curve never reaches the cutoff")
     breakpoints = [cutoff] + [D for _, D in pts]
     values = [u(at_cutoff)] + [u(L) for L, _ in pts]
-    for a, b in zip(values, values[1:]):
+    for at, a, b in zip(breakpoints[1:], values, values[1:]):
         if b < a - 1e-12:
-            raise ContractViolation("composed weight is not non-decreasing")
+            raise ContractViolation("composed weight is not non-decreasing",
+                                    witness={"breakpoint": at, "from": a, "to": b})
     merged_b, merged_v = [], []
     for b, v in zip(breakpoints, values):
         if merged_b and b <= merged_b[-1]:

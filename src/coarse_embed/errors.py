@@ -6,6 +6,10 @@ ENV_CAP = "COARSE_EMBED_CAP"
 DEFAULT_POINT_CAP = 2_000_000
 
 
+class ConfigError(ValueError):
+    """The caller's configuration (keys, values, config file, cap) is invalid."""
+
+
 class CapExceeded(RuntimeError):
     """A construction would exceed the configured size cap."""
 
@@ -33,7 +37,7 @@ def point_cap():
     try:
         return int(raw)
     except ValueError:
-        raise ValueError(f"{ENV_CAP} must be an integer, got {raw!r}")
+        raise ConfigError(f"{ENV_CAP} must be an integer, got {raw!r}") from None
 
 
 def guard_cap(count, what):

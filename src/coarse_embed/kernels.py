@@ -407,10 +407,11 @@ def mazur_map(vec, q, p):
 
 def mazur_pairs_check(dim, q, p, n_pairs, seed=0):
     """Seeded sample of unit-vector pairs; returns the worst ratio
-    ||Mf - Mg||_p / ||f - g||_q (expected at most q/p for p <= q)."""
+    ||Mf - Mg||_p / ||f - g||_q (expected at most q/p for p <= q) and the
+    number of the draw that attains it (None when no pair counted)."""
     rng = random.Random(seed)
-    worst = 0.0
-    for _ in range(n_pairs):
+    worst, worst_draw = 0.0, None
+    for draw in range(n_pairs):
         f = [rng.gauss(0.0, 1.0) for _ in range(dim)]
         g = [rng.gauss(0.0, 1.0) for _ in range(dim)]
         nf, ng = p_norm(f, q), p_norm(g, q)
@@ -421,8 +422,9 @@ def mazur_pairs_check(dim, q, p, n_pairs, seed=0):
         if dq < 1e-12:
             continue
         dp = p_norm([a - b for a, b in zip(mf, mg)], p)
-        worst = max(worst, dp / dq)
-    return worst
+        if dp / dq > worst:
+            worst, worst_draw = dp / dq, draw
+    return worst, worst_draw
 
 
 # ---------------------------------------------------------------------------
@@ -553,7 +555,8 @@ def epsilon_profile_upper(S_list, p, builders, mazur_reference=None):
             if best is None or stats.lipschitz < best:
                 best = stats.lipschitz
         if best is None:
-            raise ContractViolation(f"no kernel construction available at S={S}")
+            raise ContractViolation(f"no kernel construction available at S={S}",
+                                    witness=S)
         running = best if running is None else min(running, best)
         row = {"S": S, "eps_upper": running, "eps_measured": best}
         if mazur_reference is not None:

@@ -24,13 +24,12 @@ def format_value(v):
     return v
 
 
-def rows_to_csv_text(rows, columns=None):
-    if columns is None:
-        columns = []
-        for row in rows:
-            for key in row:
-                if key not in columns:
-                    columns.append(key)
+def rows_to_csv_text(rows):
+    columns = []
+    for row in rows:
+        for key in row:
+            if key not in columns:
+                columns.append(key)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
@@ -51,11 +50,11 @@ def jsonable(v):
     return v
 
 
-def write_report(path_base, rows, meta=None, columns=None):
+def write_report(path_base, rows, meta=None):
     """Write path_base.csv and path_base.json side by side; returns paths."""
     csv_path = path_base + ".csv"
     json_path = path_base + ".json"
-    text = rows_to_csv_text(rows, columns=columns)
+    text = rows_to_csv_text(rows)
     os.makedirs(os.path.dirname(os.path.abspath(csv_path)), exist_ok=True)
     with open(csv_path, "w") as fh:
         fh.write(text)

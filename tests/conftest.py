@@ -6,7 +6,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from coarse_embed.lamplighter import lamplighter_ball  # noqa: E402
-from coarse_embed.spaces import grid_space, tree_ball  # noqa: E402
+from coarse_embed.spaces import grid_space  # noqa: E402
 
 _CRITERION_LINES = []
 
@@ -38,23 +38,8 @@ def line_window():
 
 
 @pytest.fixture(scope="session")
-def grid81():
-    return grid_space(2, 40)
-
-
-@pytest.fixture(scope="session")
 def small_grid():
     return grid_space(2, 10)
-
-
-@pytest.fixture(scope="session")
-def tree12():
-    return tree_ball(3, 12)
-
-
-@pytest.fixture(scope="session")
-def tree14():
-    return tree_ball(3, 14)
 
 
 @pytest.fixture(scope="session")

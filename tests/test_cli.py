@@ -1,8 +1,12 @@
+import dataclasses
 import json
+import math
 
 import pytest
 
+from coarse_embed import experiments
 from coarse_embed.cli import main
+from coarse_embed.kernels import kernel_stats
 from coarse_embed.reports import read_csv_rows
 
 
@@ -25,6 +29,40 @@ def test_missing_required_key_exits_two(tmp_path):
     assert code == 2
 
 
+# experiment, its required settings, one unknown key, one out-of-range value
+BAD_CONFIGS = [
+    ("zk-cover", "k=2 L=1", "half_widht=5", "strict=maybe"),
+    ("voronoi-check", "n=2", "sample=10", "n=1"),
+    ("cover-kernel", "", "half_widht=5", "cover=zk"),    # zk needs L
+    ("tree-embed", "", "dept=6", "p_list=[0]"),
+    ("lamplighter-metric", "", "raduis=3", "m_list=[0]"),
+    ("lamplighter-cover", "", "L_list=[1]", "L=0"),
+    ("profile", "", "grid_halfwidth=5", "wreath_L_list=[0]"),
+    ("embed", "", "samples=30", "depth=0"),
+    ("cp-check", "", "T=5", "subdivisions=0"),
+]
+
+
+def sets(settings):
+    return [arg for item in settings.split() for arg in ("--set", item)]
+
+
+@pytest.mark.parametrize("experiment,required,bad_key,bad_value", BAD_CONFIGS,
+                         ids=[case[0] for case in BAD_CONFIGS])
+def test_bad_key_and_bad_value_exit_two(tmp_path, experiment, required,
+                                        bad_key, bad_value):
+    for bad in (bad_key, bad_value):
+        argv = [experiment, *sets(required), "--set", bad]
+        assert main([*argv, "--out", str(tmp_path / "r")]) == 2, bad
+        assert not list(tmp_path.iterdir())
+
+
+def test_bug_in_a_construction_is_a_traceback(tmp_path, monkeypatch):
+    monkeypatch.setattr(experiments, "grid_space", None)    # a TypeError
+    with pytest.raises(TypeError):
+        main(["cover-kernel", "--out", str(tmp_path / "r")])
+
+
 def test_cap_exceeded_exits_three(tmp_path, monkeypatch):
     monkeypatch.setenv("COARSE_EMBED_CAP", "10")
     code = main(["tree-embed", "--set", "depth=6", "--out", str(tmp_path / "r")])
@@ -36,7 +74,36 @@ def test_contract_failure_exits_one_with_witness(tmp_path):
                     "--set", "half_width=20")
     assert code == 1
     rows = read_csv_rows(out + ".csv")
-    assert any(r.get("check") == "FAILED" for r in rows)
+    assert any(r.get("check") == "FAILED" and r["witness"] for r in rows)
+
+
+# experiment, small settings, a construction replaced so that a check fails
+BROKEN = [
+    ("voronoi-check", "n=2 samples=20", "cell_contains_bruteforce",
+     lambda x, tau: None),
+    ("tree-embed", "depth=4 S_list=[2] p_list=[1]", "tent_norm_floor",
+     lambda S, p: math.inf),
+    ("lamplighter-metric", "radius=1 block_radius=4 pairs=50",
+     "lamp_coordinates", lambda label, m: (hash(label),)),
+    ("embed", "depth=8 S_levels=[2,4,8] sample_points=10", "kernel_stats",
+     lambda kern, **kw: dataclasses.replace(kernel_stats(kern, **kw),
+                                            lipschitz=0.0)),
+    ("cp-check", "", "overlog_shape", lambda a, p: lambda t: t),
+    ("profile", "grid_S_list=[] tree_depth=2 tree_S_list=[] wreath_radius=1 "
+     "wreath_L_list=[] mazur_pairs=1", "mazur_pairs_check",
+     lambda *args, **kw: (3.0, 0)),
+]
+
+
+@pytest.mark.parametrize("experiment,settings,target,fake", BROKEN,
+                         ids=[f"{case[0]}-{case[2]}" for case in BROKEN])
+def test_every_failed_check_names_a_witness(tmp_path, monkeypatch, experiment,
+                                            settings, target, fake):
+    monkeypatch.setattr(experiments, target, fake)
+    code, out = run(tmp_path, experiment, *sets(settings))
+    assert code == 1
+    failed = [r for r in read_csv_rows(out + ".csv") if r.get("check") == "FAILED"]
+    assert failed and all(r["witness"] not in ("", "None") for r in failed)
 
 
 def test_cp_check_passes_and_reports(tmp_path):
@@ -113,16 +180,6 @@ def test_zk_cover_row_names_box_family(tmp_path):
     assert (lead["side"], lead["growth"]) == (4, 2)
     assert "scale" not in lead and "thickening" not in lead
     assert (lead["lebesgue"], lead["multiplicity"], lead["mesh"]) == (3, 4, 10)
-
-
-def test_profile_emits_three_space_curves(tmp_path):
-    code, out = run(tmp_path, "profile", "--set", "grid_half_width=10",
-                    "--set", "tree_depth=7", "--set", "wreath_radius=4",
-                    "--set", "mazur_pairs=300", "--set", "wreath_pairs=500")
-    assert code == 0
-    rows = read_csv_rows(out + ".csv")
-    spaces = {r["space"] for r in rows}
-    assert {"grid2", "tree", "wreath"} <= spaces
 
 
 def test_rationals_render_as_num_den(tmp_path):
