@@ -126,9 +126,10 @@ class KernelField:
         self.levels = list(levels)
         self.top = top
         for S, kern, _ in self.levels:
-            if kern.support_radius() > S:
+            radius = kern.support_radius()
+            if radius > S:
                 raise ContractViolation(
-                    f"kernel at level {S} has support radius {kern.support_radius()}")
+                    f"kernel at level {S} has support radius {radius}")
 
     def breakpoints(self):
         return [S for S, _, _ in self.levels] + [self.top]
@@ -222,15 +223,6 @@ class CompressionReport:
                 val = e
                 break
         return val if val is not None else (self.rho_minus[-1][1] if self.rho_minus else 0.0)
-
-    def rho_plus_at(self, t):
-        val = 0.0
-        for d, e in self.rho_plus:
-            if d <= t:
-                val = e
-            else:
-                break
-        return val
 
     def csv_rows(self, floor_fn=None):
         out = []

@@ -341,7 +341,7 @@ def run_lamplighter_cover(c):
     radius, L = c["radius"], c["L"]
     ball = lamplighter_ball(radius, certify=False)
     # coverage: cover_stats raises CoverageError at the first uncovered point
-    cover, stats, detail = wreath_cover(ball, L, check=False)
+    cover, stats, detail = wreath_cover(ball, L)
     mult_bound, mesh_bound = detail["multiplicity_bound"], detail["mesh_bound"]
     rows = [{
         "radius": radius, "L": L, "m": detail["m"],
@@ -412,7 +412,7 @@ def run_profile(c):
     wreath_rows = []
     for L in c["wreath_L_list"]:
         try:
-            cover, stats, _ = wreath_cover(ball, L, check=False)
+            cover, stats, _ = wreath_cover(ball, L)
         except (ContractViolation, CoverageError) as exc:
             _check(checks, f"wreath L={L} cover", str(exc), "its contract",
                    False, lambda: exc.witness)
@@ -429,8 +429,6 @@ def run_profile(c):
                   for row in wreath_rows), default=0.0)
     for row in wreath_rows:
         row["fitted_C"] = fitted
-        row["below_fitted_curve"] = (
-            row["eps_measured"] <= fitted * row["shape_log_S_over_cbrt_S"] + 1e-12)
     rows.extend(wreath_rows)
 
     worst, draw = mazur_pairs_check(c["mazur_dim"], 2, 1, c["mazur_pairs"],

@@ -11,7 +11,9 @@ windows evaluate every pair; geodesic windows evaluate the unit edges,
 whose maximum equals the full supremum because any pair quotient is an
 average of edge quotients along a geodesic, plus a seeded confirmation
 sample; everything else uses edges plus a seeded sample and is labeled
-as sampled.
+as sampled.  Every row has norm within e = norm_error of 1, so no pair
+of the policy can exceed 2(1 + e)/d; a pair whose bound falls below the
+running maximum is counted as bounded instead of evaluated.
 """
 
 from __future__ import annotations
@@ -24,6 +26,11 @@ from .errors import ContractViolation
 
 ALL_PAIRS_CAP = 700
 NORM_TOL = 1e-9
+# A pair is skipped only when its bound 2(1 + e)/d falls below the running
+# maximum by this relative margin.  The computed quotient of an n-term
+# power sum is off by about n * 2^-53 relative, far below the margin, so a
+# skipped pair could not have raised the maximum.
+PRUNE_MARGIN = 1e-9
 
 
 def p_norm(values, p):
@@ -49,20 +56,6 @@ def diff_norm(row_a, row_b, p):
     return acc if p == 1 else acc ** (1.0 / p)
 
 
-def _add_powers(acc, values, p, exact):
-    """acc + |v|^p over values, added left to right as diff_norm adds them
-    (each value through float() when the row holds rationals)."""
-    if exact:
-        values = map(float, values)
-    if p == 1:
-        for v in values:
-            acc += abs(v)
-    else:
-        for v in values:
-            acc += abs(v) ** p
-    return acc
-
-
 def diff_norm_exact(row_a, row_b):
     """Exact l1 difference of two rational rows."""
     acc = Fraction(0)
@@ -82,10 +75,7 @@ class Kernel:
     constructions) and floats otherwise.
     domain_indices restricts where rows are defined (support may still use
     the whole window); None means everywhere.
-
-    pair_quotient also caches one float per row the first time the row is
-    the left one of a pair with disjoint supports: its p-power sum, added
-    left to right in row order.
+    Each row's support radius is measured once and cached.
     """
 
     def __init__(self, base, p, row_fn, name="", exact=False, domain_indices=None):
@@ -98,7 +88,7 @@ class Kernel:
                                else sorted(domain_indices))
         self._domain_set = set(self.domain_indices)
         self._rows = {}
-        self._powers = {}
+        self._radii = {}
 
     def row(self, i):
         if i not in self._rows:
@@ -108,13 +98,21 @@ class Kernel:
         return self._rows[i]
 
     def support_radius(self, indices=None):
-        space = self.base
+        """Largest distance from a point to its row's support, over indices
+        (default: the domain)."""
+        radii, dist = self._radii, self.base.dist_i
         worst = 0
         for i in (indices if indices is not None else self.domain_indices):
-            for j in self.row(i):
-                d = space.dist_i(i, j)
-                if d > worst:
-                    worst = d
+            r = radii.get(i)
+            if r is None:
+                r = 0
+                for j in self.row(i):
+                    d = dist(i, j)
+                    if d > r:
+                        r = d
+                radii[i] = r
+            if r > worst:
+                worst = r
         return worst
 
     def norm_error(self, indices=None):
@@ -126,24 +124,11 @@ class Kernel:
         return worst
 
     def pair_quotient(self, i, j):
-        """diff_norm(row(i), row(j), p) / dist(i, j), bit for bit.
-
-        When the supports are disjoint, diff_norm's sum is row i's cached
-        p-power sum followed by row j's terms in row order, so only row j
-        is walked; overlapping supports go through diff_norm itself.
-        """
+        """diff_norm(row(i), row(j), p) / dist(i, j)."""
         d = self.base.dist_i(i, j)
         if d == 0:
             raise ValueError("identical points")
-        row_a, row_b = self.row(i), self.row(j)
-        p = self.p
-        if not row_a.keys().isdisjoint(row_b.keys()):
-            return diff_norm(row_a, row_b, p) / float(d)
-        acc = self._powers.get(i)
-        if acc is None:
-            acc = self._powers[i] = _add_powers(0.0, row_a.values(), p, self.exact)
-        acc = _add_powers(acc, row_b.values(), p, self.exact)
-        return (acc if p == 1 else acc ** (1.0 / p)) / float(d)
+        return diff_norm(self.row(i), self.row(j), self.p) / float(d)
 
     def to_json(self, indices=None):
         rows = []
@@ -155,11 +140,18 @@ class Kernel:
 
 @dataclass
 class KernelStats:
+    """Measured statistics of a kernel on its eligible points.
+
+    The policy's pairs split into pairs_evaluated (pair_quotient calls)
+    and pairs_bounded (skipped because 2(1 + norm_error)/d fell below the
+    running maximum); lipschitz and argmax_pair are those of the full scan.
+    """
     support_radius: int
     lipschitz: float
     argmax_pair: tuple
     policy: str
     pairs_evaluated: int
+    pairs_bounded: int
     norm_error: float
 
 
@@ -181,17 +173,22 @@ def kernel_stats(kernel, min_interior=0, seed=0, sample_pairs=20_000,
     space = kernel.base
     eligible = _eligible(kernel, min_interior)
     sup_radius = kernel.support_radius(eligible)
+    norm_error = kernel.norm_error(eligible)
+    cap = 2.0 * (1.0 + norm_error)
 
     best = 0.0
     arg = None
-    count = 0
+    evaluated = bounded = 0
 
     def consider(i, j):
-        nonlocal best, arg, count
-        if i == j:
+        # the strict > keeps the first maximum, so a pair that cannot
+        # exceed best changes neither lipschitz nor argmax_pair
+        nonlocal best, arg, evaluated, bounded
+        if cap / space.dist_i(i, j) < best * (1.0 - PRUNE_MARGIN):
+            bounded += 1
             return
         q = kernel.pair_quotient(i, j)
-        count += 1
+        evaluated += 1
         if q > best:
             best = q
             arg = (space.points[i], space.points[j])
@@ -217,8 +214,8 @@ def kernel_stats(kernel, min_interior=0, seed=0, sample_pairs=20_000,
         policy = "edges-exact+sample" if geodesic_exact else "edges+sample"
     return KernelStats(
         support_radius=sup_radius, lipschitz=best, argmax_pair=arg,
-        policy=policy, pairs_evaluated=count,
-        norm_error=kernel.norm_error(eligible))
+        policy=policy, pairs_evaluated=evaluated, pairs_bounded=bounded,
+        norm_error=norm_error)
 
 
 # ---------------------------------------------------------------------------
@@ -312,13 +309,11 @@ def pou_kernel(cover, p, exact=False, name=""):
                   exact=exact)
 
 
-def pou_lipschitz_bound(stats_or_mult, lebesgue=None, p=1):
-    """The advertised partition-of-unity bound 2 (2 m^2)^(1/p) / L."""
-    if lebesgue is None:
-        m, L = stats_or_mult.multiplicity, stats_or_mult.lebesgue
-    else:
-        m, L = stats_or_mult, lebesgue
-    return 2.0 * (2.0 * m * m) ** (1.0 / p) / float(L)
+def pou_lipschitz_bound(stats, p=1):
+    """The advertised partition-of-unity bound 2 (2 m^2)^(1/p) / L of a
+    cover with multiplicity m and Lebesgue level L."""
+    m = stats.multiplicity
+    return 2.0 * (2.0 * m * m) ** (1.0 / p) / float(stats.lebesgue)
 
 
 # ---------------------------------------------------------------------------

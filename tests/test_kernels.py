@@ -1,20 +1,21 @@
 import functools
+import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coarse_embed import kernels
 from coarse_embed.covers import Cover, balls_cover, cover_stats, interval_cover
-from coarse_embed.kernels import (diff_norm, kernel_stats, mazur_map,
-                                  mazur_pairs_check, p_norm, pou_kernel,
-                                  pou_lipschitz_bound, pullback_kernel,
-                                  tent_neighbor_identity, tent_norm_floor,
-                                  tent_profile, tree_kernel_flat,
-                                  tree_kernel_tent)
+from coarse_embed.kernels import (Kernel, diff_norm, kernel_stats,
+                                  mazur_map, mazur_pairs_check, p_norm,
+                                  pou_kernel, pou_lipschitz_bound,
+                                  pullback_kernel, tent_neighbor_identity,
+                                  tent_norm_floor, tent_profile,
+                                  tree_kernel_flat, tree_kernel_tent)
 from coarse_embed.lattice import embed_grid_point, zk_cover
 from coarse_embed.spaces import grid_space, tree_ball, FiniteMetricSpace
 
@@ -23,7 +24,6 @@ def test_constant_kernel_has_zero_lipschitz():
     g = grid_space(1, 5)
     fixed = {0: 0.5, 1: 0.5}
 
-    from coarse_embed.kernels import Kernel
     kern = Kernel(g, 1, lambda i: dict(fixed), name="constant")
     st = kernel_stats(kern)
     assert st.lipschitz == 0.0
@@ -34,7 +34,6 @@ def test_norm_error_checks_every_eligible_point():
     g = grid_space(2, 32)
     bad = 4100
 
-    from coarse_embed.kernels import Kernel
     kern = Kernel(g, 1, lambda i: {i: 2.0 if i == bad else 1.0}, name="one bad row")
     st = kernel_stats(kern, sample_pairs=10)
     assert st.norm_error == 1.0
@@ -133,7 +132,7 @@ def test_cover_weights_computed_once_per_cover(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# pair quotients: the disjoint-support shortcut against diff_norm
+# the bounded pair scan against an unpruned oracle
 
 
 @functools.cache
@@ -161,10 +160,25 @@ def random_grid_covers(draw):
     return Cover(g, sets, name="random")
 
 
+def signed_kernel(p, seed, spread):
+    """Rows of one to four signed entries on the line, each scaled to an
+    l^p norm within spread of 1."""
+    g = quotient_window("line")
+
+    def row_fn(i):
+        rng = random.Random(seed * len(g) + i)
+        keys = rng.sample(range(len(g)), rng.randint(1, 4))
+        vals = [rng.choice((-1, 1)) * rng.uniform(0.1, 1.0) for _ in keys]
+        scale = (1.0 + rng.uniform(-spread, spread)) / p_norm(vals, p)
+        return {k: v * scale for k, v in zip(keys, vals)}
+
+    return Kernel(g, p, row_fn, name=f"signed seed={seed}")
+
+
 @st.composite
 def quotient_kernels(draw):
     family = draw(st.sampled_from(["pou", "pou exact", "tent", "flat",
-                                   "pullback", "pullback exact"]))
+                                   "pullback", "pullback exact", "signed"]))
     p = 1 if "exact" in family else draw(st.sampled_from([1, 2, 3]))
     if family.startswith("pou"):
         return pou_kernel(draw(random_grid_covers()), p, exact="exact" in family)
@@ -172,6 +186,9 @@ def quotient_kernels(draw):
         return tree_kernel_tent(quotient_window("tree"), draw(st.integers(1, 3)), p)
     if family == "flat":
         return tree_kernel_flat(quotient_window("tree"), draw(st.integers(1, 4)), p)
+    if family == "signed":
+        return signed_kernel(p, draw(st.integers(0, 2 ** 16)),
+                             draw(st.sampled_from([0.0, 0.1])))
     # the line's rows collect the plane rows along the retraction onto the axis
     cover = balls_cover(quotient_window("plane"), draw(st.integers(1, 2)))
     plane = pou_kernel(cover, p, exact="exact" in family)
@@ -179,26 +196,66 @@ def quotient_kernels(draw):
     return sigma
 
 
-def support_relation(row_a, row_b):
-    if row_a.keys() == row_b.keys():
-        return "identical"
-    return "disjoint" if row_a.keys().isdisjoint(row_b) else "overlapping"
+def policy_pairs(kern, min_interior):
+    """The pair policy's pairs at kernel_stats' defaults, enumerated apart
+    from it, and whether the policy samples."""
+    space = kern.base
+    eligible = [i for i in kern.domain_indices
+                if space.interior_radius[i] >= min_interior]
+    if len(eligible) <= kernels.ALL_PAIRS_CAP:
+        return list(itertools.combinations(eligible, 2)), False
+    chosen = set(eligible)
+    pairs = [(i, j) for i, j in space.edge_pairs() if i in chosen and j in chosen]
+    rng = random.Random(0)
+    for _ in range(20_000):
+        i = eligible[rng.randrange(len(eligible))]
+        j = eligible[rng.randrange(len(eligible))]
+        if i != j:
+            pairs.append((i, j))
+    return pairs, True
+
+
+def hand_built_kernel(p, rows):
+    """Rows given outright at the first len(rows) points of a line."""
+    return Kernel(grid_space(1, 6), p, lambda i: dict(rows[i]), name="hand-built",
+                  domain_indices=range(len(rows)))
+
+
+# Norms 1.05, 1.0 and 1.1, so e = 0.1: the last pair, 2.1 at d = 1, beats
+# the first, 2.05, only under the full 2(1 + e) bound.
+SIGNED_ROWS = [{0: 1.05}, {0: -1.0}, {0: 1.1}]
+# Each row sums to exactly 1.0, so e = 0, but the pair sums round up: to
+# 2 + 1 ulp for the first pair and 2 + 2 ulp for the last, both at d = 1.
+# Only the margin keeps the last pair from being skipped.
+ROUNDING_ROWS = [{0: 1.0}, dict(enumerate([0.39, 0.39, 0.22], start=1)),
+                 dict(enumerate([0.11, 0.13, 0.1, 0.14, 0.1, 0.14, 0.28],
+                                start=4))]
 
 
 @settings(max_examples=250, deadline=None, derandomize=True)
-@given(quotient_kernels(), st.data())
-def test_pair_quotient_is_diff_norm_bit_for_bit(kern, data):
+@given(quotient_kernels(), st.integers(0, 2))
+@example(hand_built_kernel(1, SIGNED_ROWS), 0)
+@example(hand_built_kernel(2, SIGNED_ROWS), 0)
+@example(hand_built_kernel(3, SIGNED_ROWS), 0)
+@example(hand_built_kernel(1, ROUNDING_ROWS), 0)
+# past the all-pairs cap: edges plus the seeded sample
+@example(pou_kernel(balls_cover(grid_space(2, 20), 2), 2), 0)
+@example(tree_kernel_tent(tree_ball(3, 10), 4, 2), 1)
+def test_pruned_kernel_stats_matches_oracle(kern, min_interior):
+    """kernel_stats equals the unpruned scan: the largest diff_norm / d over
+    the policy's pairs, its first strict maximum as the witness pair."""
     space = kern.base
-    i = data.draw(st.sampled_from(kern.domain_indices))
-    for relation in ("disjoint", "overlapping", "identical"):
-        partners = [j for j in kern.domain_indices if j != i and
-                    support_relation(kern.row(i), kern.row(j)) == relation]
-        if not partners:
-            continue
-        j = data.draw(st.sampled_from(partners))
-        for a, b in ((i, j), (j, i), (i, j)):   # the last reuses a cached sum
-            want = diff_norm(kern.row(a), kern.row(b), kern.p) / float(space.dist_i(a, b))
-            assert kern.pair_quotient(a, b) == want
+    pairs, sampled = policy_pairs(kern, min_interior)
+    best, arg = 0.0, None
+    for i, j in pairs:
+        q = diff_norm(kern.row(i), kern.row(j), kern.p) / float(space.dist_i(i, j))
+        if q > best:
+            best, arg = q, (space.points[i], space.points[j])
+    ks = kernel_stats(kern, min_interior=min_interior)
+    assert ks.lipschitz == best
+    assert ks.argmax_pair == arg
+    assert ks.pairs_evaluated + ks.pairs_bounded == len(pairs)
+    assert ("sample" in ks.policy) == sampled
 
 
 # ---------------------------------------------------------------------------

@@ -64,7 +64,7 @@ def test_wreath_mesh_growth_curve():
     ball = lamplighter_ball(5, certify=False)
 
     def builder(L):
-        cover, stats, _ = wreath_cover(ball, L, check=False)
+        cover, stats, _ = wreath_cover(ball, L)
         return cover, stats
 
     rows = type_function_upper(builder, [1, 2])
