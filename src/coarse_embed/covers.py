@@ -37,6 +37,7 @@ class Cover:
             raise ValueError("empty cover set")
         self._membership = None
         self._weights = None        # kernels.cover_weights fills it
+        self._radii = {}            # row support radii of its pou kernels
 
     def __len__(self):
         return len(self.sets)

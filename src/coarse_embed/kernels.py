@@ -14,18 +14,33 @@ sample; everything else uses edges plus a seeded sample and is labeled
 as sampled.  Every row has norm within e = norm_error of 1, so no pair
 of the policy can exceed 2(1 + e)/d; a pair whose bound falls below the
 running maximum is counted as bounded instead of evaluated.
+
+Work that does not depend on p is done once and shared:
+
+- the policy's pairs and their distances form a ``PairPlan``, keyed on
+  (eligible points, seed, sample size, all-pairs cap) and kept on the
+  window, one at a time, so kernels scanned back to back on the same
+  points measure each distance once;
+- the partition-of-unity kernels of one cover share one cache of row
+  support radii, because their rows have the same supports for every p;
+- each cover's weights (``cover_weights``) are computed once per cover,
+  and their p-th powers once per kernel, that is per (cover, p).
 """
 
 from __future__ import annotations
 
 import random
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations, starmap
 
 from .errors import ContractViolation
 
 ALL_PAIRS_CAP = 700
 NORM_TOL = 1e-9
+# window kinds whose metric takes integer values
+INTEGER_KINDS = ("grid", "tree", "lamplighter")
 # A pair is skipped only when its bound 2(1 + e)/d falls below the running
 # maximum by this relative margin.  The computed quotient of an n-term
 # power sum is off by about n * 2^-53 relative, far below the margin, so a
@@ -75,10 +90,13 @@ class Kernel:
     constructions) and floats otherwise.
     domain_indices restricts where rows are defined (support may still use
     the whole window); None means everywhere.
-    Each row's support radius is measured once and cached.
+    Each row's support radius is measured once and cached in radii, a dict
+    point-index -> radius that kernels whose rows share their supports may
+    share (None: a cache of this kernel's own).
     """
 
-    def __init__(self, base, p, row_fn, name="", exact=False, domain_indices=None):
+    def __init__(self, base, p, row_fn, name="", exact=False, domain_indices=None,
+                 radii=None):
         self.base = base
         self.p = p
         self.row_fn = row_fn
@@ -88,7 +106,7 @@ class Kernel:
                                else sorted(domain_indices))
         self._domain_set = set(self.domain_indices)
         self._rows = {}
-        self._radii = {}
+        self._radii = {} if radii is None else radii
 
     def row(self, i):
         if i not in self._rows:
@@ -123,9 +141,11 @@ class Kernel:
                 worst = err
         return worst
 
-    def pair_quotient(self, i, j):
-        """diff_norm(row(i), row(j), p) / dist(i, j)."""
-        d = self.base.dist_i(i, j)
+    def pair_quotient(self, i, j, d=None):
+        """diff_norm(row(i), row(j), p) / dist(i, j); d, when given, is that
+        distance, already measured."""
+        if d is None:
+            d = self.base.dist_i(i, j)
         if d == 0:
             raise ValueError("identical points")
         return diff_norm(self.row(i), self.row(j), self.p) / float(d)
@@ -155,10 +175,63 @@ class KernelStats:
     norm_error: float
 
 
-def _eligible(kernel, min_interior):
-    space = kernel.base
-    return [i for i in kernel.domain_indices
-            if space.interior_radius[i] >= min_interior]
+class PairPlan:
+    """The pair policy's pairs on one window, in visiting order, with their
+    distances.
+
+    key is (eligible point indices, seed, sample size, all-pairs cap).  Up
+    to the cap the pairs are all pairs of eligible points, in
+    ``combinations`` order, and only their distances are stored; past it,
+    they are the window's unit edges between eligible points followed by
+    the seeded sample, stored as machine-int arrays of point indices.
+    Distances are machine ints on integer metrics and otherwise the floats
+    the pair quotient divides by.
+    """
+
+    def __init__(self, space, key):
+        eligible, seed, sample_pairs, all_pairs_cap = key
+        self.key = key
+        self.all_pairs = len(eligible) <= all_pairs_cap
+        if not self.all_pairs:
+            chosen = set(eligible)
+            self.first, self.second = array("i"), array("i")
+            for i, j in space.edge_pairs():
+                if i in chosen and j in chosen:
+                    self.first.append(i)
+                    self.second.append(j)
+            rng = random.Random(seed)
+            n = len(eligible)
+            for _ in range(sample_pairs):
+                i = eligible[rng.randrange(n)]
+                j = eligible[rng.randrange(n)]
+                if i != j:
+                    self.first.append(i)
+                    self.second.append(j)
+        code = "I" if space.kind in INTEGER_KINDS else "d"
+        self.dist = array(code, starmap(space.dist_i, self.pairs()))
+
+    def pairs(self):
+        """(i, j) in visiting order."""
+        if self.all_pairs:
+            return combinations(self.key[0], 2)
+        return zip(self.first, self.second)
+
+    def __len__(self):
+        return len(self.dist)
+
+    def __iter__(self):
+        """((i, j), distance) in visiting order."""
+        return zip(self.pairs(), self.dist)
+
+
+def pair_plan(space, eligible, seed, sample_pairs, all_pairs_cap):
+    """The window's plan for these arguments: the one kept on the window
+    when its key matches, else a new one that replaces it."""
+    key = (tuple(eligible), seed, sample_pairs, all_pairs_cap)
+    if space._pair_plan is None or space._pair_plan.key != key:
+        space._pair_plan = None     # never hold two plans of one window
+        space._pair_plan = PairPlan(space, key)
+    return space._pair_plan
 
 
 def kernel_stats(kernel, min_interior=0, seed=0, sample_pairs=20_000,
@@ -171,51 +244,37 @@ def kernel_stats(kernel, min_interior=0, seed=0, sample_pairs=20_000,
     boundary).
     """
     space = kernel.base
-    eligible = _eligible(kernel, min_interior)
+    eligible = [i for i in kernel.domain_indices
+                if space.interior_radius[i] >= min_interior]
     sup_radius = kernel.support_radius(eligible)
     norm_error = kernel.norm_error(eligible)
     cap = 2.0 * (1.0 + norm_error)
+    plan = pair_plan(space, eligible, seed, sample_pairs, all_pairs_cap)
 
-    best = 0.0
+    # the strict > keeps the first maximum, so a pair whose bound falls
+    # below floor cannot change lipschitz or argmax_pair
+    best = floor = 0.0
     arg = None
-    evaluated = bounded = 0
-
-    def consider(i, j):
-        # the strict > keeps the first maximum, so a pair that cannot
-        # exceed best changes neither lipschitz nor argmax_pair
-        nonlocal best, arg, evaluated, bounded
-        if cap / space.dist_i(i, j) < best * (1.0 - PRUNE_MARGIN):
-            bounded += 1
-            return
-        q = kernel.pair_quotient(i, j)
+    evaluated = 0
+    for (i, j), d in plan:
+        if cap / d < floor:
+            continue
+        q = kernel.pair_quotient(i, j, d)
         evaluated += 1
         if q > best:
             best = q
+            floor = best * (1.0 - PRUNE_MARGIN)
             arg = (space.points[i], space.points[j])
-
-    if len(eligible) <= all_pairs_cap:
-        for a in range(len(eligible)):
-            for b in range(a + 1, len(eligible)):
-                consider(eligible[a], eligible[b])
+    if plan.all_pairs:
         policy = "all-pairs"
+    elif space.geodesic and (min_interior == 0 or space.kind == "grid"):
+        policy = "edges-exact+sample"
     else:
-        elig_set = set(eligible)
-        geodesic_exact = space.geodesic and (min_interior == 0 or space.kind == "grid")
-        for i, j in space.edge_pairs():
-            if i in elig_set and j in elig_set:
-                consider(i, j)
-        rng = random.Random(seed)
-        n = len(eligible)
-        for _ in range(sample_pairs):
-            i = eligible[rng.randrange(n)]
-            j = eligible[rng.randrange(n)]
-            if i != j:
-                consider(i, j)
-        policy = "edges-exact+sample" if geodesic_exact else "edges+sample"
+        policy = "edges+sample"
     return KernelStats(
         support_radius=sup_radius, lipschitz=best, argmax_pair=arg,
-        policy=policy, pairs_evaluated=evaluated, pairs_bounded=bounded,
-        norm_error=norm_error)
+        policy=policy, pairs_evaluated=evaluated,
+        pairs_bounded=len(plan) - evaluated, norm_error=norm_error)
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +289,7 @@ def boundary_distance(space, i, members, cap):
     rational metrics take the minimum over the complement directly.
     """
     p = space.points[i]
-    if space.kind in ("grid", "tree", "lamplighter"):
+    if space.kind in INTEGER_KINDS:
         for r in range(1, cap):
             for q in space.shell(p, r):
                 if space.index[q] not in members:
@@ -268,7 +327,8 @@ def pou_kernel(cover, p, exact=False, name=""):
     ambient window margin (interior radius + 1) so that window truncation
     never inflates a weight (``cover_weights``, shared by every p).  Rows
     are exactly unit norm by construction; a row is supported on z exactly
-    when some set contains both points.
+    when some set contains both points, whatever p and exact are, so every
+    pou kernel of the cover shares the cover's support-radius cache.
     With exact=True (p = 1 only) all values are rationals.
     """
     if exact and p != 1:
@@ -279,7 +339,9 @@ def pou_kernel(cover, p, exact=False, name=""):
     if exact:
         set_norm = [Fraction(sum(vals.values())) for vals in psi]
     else:
-        set_norm = [p_norm(vals.values(), p) for vals in psi]
+        norm_p = [float(p_norm(vals.values(), p)) ** p for vals in psi]
+        # per set, float(w) ** p in the set's weight order
+        powers = [array("d", (float(w) ** p for w in vals.values())) for vals in psi]
 
     def row_fn(i):
         owners = mem[i]
@@ -298,15 +360,15 @@ def pou_kernel(cover, p, exact=False, name=""):
         out = {}
         for sid, w in zip(owners, weights):
             coef = (w ** p) / total_p
-            norm_p = float(set_norm[sid]) ** p
-            for z, wz in psi[sid].items():
-                out[z] = out.get(z, 0.0) + coef * (float(wz) ** p) / norm_p
+            set_norm_p = norm_p[sid]
+            for z, wz_p in zip(psi[sid], powers[sid]):
+                out[z] = out.get(z, 0.0) + coef * wz_p / set_norm_p
         if p == 1:
             return out
         return {z: v ** (1.0 / p) for z, v in out.items()}
 
     return Kernel(space, p, row_fn, name=name or f"pou({cover.name}, p={p})",
-                  exact=exact)
+                  exact=exact, radii=cover._radii)
 
 
 def pou_lipschitz_bound(stats, p=1):

@@ -137,16 +137,19 @@ def test_cover_weights_computed_once_per_cover(monkeypatch):
 
 @functools.cache
 def quotient_window(name):
+    if name == "rational":      # a line at half spacing
+        return rational_window([(Fraction(x, 2),) for x in range(-6, 7)], "half line")
     return {"line": lambda: grid_space(1, 12), "plane": lambda: grid_space(2, 4),
             "tree": lambda: tree_ball(3, 5)}[name]()
 
 
 @st.composite
-def random_grid_covers(draw):
+def random_covers(draw, windows=("line", "plane")):
     """Balls of random centres and radii, one set of every point no ball
     reached (so points in it alone share one support), and sometimes the
     whole window (so every row shares one support)."""
-    g = quotient_window(draw(st.sampled_from(["line", "plane"])))
+    name = draw(st.sampled_from(windows))
+    g = quotient_window(name).space if name == "tree" else quotient_window(name)
     n = len(g)
     sets = [[g.index[q] for q in g.closed_ball(g.points[c], r)]
             for c, r in draw(st.lists(st.tuples(st.integers(0, n - 1),
@@ -181,7 +184,7 @@ def quotient_kernels(draw):
                                    "pullback", "pullback exact", "signed"]))
     p = 1 if "exact" in family else draw(st.sampled_from([1, 2, 3]))
     if family.startswith("pou"):
-        return pou_kernel(draw(random_grid_covers()), p, exact="exact" in family)
+        return pou_kernel(draw(random_covers()), p, exact="exact" in family)
     if family == "tent":
         return tree_kernel_tent(quotient_window("tree"), draw(st.integers(1, 3)), p)
     if family == "flat":
@@ -196,23 +199,48 @@ def quotient_kernels(draw):
     return sigma
 
 
-def policy_pairs(kern, min_interior):
-    """The pair policy's pairs at kernel_stats' defaults, enumerated apart
-    from it, and whether the policy samples."""
+def policy_pairs(kern, min_interior, seed=0, sample_pairs=20_000,
+                 all_pairs_cap=kernels.ALL_PAIRS_CAP):
+    """The pair policy's pairs, enumerated apart from kernel_stats, and the
+    policy's label."""
     space = kern.base
     eligible = [i for i in kern.domain_indices
                 if space.interior_radius[i] >= min_interior]
-    if len(eligible) <= kernels.ALL_PAIRS_CAP:
-        return list(itertools.combinations(eligible, 2)), False
+    if len(eligible) <= all_pairs_cap:
+        return list(itertools.combinations(eligible, 2)), "all-pairs"
     chosen = set(eligible)
     pairs = [(i, j) for i, j in space.edge_pairs() if i in chosen and j in chosen]
-    rng = random.Random(0)
-    for _ in range(20_000):
+    rng = random.Random(seed)
+    for _ in range(sample_pairs):
         i = eligible[rng.randrange(len(eligible))]
         j = eligible[rng.randrange(len(eligible))]
         if i != j:
             pairs.append((i, j))
-    return pairs, True
+    exact = space.geodesic and (min_interior == 0 or space.kind == "grid")
+    return pairs, "edges-exact+sample" if exact else "edges+sample"
+
+
+def assert_stats_match_oracle(kern, min_interior, **policy):
+    """kernel_stats equals the unpruned, unshared scan: the largest
+    diff_norm / d over the policy's pairs, its first strict maximum as the
+    witness pair, every pair either evaluated or bounded, and the support
+    radius measured on the kernel's own rows."""
+    space = kern.base
+    pairs, label = policy_pairs(kern, min_interior, **policy)
+    radius = max((space.dist_i(i, j) for i in kern.domain_indices
+                  if space.interior_radius[i] >= min_interior for j in kern.row(i)),
+                 default=0)
+    best, arg = 0.0, None
+    for i, j in pairs:
+        q = diff_norm(kern.row(i), kern.row(j), kern.p) / float(space.dist_i(i, j))
+        if q > best:
+            best, arg = q, (space.points[i], space.points[j])
+    ks = kernel_stats(kern, min_interior=min_interior, **policy)
+    assert ks.support_radius == radius
+    assert ks.lipschitz == best
+    assert ks.argmax_pair == arg
+    assert ks.pairs_evaluated + ks.pairs_bounded == len(pairs)
+    assert ks.policy == label
 
 
 def hand_built_kernel(p, rows):
@@ -242,20 +270,118 @@ ROUNDING_ROWS = [{0: 1.0}, dict(enumerate([0.39, 0.39, 0.22], start=1)),
 @example(pou_kernel(balls_cover(grid_space(2, 20), 2), 2), 0)
 @example(tree_kernel_tent(tree_ball(3, 10), 4, 2), 1)
 def test_pruned_kernel_stats_matches_oracle(kern, min_interior):
-    """kernel_stats equals the unpruned scan: the largest diff_norm / d over
-    the policy's pairs, its first strict maximum as the witness pair."""
-    space = kern.base
-    pairs, sampled = policy_pairs(kern, min_interior)
-    best, arg = 0.0, None
-    for i, j in pairs:
-        q = diff_norm(kern.row(i), kern.row(j), kern.p) / float(space.dist_i(i, j))
-        if q > best:
-            best, arg = q, (space.points[i], space.points[j])
-    ks = kernel_stats(kern, min_interior=min_interior)
-    assert ks.lipschitz == best
-    assert ks.argmax_pair == arg
-    assert ks.pairs_evaluated + ks.pairs_bounded == len(pairs)
-    assert ("sample" in ks.policy) == sampled
+    assert_stats_match_oracle(kern, min_interior)
+
+
+def permuted_window(space, seed):
+    """The same points in a shuffled order: a window of the same size and
+    kind whose index pairs lie at other distances."""
+    order = list(range(len(space)))
+    random.Random(seed).shuffle(order)
+    return FiniteMetricSpace(
+        [space.points[k] for k in order], space.dist, space.window_tag + " shuffled",
+        [space.interior_radius[k] for k in order], geodesic=space.geodesic,
+        dist_tag=space.dist_tag, neighbors=space.neighbors, kind=space.kind)
+
+
+def moved_cover(cover, space):
+    """cover's sets, by label, on another window holding the same points."""
+    return Cover(space, [[space.index[cover.space.points[i]] for i in s]
+                         for s in cover.sets], name=cover.name)
+
+
+@st.composite
+def scan_policies(draw):
+    """kernel_stats' policy arguments, with caps low enough that small
+    windows take the edges-plus-sample branch."""
+    return {"seed": draw(st.integers(0, 3)),
+            "sample_pairs": draw(st.sampled_from([0, 50, 400])),
+            "all_pairs_cap": draw(st.sampled_from([kernels.ALL_PAIRS_CAP, 10]))}
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(random_covers(("line", "plane", "rational", "tree")), st.integers(0, 2),
+       st.integers(0, 2), scan_policies(), st.integers(0, 3), st.integers(0, 2 ** 16))
+def test_back_to_back_scans_match_unshared_oracle(cover, m1, m2, policy, seed2, shuffle):
+    """Kernels scanned one after another share pair plans and support
+    radii; each result still equals its own unshared oracle."""
+    for p, exact in ((1, False), (2, False), (3, False), (1, True)):
+        assert_stats_match_oracle(pou_kernel(cover, p, exact=exact), m1, **policy)
+    kern = pou_kernel(cover, 2)
+    assert_stats_match_oracle(kern, m2, **policy)
+    assert_stats_match_oracle(kern, m2, **dict(policy, seed=seed2))
+    # the same rows on two domains of one size
+    n, half = len(cover.space), len(cover.space) // 2
+    for domain in (range(half), range(n - half, n)):
+        assert_stats_match_oracle(Kernel(cover.space, 2, kern.row, domain_indices=domain),
+                                  0, **dict(policy, seed=seed2))
+    # every point of this window, then of one of the same size and kind
+    assert_stats_match_oracle(kern, 0, **policy)
+    other = moved_cover(cover, permuted_window(cover.space, shuffle))
+    for p in (1, 3):
+        assert_stats_match_oracle(pou_kernel(other, p), 0, **policy)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(random_covers(("line", "plane", "rational")),
+       st.permutations([(1, False), (2, False), (3, False), (1, True)]))
+def test_shared_support_radii_match_each_row(cover, order):
+    """Whichever pou kernel of a cover measures a row's radius first, each
+    kernel reads the largest distance from the point to its own row."""
+    space = cover.space
+    for p, exact in order:
+        kern = pou_kernel(cover, p, exact=exact)
+        radii = [max(space.dist_i(i, j) for j in kern.row(i)) for i in range(len(space))]
+        assert [kern.support_radius([i]) for i in range(len(space))] == radii
+        assert kernel_stats(kern).support_radius == max(radii)
+
+
+def reference_pou_row(cover, p, i):
+    """A pou row built straight from the formula, raising every weight to
+    the p-th power where it is used."""
+    psi = kernels.cover_weights(cover)
+    owners = cover.membership()[i]
+    weights = [float(psi[sid][i]) for sid in owners]
+    total_p = sum(w ** p for w in weights)
+    out = {}
+    for sid, w in zip(owners, weights):
+        coef = (w ** p) / total_p
+        norm_p = float(p_norm(psi[sid].values(), p)) ** p
+        for z, wz in psi[sid].items():
+            out[z] = out.get(z, 0.0) + coef * (float(wz) ** p) / norm_p
+    if p == 1:
+        return out
+    return {z: v ** (1.0 / p) for z, v in out.items()}
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(random_covers(("line", "plane", "rational")),
+       st.sampled_from([1, 2, 3, 2.0, 1.5, 2.7]))
+def test_pou_rows_equal_reference_builder(cover, p):
+    kern = pou_kernel(cover, p)
+    for i in range(len(cover.space)):
+        # same entries in the same order, bit for bit
+        assert list(kern.row(i).items()) == list(reference_pou_row(cover, p, i).items())
+
+
+def test_second_scan_of_a_cover_measures_no_distance():
+    g = grid_space(2, 20)               # past the all-pairs cap
+    calls = []
+    bare = g.dist
+
+    def counted(a, b):
+        calls.append(1)
+        return bare(a, b)
+
+    g.dist = counted
+    cover = balls_cover(g, 2)
+    first = kernel_stats(pou_kernel(cover, 1), min_interior=1)
+    assert calls
+    calls.clear()
+    for p in (2, 3):
+        ks = kernel_stats(pou_kernel(cover, p), min_interior=1)
+        assert ks.support_radius == first.support_radius
+    assert not calls
 
 
 # ---------------------------------------------------------------------------
