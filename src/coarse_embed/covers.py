@@ -38,6 +38,7 @@ class Cover:
         self._membership = None
         self._weights = None        # kernels.cover_weights fills it
         self._radii = {}            # row support radii of its pou kernels
+        self._plans = {}            # the last pair plan of its pou kernels
 
     def __len__(self):
         return len(self.sets)

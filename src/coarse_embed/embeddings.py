@@ -120,14 +120,13 @@ class KernelField:
 
     levels: list of (S_j, kernel_j, eps_j) with support radius <= S_j,
     one per weight breakpoint except the last (the truncation scale).
-    radii holds each level's measured support radius.
     """
 
     def __init__(self, levels, top):
         self.levels = list(levels)
         self.top = top
-        self.radii = [kern.support_radius() for _, kern, _ in self.levels]
-        for (S, _, _), radius in zip(self.levels, self.radii):
+        for S, kern, _ in self.levels:
+            radius = kern.support_radius()
             if radius > S:
                 raise ContractViolation(
                     f"kernel at level {S} has support radius {radius}")
@@ -198,8 +197,8 @@ class CompressionEmbedding:
         p-th power exactly 2 (disjoint unit vectors)."""
         d = self.domain.dist(x, y)
         powers = self.level_difference_powers(x, y)
-        for (S, _, _), radius, dp in zip(self.field.levels, self.field.radii, powers):
-            if 2 * radius < d and abs(dp - 2.0) > tol:
+        for (S, kern, _), dp in zip(self.field.levels, powers):
+            if 2 * kern.support_radius() < d and abs(dp - 2.0) > tol:
                 return (S, dp)
         return None
 

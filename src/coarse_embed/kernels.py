@@ -18,9 +18,10 @@ running maximum is counted as bounded instead of evaluated.
 Work that does not depend on p is done once and shared:
 
 - the policy's pairs and their distances form a ``PairPlan``, keyed on
-  (eligible points, seed, sample size, all-pairs cap) and kept on the
-  window, one at a time, so kernels scanned back to back on the same
-  points measure each distance once;
+  (eligible points, seed, sample size, all-pairs cap); the
+  partition-of-unity kernels of one cover keep their last plan on the
+  cover, so p = 1, 2, 3 scanned back to back measure each distance once,
+  and any other kernel builds a plan per scan;
 - the partition-of-unity kernels of one cover share one cache of row
   support radii, because their rows have the same supports for every p;
 - each cover's weights (``cover_weights``) are computed once per cover,
@@ -92,11 +93,13 @@ class Kernel:
     the whole window); None means everywhere.
     Each row's support radius is measured once and cached in radii, a dict
     point-index -> radius that kernels whose rows share their supports may
-    share (None: a cache of this kernel's own).
+    share (None: a cache of this kernel's own).  plans, a dict holding at
+    most one PairPlan, is shared by kernels scanned on the same pairs
+    (None: kernel_stats builds a plan per scan).
     """
 
     def __init__(self, base, p, row_fn, name="", exact=False, domain_indices=None,
-                 radii=None):
+                 radii=None, plans=None):
         self.base = base
         self.p = p
         self.row_fn = row_fn
@@ -107,6 +110,7 @@ class Kernel:
         self._domain_set = set(self.domain_indices)
         self._rows = {}
         self._radii = {} if radii is None else radii
+        self._plans = plans
 
     def row(self, i):
         if i not in self._rows:
@@ -141,11 +145,9 @@ class Kernel:
                 worst = err
         return worst
 
-    def pair_quotient(self, i, j, d=None):
-        """diff_norm(row(i), row(j), p) / dist(i, j); d, when given, is that
-        distance, already measured."""
-        if d is None:
-            d = self.base.dist_i(i, j)
+    def pair_quotient(self, i, j, d):
+        """diff_norm(row(i), row(j), p) / d, where d = dist(i, j) is
+        already measured."""
         if d == 0:
             raise ValueError("identical points")
         return diff_norm(self.row(i), self.row(j), self.p) / float(d)
@@ -224,14 +226,17 @@ class PairPlan:
         return zip(self.pairs(), self.dist)
 
 
-def pair_plan(space, eligible, seed, sample_pairs, all_pairs_cap):
-    """The window's plan for these arguments: the one kept on the window
-    when its key matches, else a new one that replaces it."""
+def pair_plan(kernel, eligible, seed, sample_pairs, all_pairs_cap):
+    """The kernel's plan for these arguments: the one kept in its shared
+    plans when the key matches, else a new one that replaces it."""
     key = (tuple(eligible), seed, sample_pairs, all_pairs_cap)
-    if space._pair_plan is None or space._pair_plan.key != key:
-        space._pair_plan = None     # never hold two plans of one window
-        space._pair_plan = PairPlan(space, key)
-    return space._pair_plan
+    plans = kernel._plans
+    if plans is None:
+        return PairPlan(kernel.base, key)
+    if key not in plans:
+        plans.clear()               # never hold two plans
+        plans[key] = PairPlan(kernel.base, key)
+    return plans[key]
 
 
 def kernel_stats(kernel, min_interior=0, seed=0, sample_pairs=20_000,
@@ -249,7 +254,7 @@ def kernel_stats(kernel, min_interior=0, seed=0, sample_pairs=20_000,
     sup_radius = kernel.support_radius(eligible)
     norm_error = kernel.norm_error(eligible)
     cap = 2.0 * (1.0 + norm_error)
-    plan = pair_plan(space, eligible, seed, sample_pairs, all_pairs_cap)
+    plan = pair_plan(kernel, eligible, seed, sample_pairs, all_pairs_cap)
 
     # the strict > keeps the first maximum, so a pair whose bound falls
     # below floor cannot change lipschitz or argmax_pair
@@ -328,7 +333,8 @@ def pou_kernel(cover, p, exact=False, name=""):
     never inflates a weight (``cover_weights``, shared by every p).  Rows
     are exactly unit norm by construction; a row is supported on z exactly
     when some set contains both points, whatever p and exact are, so every
-    pou kernel of the cover shares the cover's support-radius cache.
+    pou kernel of the cover shares the cover's support-radius cache, and
+    its last pair plan.
     With exact=True (p = 1 only) all values are rationals.
     """
     if exact and p != 1:
@@ -368,7 +374,7 @@ def pou_kernel(cover, p, exact=False, name=""):
         return {z: v ** (1.0 / p) for z, v in out.items()}
 
     return Kernel(space, p, row_fn, name=name or f"pou({cover.name}, p={p})",
-                  exact=exact, radii=cover._radii)
+                  exact=exact, radii=cover._radii, plans=cover._plans)
 
 
 def pou_lipschitz_bound(stats, p=1):

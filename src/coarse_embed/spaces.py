@@ -50,7 +50,6 @@ class FiniteMetricSpace:
         self.dist_tag = dist_tag
         self.neighbors = neighbors
         self.kind = kind
-        self._pair_plan = None      # kernels.pair_plan keeps the last one
 
     def __len__(self):
         return len(self.points)

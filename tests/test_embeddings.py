@@ -10,7 +10,7 @@ from coarse_embed.embeddings import (KernelField,
                                      shape_condition, shape_integral_rows,
                                      weight_from_type)
 from coarse_embed.errors import ContractViolation
-from coarse_embed.kernels import Kernel, kernel_stats, tree_kernel_tent
+from coarse_embed.kernels import kernel_stats, tree_kernel_tent
 from coarse_embed.spaces import tree_ball
 
 
@@ -157,20 +157,6 @@ def test_disjoint_levels_contribute_two(small_embedding):
     assert far
     for x, y in far:
         assert theta.disjoint_level_check(x, y) is None
-
-
-def test_field_keeps_measured_radii(small_embedding, monkeypatch):
-    theta = small_embedding
-    assert theta.field.radii == [kern.support_radius()
-                                 for _, kern, _ in theta.field.levels]
-
-    def measured_again(self, indices=None):
-        raise AssertionError("support radius measured again")
-
-    monkeypatch.setattr(Kernel, "support_radius", measured_again)
-    dom = theta.domain
-    x, y = next((x, y) for x in dom.points for y in dom.points if dom.dist(x, y) > 8)
-    assert theta.disjoint_level_check(x, y) is None
 
 
 def test_compression_report_identity_map():

@@ -313,7 +313,8 @@ def test_back_to_back_scans_match_unshared_oracle(cover, m1, m2, policy, seed2, 
     # the same rows on two domains of one size
     n, half = len(cover.space), len(cover.space) // 2
     for domain in (range(half), range(n - half, n)):
-        assert_stats_match_oracle(Kernel(cover.space, 2, kern.row, domain_indices=domain),
+        assert_stats_match_oracle(Kernel(cover.space, 2, kern.row, domain_indices=domain,
+                                         plans=cover._plans),
                                   0, **dict(policy, seed=seed2))
     # every point of this window, then of one of the same size and kind
     assert_stats_match_oracle(kern, 0, **policy)
