@@ -9,12 +9,16 @@ whose interior radius is at least r-1 admits a set containing its closed
 condition holds at every level 1..r (a higher level constrains fewer
 points, so it can hold where a lower one fails), capped at 1 + max
 interior radius; when the cap binds the value is flagged as
-window-truncated.
+window-truncated.  On other metrics the open r-ball is every window point
+at distance less than r, so level 1 asks more than coverage there.
+
+Every derived cover is built by ``grouped_cover``: one set per key.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 from .errors import CoverageError, ContractViolation
 
@@ -83,13 +87,18 @@ class CoverStats:
     lebesgue_truncated: bool
     multiplicity: int
     mesh: object            # int or Fraction
-    delta: dict = field(default_factory=dict)   # p -> lebesgue / multiplicity^(2/p)
     n_sets: int = 0
     mesh_exact = True
 
     @property
     def mesh_witnessed(self):
         return self.mesh
+
+    @property
+    def delta(self):
+        """p -> lebesgue / multiplicity^(2/p), for p = 1, 2, 3."""
+        return {p: float(self.lebesgue) / float(self.multiplicity) ** (2.0 / p)
+                for p in (1, 2, 3)}
 
 
 def multiplicity(cover):
@@ -156,21 +165,26 @@ def mesh(cover):
 def lebesgue_condition(cover, r):
     """Witness point violating the level-r condition, or None.
 
-    Condition: every point with interior radius >= r-1 has the closed
-    (r-1)-ball around it inside some cover set.
+    Condition: every point with interior radius >= r-1 has the open r-ball
+    around it inside some cover set.  On integer metrics the open r-ball
+    is the closed (r-1)-ball; on any other it is every window point at
+    distance less than r.
     """
     if r <= 0:
         return None
     space = cover.space
     mem = cover.membership()
+    integer = space.integer_metric
+    if integer and r == 1:
+        # every closed 0-ball is its own point: the condition is coverage
+        return next((p for p, owners in zip(space.points, mem) if not owners), None)
     for i, p in enumerate(space.points):
         if space.interior_radius[i] < r - 1:
             continue
-        if r == 1:
-            if mem[i]:
-                continue
-            return p
-        ball = space.closed_ball(p, r - 1)
+        if integer:
+            ball = space.closed_ball(p, r - 1)
+        else:
+            ball = [q for q in space.points if space.dist(p, q) < r]
         ball_ids = [space.index[q] for q in ball]
         if not any(all(q in cover.frozen[sid] for q in ball_ids) for sid in mem[i]):
             return p
@@ -198,17 +212,13 @@ def certified_lebesgue(cover, scan_cap=None):
     return level, True
 
 
-def cover_stats(cover, p_list=(1, 2, 3), scan_cap=None, check=True):
-    if check:
-        cover.check_coverage()
+def cover_stats(cover, scan_cap=None):
+    cover.check_coverage()
     leb, truncated = certified_lebesgue(cover, scan_cap=scan_cap)
     mult, _ = multiplicity(cover)
     s, _, _ = mesh(cover)
-    stats = CoverStats(lebesgue=leb, lebesgue_truncated=truncated,
-                       multiplicity=mult, mesh=s, n_sets=len(cover))
-    for p in p_list:
-        stats.delta[p] = float(leb) / float(mult) ** (2.0 / p)
-    return stats
+    return CoverStats(lebesgue=leb, lebesgue_truncated=truncated,
+                      multiplicity=mult, mesh=s, n_sets=len(cover))
 
 
 def delta_consistency_report(stats, p_list=(1, 2, 3)):
@@ -218,14 +228,14 @@ def delta_consistency_report(stats, p_list=(1, 2, 3)):
     function at L and a lower bound on delta_p at its own mesh.  Recorded
     for comparison across constructions; nothing here is an assertion."""
     rows = []
+    delta = stats.delta
     for p in p_list:
-        witness = stats.delta.get(p, float(stats.lebesgue) / float(stats.multiplicity) ** (2.0 / p))
         rows.append({
             "p": p,
             "lebesgue": stats.lebesgue,
             "multiplicity": stats.multiplicity,
             "mesh": float(stats.mesh),
-            "delta_witness_at_mesh": witness,
+            "delta_witness_at_mesh": delta[p],
             "mesh_growth_upper_at_L": float(stats.mesh),
         })
     return rows
@@ -242,8 +252,7 @@ def balls_cover(space, r):
     """
     if r <= 0:
         raise ValueError("radius must be positive")
-    import math
-    rad = math.floor(r)
+    rad = math.floor(r) if space.integer_metric else r
     sets = []
     tags = []
     for p in space.points:
@@ -315,25 +324,36 @@ def eval_step(steps, t, default=0):
     return val
 
 
+def grouped_cover(space, keys_of, name, family, tag=None):
+    """Cover of space with one set per key: point i joins the set of every
+    key in keys_of(i).  Sets come in sorted key order and hold their
+    points in window order; the set of key carries family(key) and
+    tag(key) (the key itself without tag).  Every derived cover is built
+    here."""
+    groups = {}
+    for i in range(len(space)):
+        for key in keys_of(i):
+            groups.setdefault(key, []).append(i)
+    keys = sorted(groups)
+    return Cover(space, [groups[key] for key in keys], family=map(family, keys),
+                 tags=keys if tag is None else map(tag, keys), name=name)
+
+
 def pullback_cover(f, domain, cover, name=""):
     """Preimage cover: one set f^{-1}(U) per cover set, empties dropped."""
     target_index = cover.space.index
     mem = cover.membership()
-    sets = {}
-    for i, p in enumerate(domain.points):
+
+    def owners(i):
+        p = domain.points[i]
         q = f(p)
         j = target_index.get(q)
         if j is None:
             raise CoverageError(f"image point {q} not in target window", witness=p)
-        for sid in mem[j]:
-            sets.setdefault(sid, []).append(i)
-    out_sets, out_family, out_tags = [], [], []
-    for sid in sorted(sets):
-        out_sets.append(sets[sid])
-        out_family.append(cover.family[sid])
-        out_tags.append(cover.tags[sid])
-    return Cover(domain, out_sets, family=out_family, tags=out_tags,
-                 name=name or f"pullback({cover.name})")
+        return mem[j]
+
+    return grouped_cover(domain, owners, name or f"pullback({cover.name})",
+                         family=cover.family.__getitem__, tag=cover.tags.__getitem__)
 
 
 def check_pullback_inequalities(f, domain, cover, pulled, pairs):
@@ -341,8 +361,8 @@ def check_pullback_inequalities(f, domain, cover, pulled, pairs):
     cover: rho_plus(L(f*U)) >= L(U) and rho_minus(S(f*U)) <= S(U)."""
     rho_minus, rho_plus = map_compression(
         pairs, domain.dist, lambda a, b: cover.space.dist(f(a), f(b)))
-    st_pull = cover_stats(pulled, p_list=())
-    st_orig = cover_stats(cover, p_list=())
+    st_pull = cover_stats(pulled)
+    st_orig = cover_stats(cover)
     lhs_plus = eval_step(rho_plus, st_pull.lebesgue, default=0)
     lhs_minus = eval_step(rho_minus, st_pull.mesh, default=0)
     return {
@@ -367,26 +387,20 @@ def extend_by_cosets(cover, m, window):
     """
     from .lamplighter import coset_key, block_part
 
-    by_coset = {}
-    for i, label in enumerate(window.points):
-        by_coset.setdefault(coset_key(label, m), []).append(i)
-    block_index = {p: i for i, p in enumerate(cover.space.points)}
-    sets, family, tags = [], [], []
-    for key, members in sorted(by_coset.items()):
-        for sid, s in enumerate(cover.sets):
-            blocks = cover.frozen[sid]
-            ids = []
-            for i in members:
-                part = block_part(window.points[i], m)
-                j = block_index.get(part)
-                if j is not None and j in blocks:
-                    ids.append(i)
-            if ids:
-                sets.append(ids)
-                family.append(cover.family[sid])
-                tags.append((key, cover.tags[sid]))
-    return Cover(window, sets, family=family, tags=tags,
-                 name=f"{cover.name}|cosets m={m}")
+    block_index = cover.space.index
+    mem = cover.membership()
+
+    def keys_of(i):
+        label = window.points[i]
+        j = block_index.get(block_part(label, m))
+        if j is None:
+            return ()
+        key = coset_key(label, m)
+        return [(key, sid) for sid in mem[j]]
+
+    return grouped_cover(window, keys_of, f"{cover.name}|cosets m={m}",
+                         family=lambda key: cover.family[key[1]],
+                         tag=lambda key: (key[0], cover.tags[key[1]]))
 
 
 def type_function_upper(builder, L_list):

@@ -192,13 +192,13 @@ class CompressionEmbedding:
         f = self.weight
         return 2.0 * f(d / 2.0) - 2.0 * f(f.cutoff)
 
-    def disjoint_level_check(self, x, y, tol=1e-9):
+    def disjoint_level_check(self, x, y):
         """Levels with doubled support radius below d must differ with
-        p-th power exactly 2 (disjoint unit vectors)."""
+        p-th power exactly 2 (disjoint unit vectors), up to 1e-9."""
         d = self.domain.dist(x, y)
         powers = self.level_difference_powers(x, y)
         for (S, kern, _), dp in zip(self.field.levels, powers):
-            if 2 * kern.support_radius() < d and abs(dp - 2.0) > tol:
+            if 2 * kern.support_radius() < d and abs(dp - 2.0) > 1e-9:
                 return (S, dp)
         return None
 
@@ -286,22 +286,21 @@ def shape_integral_rows(u, p, c, T, subdivisions=1):
     return rows
 
 
-def shape_condition(u, p, c, T, subdivisions=1, diverge_threshold=10.0,
-                    tail_tol=1e-3):
+def shape_condition(u, p, c, T, subdivisions=1):
     """Convergence diagnostic for the admissibility integral.
 
     Returns a dict with the partial-sum rows, the final increment used as
     the Cauchy tail estimate, and the verdict: 'diverging' once the partial
-    sum passes the threshold, 'converging' when the tail estimate is below
-    tolerance, else 'inconclusive'.
+    sum passes 10, 'converging' when the tail estimate is below 1e-3, else
+    'inconclusive'.
     """
     rows = shape_integral_rows(u, p, c, T, subdivisions=subdivisions)
     total = rows[-1][1]
     window = max(1, subdivisions)
     tail = total - rows[-1 - window][1] if len(rows) > window else total
-    if total > diverge_threshold:
+    if total > 10.0:
         verdict = "diverging"
-    elif tail < tail_tol:
+    elif tail < 1e-3:
         verdict = "converging"
     else:
         verdict = "inconclusive"

@@ -252,7 +252,7 @@ def run_cover_kernel(c):
     else:
         window = grid_space(c["k"], half_width)
         cover, _, _ = zk_cover(window, c["k"], c["L"], strict=False)
-    stats = cover_stats(cover, p_list=c["p_list"])
+    stats = cover_stats(cover)
     min_interior = max(0, stats.lebesgue - 1)
     rows, checks = [], []
     for p in c["p_list"]:

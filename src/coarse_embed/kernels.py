@@ -40,8 +40,6 @@ from .errors import ContractViolation
 
 ALL_PAIRS_CAP = 700
 NORM_TOL = 1e-9
-# window kinds whose metric takes integer values
-INTEGER_KINDS = ("grid", "tree", "lamplighter")
 # A pair is skipped only when its bound 2(1 + e)/d falls below the running
 # maximum by this relative margin.  The computed quotient of an n-term
 # power sum is off by about n * 2^-53 relative, far below the margin, so a
@@ -209,7 +207,7 @@ class PairPlan:
                 if i != j:
                     self.first.append(i)
                     self.second.append(j)
-        code = "I" if space.kind in INTEGER_KINDS else "d"
+        code = "I" if space.integer_metric else "d"
         self.dist = array(code, starmap(space.dist_i, self.pairs()))
 
     def pairs(self):
@@ -294,7 +292,7 @@ def boundary_distance(space, i, members, cap):
     rational metrics take the minimum over the complement directly.
     """
     p = space.points[i]
-    if space.kind in INTEGER_KINDS:
+    if space.integer_metric:
         for r in range(1, cap):
             for q in space.shell(p, r):
                 if space.index[q] not in members:
@@ -325,7 +323,7 @@ def cover_weights(cover):
     return cover._weights
 
 
-def pou_kernel(cover, p, exact=False, name=""):
+def pou_kernel(cover, p, exact=False):
     """Partition-of-unity kernel of a cover.
 
     Each set contributes the distance-to-complement weight, capped by the
@@ -373,7 +371,7 @@ def pou_kernel(cover, p, exact=False, name=""):
             return out
         return {z: v ** (1.0 / p) for z, v in out.items()}
 
-    return Kernel(space, p, row_fn, name=name or f"pou({cover.name}, p={p})",
+    return Kernel(space, p, row_fn, name=f"pou({cover.name}, p={p})",
                   exact=exact, radii=cover._radii, plans=cover._plans)
 
 
@@ -393,7 +391,7 @@ def tent_profile(S):
     return [S + 2 - abs(S - 2 * d) for d in range(S + 1)]
 
 
-def tree_kernel_tent(tree, S, p, name=""):
+def tree_kernel_tent(tree, S, p):
     """Tent-profile kernel: supported on the first S+1 ray points.
 
     Defined on the sub-window of nodes whose ray of length S stays inside.
@@ -419,11 +417,11 @@ def tree_kernel_tent(tree, S, p, name=""):
             out[space.index[z]] = v / norm
         return out
 
-    return Kernel(space, p, row_fn, name=name or f"tent S={S} p={p}",
+    return Kernel(space, p, row_fn, name=f"tent S={S} p={p}",
                   domain_indices=domain)
 
 
-def tree_kernel_flat(tree, S, p, name=""):
+def tree_kernel_flat(tree, S, p):
     """Flat-profile kernel: mass S^(-1/p) on the S ray points starting at
     the node itself (distances 0 .. S-1), giving exact unit norm."""
     from .spaces import ray_point
@@ -440,7 +438,7 @@ def tree_kernel_flat(tree, S, p, name=""):
         label = space.points[i]
         return {space.index[ray_point(label, d)]: value for d in range(S)}
 
-    return Kernel(space, p, row_fn, name=name or f"flat S={S} p={p}",
+    return Kernel(space, p, row_fn, name=f"flat S={S} p={p}",
                   domain_indices=domain)
 
 

@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from .errors import guard_cap
 from .spaces import FiniteMetricSpace
 
-GENERATOR_TAGS = ("t", "t^-1", "a", "a^-1")
-
 _IDENTITY_BALL_CACHE = {}
 
 
@@ -183,10 +181,10 @@ def identity_ball_labels(radius):
     return _IDENTITY_BALL_CACHE[radius]
 
 
-def translated_shell(label, r, cap=12):
+def translated_shell(label, r):
     """Ambient shell around an element, via left translation of the identity shell."""
-    if r > cap:
-        raise ValueError(f"lamplighter shell radius {r} beyond cap {cap}")
+    if r > 12:
+        raise ValueError(f"lamplighter shell radius {r} beyond cap 12")
     g = LamplighterElement.from_label(label)
     by_r = identity_ball_labels(r)
     return [g.mul(u).label() for u in by_r.get(r, ())]
@@ -221,7 +219,7 @@ def cursor_zero_ball_labels(radius):
                   for g in shell if g.cursor == 0)
 
 
-def lamp_parts_window(ball_space, ir_cap=3):
+def lamp_parts_window(ball_space):
     """Window of the lamp parts (cursor zeroed) of a ball's elements.
 
     These are elements of the cursor-0 subgroup with its restricted
@@ -230,6 +228,7 @@ def lamp_parts_window(ball_space, ir_cap=3):
     ir_cap: r counts as interior when every subgroup element within r is
     present in the sample.
     """
+    ir_cap = 3
     parts = sorted({(label[0], 0) for label in ball_space.points})
     present = set(parts)
     shells = [[LamplighterElement.from_label(u) for u in cursor_zero_ball_labels(r)]

@@ -57,9 +57,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .errors import CoverageError
-
-HALF = Fraction(1, 2)
+from .covers import cover_stats, grouped_cover, lebesgue_condition
+from .errors import ContractViolation, CoverageError
 
 
 def split_average_gap(x, subset):
@@ -181,8 +180,6 @@ def cell_contains_bruteforce(v, tau=0, closed=None):
     lowest set bit, visiting all masks without the prefix reduction that
     the fast path relies on.
     """
-    import math
-
     n = len(v)
     if n > 12:
         raise ValueError("brute force oracle limited to n <= 12")
@@ -484,20 +481,12 @@ def candidate_specs(k, L):
     return out
 
 
-def pullback_grid_cover(window, k, spec, name=""):
-    """Cover of a Z^k window by preimages of the enlarged scaled cells."""
-    from .covers import Cover
-
-    sets = {}
-    for idx, z in enumerate(window.points):
-        found = membership_or_fail(embed_grid_point(z), spec)
-        for key in found:
-            sets.setdefault(key, []).append(idx)
-    keys = sorted(sets)
-    return Cover(window, [sets[key] for key in keys],
-                 family=[key[0] for key in keys],
-                 tags=[key for key in keys],
-                 name=name or f"lattice cover scale={spec.scale}")
+def pullback_grid_cover(window, k, spec):
+    """Cover of a Z^k window by preimages of the enlarged scaled cells,
+    one set per (family, lattice point) pair."""
+    return grouped_cover(
+        window, lambda i: membership_or_fail(embed_grid_point(window.points[i]), spec),
+        f"lattice cover scale={spec.scale}", family=lambda key: key[0])
 
 
 def box_grid_cover(window, spec):
@@ -512,23 +501,18 @@ def box_grid_cover(window, spec):
     family label is the parity of the cube index on each axis; grown
     cubes of one family are disjoint when 2 growth <= side.
     """
-    from .covers import Cover
-
     side, growth = spec.side, spec.growth
-    sets = {}
-    for idx, z in enumerate(window.points):
+
+    def cubes(i):
         axes = []
-        for c in z:
+        for c in window.points[i]:
             a, t = divmod(c, side)
             axes.append(((a, 0), (a - 1, t + 1), (a + 1, side - t)))
-        for choice in itertools.product(*axes):
-            if sum(gap for _, gap in choice) <= growth:
-                sets.setdefault(tuple(a for a, _ in choice), []).append(idx)
-    keys = sorted(sets)
-    return Cover(window, [sets[key] for key in keys],
-                 family=[tuple(a % 2 for a in key) for key in keys],
-                 tags=keys,
-                 name=f"box cover side={side} growth={growth}")
+        return [tuple(a for a, _ in choice) for choice in itertools.product(*axes)
+                if sum(gap for _, gap in choice) <= growth]
+
+    return grouped_cover(window, cubes, f"box cover side={side} growth={growth}",
+                         family=lambda key: tuple(a % 2 for a in key))
 
 
 def canonical_spec(k, L):
@@ -539,8 +523,7 @@ def canonical_spec(k, L):
                             default_thickening(n), _generic_offset(n))
 
 
-def zk_cover(window, k, L, mesh_bound=None, strict=True, p_list=(1, 2, 3),
-             spec=None):
+def zk_cover(window, k, L, mesh_bound=None, strict=True, spec=None):
     """Cover of a Z^k window meeting a Lebesgue target.
 
     Tries the lattice pullback candidates of candidate_specs in order,
@@ -556,8 +539,6 @@ def zk_cover(window, k, L, mesh_bound=None, strict=True, p_list=(1, 2, 3),
 
     Returns (cover, stats, spec).
     """
-    from .covers import cover_stats, lebesgue_condition, ContractViolation
-
     n = 2 * k
     if mesh_bound is None:
         mesh_bound = (2 * k * k - 2 * k + 1) * Fraction(L)
@@ -574,7 +555,7 @@ def zk_cover(window, k, L, mesh_bound=None, strict=True, p_list=(1, 2, 3),
             cover = box_grid_cover(window, spec)
         else:
             cover = pullback_grid_cover(window, k, spec)
-        stats = cover_stats(cover, p_list=p_list)
+        stats = cover_stats(cover)
         leb_ok = (stats.lebesgue >= L) or stats.lebesgue_truncated
         if not leb_ok:
             leb_ok = lebesgue_condition(cover, L) is None

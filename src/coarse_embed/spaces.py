@@ -21,6 +21,8 @@ from functools import cached_property
 from .errors import guard_cap
 
 _GRID_SHELL_CACHE = {}
+# window kinds whose metric takes integer values
+INTEGER_KINDS = ("grid", "tree", "lamplighter")
 
 
 class FiniteMetricSpace:
@@ -65,6 +67,11 @@ class FiniteMetricSpace:
 
     def radius_of(self, label):
         return self.interior_radius[self.index[label]]
+
+    @property
+    def integer_metric(self):
+        """True on grid, tree and lamplighter windows: integer distances."""
+        return self.kind in INTEGER_KINDS
 
     def max_interior_radius(self):
         return max(self.interior_radius) if self.points else 0
@@ -130,6 +137,10 @@ class FiniteMetricSpace:
         return frontier
 
     def closed_ball(self, label, r):
+        """Window points at distance at most r from label: shells 0..r on
+        integer metrics, a scan of the window on any other."""
+        if not self.integer_metric:
+            return [q for q in self.points if self.dist(label, q) <= r]
         out = []
         for s in range(r + 1):
             out.extend(self.shell(label, s))
@@ -147,7 +158,7 @@ class FiniteMetricSpace:
             geodesic=False, dist_tag=self.dist_tag,
             neighbors=self.neighbors, kind=self.kind)
 
-    def check_metric(self, rng=None, triple_budget=200_000):
+    def check_metric(self):
         """Verify the metric axioms, exhaustively when affordable.
 
         Identity and symmetry are checked on all pairs up to a budget; the
@@ -155,8 +166,9 @@ class FiniteMetricSpace:
         a seeded random sample.  Raises AssertionError with a witness.
         """
         n = len(self.points)
+        triple_budget = 200_000
         pair_budget = min(n * n, triple_budget)
-        rng = rng or random.Random(7)
+        rng = random.Random(7)
         if n * (n - 1) // 2 <= pair_budget:
             pairs = itertools.combinations(range(n), 2)
         else:
@@ -186,6 +198,7 @@ class FiniteMetricSpace:
             "points": [_label_to_json(p) for p in self.points],
             "dist": self.dist_tag if self.dist_tag else _explicit_matrix(self),
             "interior_radius": [int(r) for r in self.interior_radius],
+            "geodesic": self.geodesic,
         }
 
 
@@ -214,19 +227,20 @@ def space_from_json(doc):
     """Rebuild a space serialized by ``to_json``.
 
     Tagged metrics are recomputed from the labels; untagged ones come back
-    as an explicit lower-triangular matrix lookup.
+    as an explicit lower-triangular matrix lookup.  A document without a
+    geodesic entry comes back not geodesic.
     """
     points = [_label_from_json(p) for p in doc["points"]]
     tag = doc["dist"]
     if tag == "l1-grid":
-        dist, neighbors, kind, geo = l1_dist, None, "grid", True
+        dist, kind = l1_dist, "grid"
     elif tag == "l1-rational":
-        dist, neighbors, kind, geo = l1_dist, None, "rational", False
+        dist, kind = l1_dist, "rational"
     elif tag == "tree":
-        dist, neighbors, kind, geo = tree_dist, None, "tree", True
+        dist, kind = tree_dist, "tree"
     elif tag == "lamplighter":
         from .lamplighter import label_dist
-        dist, neighbors, kind, geo = label_dist, None, "lamplighter", False
+        dist, kind = label_dist, "lamplighter"
     else:
         matrix = tag
         index = {p: i for i, p in enumerate(points)}
@@ -239,12 +253,10 @@ def space_from_json(doc):
                 i, j = j, i
             return _m[i][j]
 
-        neighbors, kind, geo, tag = None, None, False, None
-    space = FiniteMetricSpace(points, dist, doc["window_tag"],
-                              doc["interior_radius"], geodesic=geo,
-                              dist_tag=tag if isinstance(tag, str) else None,
-                              neighbors=neighbors, kind=kind)
-    return space
+        kind, tag = None, None
+    return FiniteMetricSpace(points, dist, doc["window_tag"], doc["interior_radius"],
+                             geodesic=doc.get("geodesic", False), dist_tag=tag,
+                             kind=kind)
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +290,7 @@ def _grid_shell_offsets(k, r):
     return _GRID_SHELL_CACHE[key]
 
 
-def grid_space(k, half_width, tag=None):
+def grid_space(k, half_width):
     """Box {-half_width..half_width}^k with the word (= l1) metric."""
     if k < 1 or half_width < 1:
         raise ValueError("need k >= 1 and half_width >= 1")
@@ -296,7 +308,7 @@ def grid_space(k, half_width, tag=None):
     radii = [half_width - max(abs(c) for c in p) for p in points]
     return FiniteMetricSpace(
         points, l1_dist,
-        tag or f"Z^{k} box, half_width={half_width}",
+        f"Z^{k} box, half_width={half_width}",
         radii, geodesic=True, dist_tag="l1-grid", neighbors=neighbors, kind="grid")
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 
-from .covers import Cover, cover_stats, extend_by_cosets
+from .covers import cover_stats, extend_by_cosets, grouped_cover, pullback_cover
 from .errors import ContractViolation
 from .lamplighter import coset_key, lamp_coordinates, lamp_parts_window
 from .lattice import canonical_spec, zk_cover
@@ -41,7 +41,8 @@ def block_cover(window, m, L_target, mesh_budget=None):
     The block elements embed into the grid of lamp vectors; the lattice
     pullback cover of that sparse grid window comes back through the
     coordinate map, and coset translation spreads it over the rest of the
-    cursor-0 portion.  Returns (cover of the cursor-0 window, inner stats).
+    cursor-0 portion.  Returns (cover of the cursor-0 window, the block
+    cover, the grid cover's stats).
     """
     k = 2 * m - 1
     lamp_w = lamp_parts_window(window)
@@ -54,25 +55,14 @@ def block_cover(window, m, L_target, mesh_budget=None):
     grid = lattice_window(grid_pts, k, f"lamp coordinates m={m}")
     spec = canonical_spec(k, L_target)
     cover_z, stats_z, _ = zk_cover(grid, k, L_target, spec=spec,
-                                   mesh_bound=mesh_budget, strict=False,
-                                   p_list=())
-    grid_index = grid.index
-    mem = cover_z.membership()
-    sets = {}
-    for i, label in enumerate(block_space.points):
-        j = grid_index[coords[label]]
-        for sid in mem[j]:
-            sets.setdefault(sid, []).append(i)
-    keys = sorted(sets)
-    inner = Cover(block_space, [sets[s] for s in keys],
-                  family=[cover_z.family[s] for s in keys],
-                  tags=[cover_z.tags[s] for s in keys],
-                  name=f"block cover m={m}")
+                                   mesh_bound=mesh_budget, strict=False)
+    inner = pullback_cover(coords.__getitem__, block_space, cover_z,
+                           name=f"block cover m={m}")
     extended = extend_by_cosets(inner, m, lamp_w)
     return extended, inner, stats_z
 
 
-def wreath_cover(window, L, m=None):
+def wreath_cover(window, L):
     """Composed cover of a lamplighter ball window at target level L.
 
     Returns (cover, stats, detail); detail carries the contract's
@@ -81,39 +71,34 @@ def wreath_cover(window, L, m=None):
     """
     if L < 1:
         raise ValueError("target level must be at least 1")
-    if m is None:
-        m = 12 * math.ceil(L)
+    m = 12 * math.ceil(L)
     lamp_target = 2 * m
     mesh_budget = 16 * m ** 3 - 4 * (m - 1)
-    lamp_cov, inner, stats_z = block_cover(window, m, lamp_target,
+    lamp_cov, _, stats_z = block_cover(window, m, lamp_target,
                                            mesh_budget=mesh_budget)
 
     cursors = [label[1] for label in window.points]
     intervals = line_interval_cover_sets(min(cursors), max(cursors), math.ceil(L))
-    lamp_index = {p: i for i, p in enumerate(lamp_cov.space.points)}
+    intervals_at = {}
+    for n, (_, _, cells) in enumerate(intervals):
+        for x in cells:
+            intervals_at.setdefault(x, []).append(n)
+    lamp_index = lamp_cov.space.index
+    mem = lamp_cov.membership()
 
-    lamp_part_sets = lamp_cov.frozen
-    sets, family, tags = [], [], []
-    for c0, fam, cells in intervals:
-        cell_set = set(cells)
-        bucket = {}
-        for i, label in enumerate(window.points):
-            if label[1] not in cell_set:
-                continue
-            part = (label[0], 0)
-            j = lamp_index.get(part)
-            if j is None:
-                continue
-            for sid in lamp_cov.membership()[j]:
-                bucket.setdefault(sid, []).append(i)
-        for sid in sorted(bucket):
-            sets.append(bucket[sid])
-            family.append((fam, lamp_cov.family[sid]))
-            tags.append((c0, lamp_cov.tags[sid]))
-    cover = Cover(window, sets, family=family, tags=tags,
-                  name=f"wreath cover L={L} m={m}")
+    # one set per (interval number, lamp-cover set id) pair that meets;
+    # the lamp-parts window holds every label's lamp part
+    def keys_of(i):
+        lamps, cursor = window.points[i]
+        owners = mem[lamp_index[(lamps, 0)]]
+        return [(n, sid) for n in intervals_at[cursor] for sid in owners]
 
-    stats = cover_stats(cover, p_list=(1, 2, 3), scan_cap=max(2, int(L) + 2))
+    cover = grouped_cover(
+        window, keys_of, f"wreath cover L={L} m={m}",
+        family=lambda key: (intervals[key[0]][1], lamp_cov.family[key[1]]),
+        tag=lambda key: (intervals[key[0]][0], lamp_cov.tags[key[1]]))
+
+    stats = cover_stats(cover, scan_cap=max(2, int(L) + 2))
     detail = {
         "m": m,
         "lamp_target": lamp_target,

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from coarse_embed.covers import (Cover, balls_cover, certified_lebesgue,
                                  check_pullback_inequalities, cover_stats,
                                  delta_consistency_report, extend_by_cosets,
-                                 eval_step, interval_cover, lebesgue_condition,
+                                 eval_step, grouped_cover, interval_cover,
+                                 lebesgue_condition,
                                  map_compression, mesh, multiplicity,
                                  pullback_cover, set_diameter,
                                  type_function_upper)
@@ -18,8 +19,8 @@ from coarse_embed.errors import ContractViolation, CoverageError
 from coarse_embed.lamplighter import (lamp_window, lamp_coordinates, block_window,
                                       lamplighter_ball)
 from coarse_embed.lattice import canonical_spec, zk_cover
-from coarse_embed.spaces import (FiniteMetricSpace, grid_space, lattice_window,
-                                 space_from_json, tree_ball)
+from coarse_embed.spaces import (FiniteMetricSpace, grid_space, l1_dist,
+                                 lattice_window, space_from_json, tree_ball)
 
 
 def test_single_set_cover_stats():
@@ -145,7 +146,7 @@ def test_explicit_window_is_a_matrix_round_trip():
 def test_lamplighter_cover_mesh_is_exact():
     ball = lamplighter_ball(4)
     cover = balls_cover(ball, 2)
-    st_ = cover_stats(cover, p_list=())
+    st_ = cover_stats(cover)
     assert st_.mesh_exact is True
     assert st_.mesh_witnessed == st_.mesh
     assert st_.mesh == max(brute_diameter(ball, s) for s in cover.sets)
@@ -209,6 +210,40 @@ def test_multiplicity_and_lebesgue_scan_match_definitions(cover, scan_cap):
             want = (r - 1, False)
             break
     assert certified_lebesgue(cover, scan_cap=scan_cap) == want
+
+
+def test_rational_window_lebesgue_uses_the_open_ball():
+    # the line at half spacing: the open 1-ball of 0 holds -1/2, 0 and 1/2,
+    # which fit in neither set, so 0 has Lebesgue number 1/2 and no level
+    # is certified; shells at integer distances alone would certify 2
+    pts = [(Fraction(k, 2),) for k in range(-8, 9)]
+    line = FiniteMetricSpace(pts, l1_dist, "half line",
+                             [1 if p == (0,) else 0 for p in pts],
+                             dist_tag="l1-rational", kind="rational")
+    half = line.index[(Fraction(1, 2),)]
+    everything_but_half = [i for i in range(len(line)) if i != half]
+    near_half = [line.index[(x,)] for x in (0, Fraction(1, 2), 1)]
+    cover = Cover(line, [everything_but_half, near_half])
+    assert lebesgue_condition(cover, 1) == (0,)
+    assert lebesgue_condition(cover, 2) == (0,)
+    assert certified_lebesgue(cover) == (0, False)
+    assert sorted(line.closed_ball((0,), 1)) == [
+        (Fraction(k, 2),) for k in range(-2, 3)]
+    assert len(balls_cover(line, Fraction(1, 2)).sets[8]) == 3
+
+
+def test_grouped_cover_orders_sets_by_key():
+    g = grid_space(1, 3)
+    cover = grouped_cover(g, lambda i: {g.points[i][0] // 2, 9} - {0}, "halves",
+                          family=lambda key: key % 2)
+    assert cover.name == "halves"
+    assert cover.tags == [-2, -1, 1, 9]
+    assert cover.family == [0, 1, 1, 1]
+    assert cover.sets == [(0,), (1, 2), (5, 6), tuple(range(7))]
+    labelled = grouped_cover(g, lambda i: [(i % 2, "x")], "parity", family=len,
+                             tag=lambda key: key[0])
+    assert labelled.family == [2, 2] and labelled.tags == [0, 1]
+    assert labelled.sets == [(0, 2, 4, 6), (1, 3, 5)]
 
 
 def test_certified_lebesgue_scan_cap():

@@ -133,6 +133,15 @@ def test_space_json_round_trip_grid():
     assert back.interior_radius == g.interior_radius
     for a, b in [((0, 0), (3, -3)), ((1, 2), (-3, 0))]:
         assert back.dist(a, b) == g.dist(a, b)
+    assert back.geodesic
+    # a sparse window and a box split in two by a removed column are not
+    # geodesic, and must not come back so
+    sparse = lattice_window([(0, 0), (0, 1), (5, 5)], 2, "sparse")
+    split = g.subspace([p for p in g.points if p[0] != 0], "box split at x=0")
+    for space in (sparse, split):
+        back = space_from_json(json.loads(json.dumps(space.to_json())))
+        assert back.points == space.points
+        assert back.kind == "grid" and not back.geodesic
 
 
 def test_space_json_round_trip_lamplighter():
