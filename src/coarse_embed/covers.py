@@ -12,12 +12,15 @@ interior radius; when the cap binds the value is flagged as
 window-truncated.  On other metrics the open r-ball is every window point
 at distance less than r, so level 1 asks more than coverage there.
 
-Every derived cover is built by ``grouped_cover``: one set per key.
+Every derived cover is built by ``grouped_cover``: one set per key.  The
+compression and dilation envelopes of a map, rho_minus and rho_plus, are
+built from measured pairs and read by ``Envelopes``.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .errors import CoverageError, ContractViolation
@@ -285,43 +288,49 @@ def interval_cover(space, length=3, step=2, anchor=-1):
     return Cover(space, sets, tags=tags, name=f"intervals len={length} step={step}")
 
 
-def map_compression(pairs, dist_x, dist_y):
-    """Monotone envelopes relating source and target distances over the
-    given pairs (see ``monotone_envelopes``)."""
-    return monotone_envelopes(sorted((dist_x(a, b), dist_y(a, b)) for a, b in pairs))
+class Envelopes:
+    """The compression and dilation envelopes of a map, from measured
+    (source distance, target distance) rows.
 
+    rows       the rows, sorted
+    rho_minus  sorted (d, min target distance over rows at source >= d)
+    rho_plus   sorted (d, max target distance over rows at source <= d)
 
-def monotone_envelopes(rows):
-    """Greatest non-decreasing minorant and least non-decreasing majorant
-    of sorted (source_distance, target_distance) rows.
-
-    Returns two step functions as sorted (source_distance, value) lists,
-    one entry per distinct source distance:
-    rho_minus(t) = min target distance over rows at source distance >= t,
-    rho_plus(t)  = max target distance over rows at source distance <= t.
+    Both lists hold one entry per distinct measured source distance d.
     """
-    plus = {}
-    running = None
-    for d, e in rows:
-        running = e if running is None else max(running, e)
-        plus[d] = running
-    minus = {}
-    running = None
-    for d, e in reversed(rows):
-        running = e if running is None else min(running, e)
-        minus[d] = running
-    return sorted(minus.items()), sorted(plus.items())
 
+    def __init__(self, rows):
+        self.rows = sorted(rows)
+        plus, minus = {}, {}
+        hi = lo = None
+        for d, e in self.rows:
+            if hi is None or e > hi:
+                hi = e
+            plus[d] = hi
+        for d, e in reversed(self.rows):
+            if lo is None or e < lo:
+                lo = e
+            minus[d] = lo
+        self.rho_plus = list(plus.items())
+        self.rho_minus = sorted(minus.items())
+        self._distances = list(plus)
 
-def eval_step(steps, t, default=0):
-    """Value of a sorted (x, v) step list at the largest x <= t."""
-    val = default
-    for x, v in steps:
-        if x <= t:
-            val = v
-        else:
-            break
-    return val
+    def minus(self, t):
+        """rho_minus at the smallest measured distance >= t, and 0 for t <= 0
+        (the diagonal).  Between measured distances this can only overstate
+        the ambient rho_minus, so a passing upper bound on it rests on
+        measured pairs.  Above the largest measured distance it reads the
+        last value, which no pair backs."""
+        if t <= 0 or not self.rows:
+            return 0
+        i = bisect_left(self._distances, t)
+        return self.rho_minus[min(i, len(self.rho_minus) - 1)][1]
+
+    def plus(self, t):
+        """rho_plus at the largest measured distance <= t, and 0 below the
+        smallest."""
+        i = bisect_right(self._distances, t)
+        return self.rho_plus[i - 1][1] if i else 0
 
 
 def grouped_cover(space, keys_of, name, family, tag=None):
@@ -359,12 +368,12 @@ def pullback_cover(f, domain, cover, name=""):
 def check_pullback_inequalities(f, domain, cover, pulled, pairs):
     """Measured form of the dilation/compression relations of an induced
     cover: rho_plus(L(f*U)) >= L(U) and rho_minus(S(f*U)) <= S(U)."""
-    rho_minus, rho_plus = map_compression(
-        pairs, domain.dist, lambda a, b: cover.space.dist(f(a), f(b)))
+    env = Envelopes((domain.dist(a, b), cover.space.dist(f(a), f(b)))
+                    for a, b in pairs)
     st_pull = cover_stats(pulled)
     st_orig = cover_stats(cover)
-    lhs_plus = eval_step(rho_plus, st_pull.lebesgue, default=0)
-    lhs_minus = eval_step(rho_minus, st_pull.mesh, default=0)
+    lhs_plus = env.plus(st_pull.lebesgue)
+    lhs_minus = env.minus(st_pull.mesh)
     return {
         "rho_plus_at_pulled_lebesgue": lhs_plus,
         "orig_lebesgue": st_orig.lebesgue,
@@ -405,8 +414,9 @@ def extend_by_cosets(cover, m, window):
 
 def type_function_upper(builder, L_list):
     """Measured mesh of the construction at each Lebesgue target, made
-    non-decreasing.  builder(L) -> (cover, stats) or None when no
-    construction is available at that L."""
+    non-decreasing: the rho_plus of the (L, mesh) rows, in L order.
+    builder(L) -> (cover, stats) or None when no construction is
+    available at that L."""
     rows = []
     for L in L_list:
         built = builder(L)
@@ -414,9 +424,4 @@ def type_function_upper(builder, L_list):
             raise ContractViolation(f"no construction available at L={L}")
         _, stats = built
         rows.append((L, stats.mesh))
-    out = []
-    best = None
-    for L, s in rows:
-        best = s if best is None else max(best, s)
-        out.append((L, best))
-    return out
+    return Envelopes(rows).rho_plus

@@ -16,7 +16,7 @@ from __future__ import annotations
 import bisect
 import math
 
-from .covers import monotone_envelopes
+from .covers import Envelopes
 from .errors import ContractViolation
 from .kernels import diff_norm
 
@@ -49,19 +49,10 @@ class StepFunction:
         return len(self.breakpoints)
 
 
-def generalized_inverse(steps, t, non_increasing=False):
-    """Inverse of a monotone step function given as (x, value) pairs.
-
-    Non-decreasing: the infimum of the x-region where the value reaches t.
-    Non-increasing: the supremum of the x-region where the value still
-    reaches t.  Returns +inf (resp. -inf) when t is never reached.
-    """
-    if non_increasing:
-        out = -math.inf
-        for x, v in steps:
-            if v >= t:
-                out = x
-        return out
+def generalized_inverse(steps, t):
+    """Inverse of a non-decreasing step function given as (x, value) pairs:
+    the infimum of the x-region where the value reaches t, or +inf when t
+    is never reached."""
     for x, v in steps:
         if v >= t:
             return x
@@ -207,22 +198,14 @@ def build_embedding(field, weight, x0, p):
     return CompressionEmbedding(field, weight, x0, p)
 
 
-class CompressionReport:
-    """Monotone envelopes of an embedded (or arbitrary) pair mapping."""
+class CompressionReport(Envelopes):
+    """Envelopes of an embedded (or arbitrary) pair mapping, with the
+    largest measured distance ratio and the certified Lipschitz constant."""
 
     def __init__(self, rows, lipschitz_estimate, theoretical_C=None):
-        self.rows = sorted(rows)
-        self.rho_minus, self.rho_plus = monotone_envelopes(self.rows)
+        super().__init__(rows)
         self.lipschitz_estimate = lipschitz_estimate
         self.theoretical_C = theoretical_C
-
-    def rho_minus_at(self, t):
-        val = None
-        for d, e in self.rho_minus:
-            if d >= t:
-                val = e
-                break
-        return val if val is not None else (self.rho_minus[-1][1] if self.rho_minus else 0.0)
 
     def csv_rows(self, floor_fn=None):
         out = []

@@ -400,7 +400,7 @@ def run_profile(c):
             ("tree", tree_builder, c["tree_S_list"],
              (0.0, lambda S: 8.0 / S))):
         try:
-            prof = epsilon_profile_upper(S_list, p, [builder],
+            prof = epsilon_profile_upper(S_list, p, builder,
                                          mazur_reference=mazur_ref)
         except ContractViolation as exc:
             _check(checks, f"{name} profile", str(exc), "a kernel at every S",

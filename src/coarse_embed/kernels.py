@@ -502,7 +502,7 @@ def pullback_kernel(f, domain, kernel, pairs=None):
     contraction on the given pairs, and the support-radius relation
     rho_f(S(sigma)) <= 3 S(xi).
     """
-    from .covers import map_compression, eval_step
+    from .covers import Envelopes
 
     target = kernel.base
     p = kernel.p
@@ -572,9 +572,8 @@ def pullback_kernel(f, domain, kernel, pairs=None):
             contraction_margin = max(contraction_margin, ds - dk)
         s_sigma = sigma.support_radius()
         s_xi = kernel.support_radius()
-        rho_minus, _ = map_compression(
-            pairs, domain.dist, lambda a, b: target.dist(f(a), f(b)))
-        rho_at = eval_step(rho_minus, s_sigma, default=0)
+        rho_at = Envelopes((domain.dist(a, b), target.dist(f(a), f(b)))
+                           for a, b in pairs).minus(s_sigma)
         report = {
             "norm_error": norm_err,
             "contraction_margin": contraction_margin,
@@ -590,13 +589,13 @@ def pullback_kernel(f, domain, kernel, pairs=None):
 # Profile reporting
 
 
-def epsilon_profile_upper(S_list, p, builders, mazur_reference=None):
+def epsilon_profile_upper(S_list, p, build, mazur_reference=None):
     """Upper bounds on the best kernel Lipschitz constant per support level.
 
-    builders: list of callables S -> (kernel, measured stats) or None.
-    For each S the minimum measured constant over kernels with support
-    radius <= S is reported; the final column is made non-increasing in S
-    (a larger support budget can always reuse a smaller kernel).  When
+    build: callable S -> (kernel, measured stats) or None.  For each S the
+    measured constant of the built kernel is reported when its support
+    radius is at most S; the final column is made non-increasing in S (a
+    larger support budget can always reuse a smaller kernel).  When
     mazur_reference = (alpha, phi) is given, the interpolation bound
     (e^alpha / p) * phi(S) * log S is reported alongside for S >= e^p.
     """
@@ -605,21 +604,13 @@ def epsilon_profile_upper(S_list, p, builders, mazur_reference=None):
     rows = []
     running = None
     for S in sorted(S_list):
-        best = None
-        for build in builders:
-            built = build(S)
-            if built is None:
-                continue
-            kern, stats = built
-            if stats.support_radius > S:
-                continue
-            if best is None or stats.lipschitz < best:
-                best = stats.lipschitz
-        if best is None:
+        built = build(S)
+        if built is None or built[1].support_radius > S:
             raise ContractViolation(f"no kernel construction available at S={S}",
                                     witness=S)
-        running = best if running is None else min(running, best)
-        row = {"S": S, "eps_upper": running, "eps_measured": best}
+        measured = built[1].lipschitz
+        running = measured if running is None else min(running, measured)
+        row = {"S": S, "eps_upper": running, "eps_measured": measured}
         if mazur_reference is not None:
             alpha, phi = mazur_reference
             if S >= math.exp(p):

@@ -41,9 +41,6 @@ class LamplighterElement:
     def lamp_dict(self):
         return dict(self.lamps)
 
-    def support(self):
-        return [p for p, _ in self.lamps]
-
     def mul(self, other):
         lamps = self.lamp_dict()
         for p, v in other.lamps:
@@ -204,13 +201,11 @@ def in_block(label, m):
     return cursor == 0 and all(-m + 1 <= p <= m - 1 for p, _ in lamps)
 
 
-def lamp_window(ball_space, max_radius=None):
+def lamp_window(ball_space):
     """Cursor-0 portion of a ball window, with the restricted metric."""
     pts = [p for p in ball_space.points if is_cursor_zero(p)]
     tag = f"{ball_space.window_tag}|cursor0"
-    sub = ball_space.subspace(pts, tag)
-    sub.kind = "lamplighter"
-    return sub
+    return ball_space.subspace(pts, tag)
 
 
 def cursor_zero_ball_labels(radius):
@@ -252,9 +247,7 @@ def lamp_parts_window(ball_space):
 def block_window(ball_space, m):
     pts = [p for p in ball_space.points if in_block(p, m)]
     tag = f"{ball_space.window_tag}|block m={m}"
-    sub = ball_space.subspace(pts, tag)
-    sub.kind = "lamplighter"
-    return sub
+    return ball_space.subspace(pts, tag)
 
 
 def lamp_coordinates(label, m):

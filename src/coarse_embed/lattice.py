@@ -212,7 +212,7 @@ def cell_contains_bruteforce(v, tau=0, closed=None):
     return True
 
 
-def _decode_family(y, n, tau, closed):
+def _decode_family(y, n, tau):
     """Integer zero-sum lattice points whose (enlarged) cell can contain y.
 
     The singleton inequalities force |y_j - mu_j| < (n-1)/(2n) + tau/2
@@ -228,12 +228,8 @@ def _decode_family(y, n, tau, closed):
     for idx, yj in enumerate(y):
         fl = _floor_fraction(yj)
         frac = yj - fl
-        if closed:
-            lo_ok = frac <= b
-            hi_ok = 1 - frac <= b
-        else:
-            lo_ok = frac < b
-            hi_ok = 1 - frac < b
+        lo_ok = frac < b
+        hi_ok = 1 - frac < b
         if lo_ok and hi_ok:
             base.append(fl)
             ambiguous.append(idx)
@@ -261,7 +257,7 @@ def _floor_fraction(x):
     return x.numerator // x.denominator if isinstance(x, Fraction) else x // 1
 
 
-def membership_reference(x, spec, closed=False):
+def membership_reference(x, spec):
     """Rational-arithmetic reference for the membership listing (slow)."""
     n = spec.n
     if len(x) != n:
@@ -273,9 +269,9 @@ def membership_reference(x, spec, closed=False):
     for i in range(n):
         shift = glue_shift(i, n)
         y = tuple(a - b for a, b in zip(xs, shift))
-        for mu in _decode_family(y, n, spec.thickening, closed):
+        for mu in _decode_family(y, n, spec.thickening):
             v = tuple(a - b for a, b in zip(y, mu))
-            if cell_contains(v, spec.thickening, closed=closed):
+            if cell_contains(v, spec.thickening, closed=False):
                 out.append((i, mu))
     return out
 
@@ -296,8 +292,8 @@ class _SortedDecoder:
 
     Coordinates are cleared to one integer denominator D per point; the
     integer thresholds that turn the band and prefix comparisons into
-    comparisons of integers depend on D and closed only, and are kept per
-    point denominator (grid points have one or two).
+    comparisons of integers depend on D only, and are kept per point
+    denominator (grid points have one or two).
     """
 
     def __init__(self, spec):
@@ -314,21 +310,20 @@ class _SortedDecoder:
                           for lim in bounds]
         self._tables = {}
 
-    def tables(self, point_den, closed):
-        key = (point_den, closed)
-        if key not in self._tables:
-            self._tables[key] = self._build(point_den, closed)
-        return self._tables[key]
+    def tables(self, point_den):
+        if point_den not in self._tables:
+            self._tables[point_den] = self._build(point_den)
+        return self._tables[point_den]
 
-    def _build(self, point_den, closed):
+    def _build(self, point_den):
         D = math.lcm(self.offset_den, self.scale_num * point_den)
         # X_j = D (x_j / scale - offset_j) = x_num_j * (mult // x_den_j) - shift_j
         mult = D // self.scale_num * self.scale_den
         shift = [o * (D // self.offset_den) for o in self.offset_num]
 
         def first_rejected(num, den):
-            # least integer t failing t < q (open) or t <= q (closed), q = num D / den
-            return (num * D) // den + 1 if closed else -((-num * D) // den)
+            # least integer t failing t < q, q = num D / den
+            return -((-num * D) // den)
 
         # residue f may keep the floor iff f < low, take the ceiling iff f >= high
         raw = first_rejected(self.band.numerator, self.band.denominator)
@@ -347,7 +342,7 @@ def _inside(v, limits):
     return True
 
 
-def membership(x, spec, closed=False):
+def membership(x, spec):
     """All (family, lattice point) pairs whose enlarged scaled cell holds x.
 
     x is a zero-sum rational vector in ambient (scaled) coordinates.  The
@@ -362,7 +357,7 @@ def membership(x, spec, closed=False):
         raise ValueError("dimension mismatch")
     x = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in x]
     dens = [c.denominator for c in x]
-    D, mult, shift, low, high, limits = spec._decoder.tables(math.lcm(*dens), closed)
+    D, mult, shift, low, high, limits = spec._decoder.tables(math.lcm(*dens))
     X = [c.numerator * (mult // d) - s for c, d, s in zip(x, dens, shift)]
     if sum(X):
         raise ValueError("point is not in the zero-sum hyperplane")
@@ -407,7 +402,7 @@ def membership(x, spec, closed=False):
 
 
 def membership_or_fail(x, spec):
-    found = membership(x, spec, closed=False)
+    found = membership(x, spec)
     if not found:
         raise CoverageError(f"lattice cover misses point {x}", witness=x)
     return found
@@ -436,11 +431,6 @@ def embed_grid_point(z):
         out.append(Fraction(c, 2))
         out.append(Fraction(-c, 2))
     return tuple(out)
-
-
-def grid_membership(z, spec, closed=False):
-    """Cover membership of a grid point through the hyperplane embedding."""
-    return membership(embed_grid_point(z), spec, closed=closed)
 
 
 # ---------------------------------------------------------------------------

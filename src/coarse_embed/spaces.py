@@ -317,9 +317,14 @@ def lattice_window(points, k, tag):
 
     Interior radii are honest ambient radii: r such that the full ambient
     l1-ball of radius r around the point is present.  For generic sparse
-    sets this is 0, which simply marks every point as boundary.
+    sets this is 0, which simply marks every point as boundary.  Raises
+    ValueError on a non-integer coordinate: the window is labelled a grid,
+    whose shells and balls step by integer offsets.
     """
     pts = [tuple(p) for p in points]
+    bad = next((p for p in pts if not all(isinstance(c, int) for c in p)), None)
+    if bad is not None:
+        raise ValueError(f"lattice_window needs integer coordinates, got {bad}")
     present = set(pts)
     radii = []
     for p in pts:

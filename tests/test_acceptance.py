@@ -2,7 +2,8 @@
 
 Criteria 1-7 and 10-12 run the command line's experiments with the configs
 pinned here and assert every check they return (bounds and tolerances live
-in the checks); criteria 8 and 9 have no experiment of their own.
+in the checks); criteria 8 and 9 have no experiment of their own and call
+the library directly.
 """
 
 import random
@@ -15,7 +16,7 @@ from coarse_embed.experiments import (run_cover_kernel, run_cp_check,
                                       run_lamplighter_metric, run_profile,
                                       run_tree_embed, run_voronoi_check,
                                       run_zk_cover)
-from coarse_embed.kernels import mazur_map, p_norm, pou_kernel, pullback_kernel
+from coarse_embed.kernels import mazur_pairs_check, pou_kernel, pullback_kernel
 from coarse_embed.lattice import LatticeCoverSpec, embed_grid_point, membership
 from coarse_embed.spaces import FiniteMetricSpace, grid_space, l1_dist
 
@@ -93,24 +94,12 @@ def test_criterion_07_tree_embedding_floor(announce):
 
 def test_criterion_08_mazur_contraction(announce):
     t0 = time.time()
-    rng = random.Random(4)
-    dim = 16
-    violations = 0
-    for _ in range(10_000):
-        f = [rng.gauss(0, 1) for _ in range(dim)]
-        g = [rng.gauss(0, 1) for _ in range(dim)]
-        nf, ng = p_norm(f, 2), p_norm(g, 2)
-        f = [v / nf for v in f]
-        g = [v / ng for v in g]
-        mf, mg = mazur_map(f, 2, 1), mazur_map(g, 2, 1)
-        d2 = p_norm([x - y for x, y in zip(f, g)], 2)
-        d1 = p_norm([x - y for x, y in zip(mf, mg)], 1)
-        if d1 > 2.0 * d2 + 1e-12:
-            violations += 1
+    worst, draw = mazur_pairs_check(16, 2, 1, 10_000, seed=4)
     elapsed = time.time() - t0
-    ok = violations == 0 and elapsed < 30
-    announce(8, ok, elapsed, 30, f"10000 unit pairs, {violations} violations")
-    assert violations == 0
+    ok = worst <= 2.0 and elapsed < 30
+    announce(8, ok, elapsed, 30,
+             f"10000 unit pairs, worst ratio {worst:.4f} <= 2 at draw {draw}")
+    assert worst <= 2.0
     assert elapsed < 30
 
 

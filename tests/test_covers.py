@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coarse_embed.covers import (Cover, balls_cover, certified_lebesgue,
+from coarse_embed.covers import (Cover, Envelopes, balls_cover,
+                                 certified_lebesgue,
                                  check_pullback_inequalities, cover_stats,
                                  delta_consistency_report, extend_by_cosets,
-                                 eval_step, grouped_cover, interval_cover,
-                                 lebesgue_condition,
-                                 map_compression, mesh, multiplicity,
+                                 grouped_cover, interval_cover,
+                                 lebesgue_condition, mesh, multiplicity,
                                  pullback_cover, set_diameter,
                                  type_function_upper)
 from coarse_embed.errors import ContractViolation, CoverageError
@@ -114,9 +114,11 @@ def diameter_window(name):
         return lamplighter_ball(4)
     if name == "rational":
         # dimension 10 is past the grid signed-sum fast path (k <= 8)
-        pts = {tuple(Fraction(rng.randrange(-12, 13), rng.choice((1, 2, 3)))
-                     for _ in range(10)) for _ in range(60)}
-        return lattice_window(sorted(pts), 10, "sparse rational window")
+        pts = sorted({tuple(Fraction(rng.randrange(-12, 13), rng.choice((1, 2, 3)))
+                            for _ in range(10)) for _ in range(60)})
+        return FiniteMetricSpace(pts, l1_dist, "sparse rational window",
+                                 [0] * len(pts), dist_tag="l1-rational",
+                                 kind="rational")
     # an untagged l-infinity metric serializes as an explicit matrix
     pts = sorted({tuple(rng.randrange(-6, 7) for _ in range(3)) for _ in range(50)})
     space = FiniteMetricSpace(
@@ -253,15 +255,43 @@ def test_certified_lebesgue_scan_cap():
     assert level == 2 and truncated
 
 
-def test_map_compression_envelopes():
-    pairs = [((0,), (d,)) for d in range(1, 9)]
-    rho_minus, rho_plus = map_compression(
-        pairs, lambda a, b: abs(a[0] - b[0]), lambda a, b: (a[0] - b[0]) % 3)
+def test_envelopes_are_monotone():
+    env = Envelopes((d, (-d) % 3) for d in range(1, 9))
+    rho_minus, rho_plus = env.rho_minus, env.rho_plus
     assert all(v1 <= v2 for (_, v1), (_, v2) in zip(rho_minus, rho_minus[1:]))
     assert all(v1 <= v2 for (_, v1), (_, v2) in zip(rho_plus, rho_plus[1:]))
     for (d, lo), (_, hi) in zip(rho_minus, rho_plus):
         assert lo <= hi
-    assert eval_step(rho_plus, 0.5, default=0) == 0
+    assert env.plus(0.5) == 0
+    assert env.minus(0) == 0
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(st.integers(1, 12), st.integers(0, 30)), min_size=1,
+                max_size=20),
+       st.sampled_from([1, 2, 3, 4, 6]))
+def test_envelope_reads_match_their_definitions(rows, den):
+    # every t in (0, max d] on a grid finer than the distances, so reads
+    # at, between and below the measured distances are all checked
+    env = Envelopes(rows)
+    assert env.rows == sorted(rows)
+    top = max(d for d, _ in rows)
+    for t in (Fraction(k, den) for k in range(1, top * den + 1)):
+        assert env.minus(t) == min(e for d, e in rows if d >= t)
+        assert env.plus(t) == max((e for d, e in rows if d <= t), default=0)
+
+
+def test_pullback_minus_reads_pairs_at_or_above_the_mesh():
+    # the pulled mesh is 2 and the pairs sit at distances 1 and 5: the
+    # compression envelope at 2 is backed by the pair at 5 only
+    line = grid_space(1, 6)
+    cover = interval_cover(line)
+    pulled = pullback_cover(lambda p: p, line, cover)
+    rho = check_pullback_inequalities(lambda p: p, line, cover, pulled,
+                                      [((0,), (1,)), ((0,), (5,))])
+    assert cover_stats(pulled).mesh == rho["orig_mesh"] == 2
+    assert rho["rho_minus_at_pulled_mesh"] == 5
+    assert not rho["minus_ok"]
 
 
 def test_pullback_identity_keeps_stats(small_grid):

@@ -40,7 +40,6 @@ def test_generalized_inverse_step_and_sentinel():
     assert generalized_inverse(steps, 1) == 1
     assert generalized_inverse(steps, 2) == 1
     assert generalized_inverse(steps, 3) == math.inf
-    assert generalized_inverse([(0, 5), (1, 3)], 4, non_increasing=True) == 0
 
 
 def test_generalized_inverse_matches_table_scan():
@@ -174,7 +173,7 @@ def test_compression_report_constant_map():
     pairs = [(a, b) for a in pts for b in pts if a < b]
     rep = compression_report(lambda a, b: abs(a[0] - b[0]), lambda a, b: 0.0, pairs)
     assert all(v == 0.0 for _, v in rep.rho_minus)
-    assert rep.rho_minus_at(3) == 0.0
+    assert rep.minus(3) == 0.0
 
 
 def test_compression_report_monotone_envelopes():

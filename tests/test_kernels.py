@@ -554,7 +554,7 @@ def test_epsilon_profile_monotone_with_interpolation_column():
         kern = tree_kernel_tent(tree, int(S), 2)
         return kern, kernel_stats(kern, seed=0, sample_pairs=500)
 
-    rows = epsilon_profile_upper([2, 4, 8, 16], 2, [builder],
+    rows = epsilon_profile_upper([2, 4, 8, 16], 2, builder,
                                  mazur_reference=(0.0, lambda S: 8.0 / S))
     uppers = [r["eps_upper"] for r in rows]
     assert uppers == sorted(uppers, reverse=True)

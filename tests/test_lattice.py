@@ -14,10 +14,10 @@ from coarse_embed.lattice import (BoxCoverSpec, LatticeCoverSpec,
                                   canonical_spec, cell_contains,
                                   cell_contains_bruteforce,
                                   default_thickening, embed_grid_point,
-                                  glue_shift, grid_membership,
-                                  in_family_separation_bound, membership,
-                                  membership_reference, pullback_grid_cover,
-                                  split_average_gap, vertex_profile, zk_cover)
+                                  glue_shift, in_family_separation_bound,
+                                  membership, membership_reference,
+                                  pullback_grid_cover, split_average_gap,
+                                  vertex_profile, zk_cover)
 from coarse_embed.spaces import grid_space
 
 
@@ -114,9 +114,8 @@ def test_membership_fast_equals_reference():
             tau = Fraction(rng.randrange(1, 10), rng.randrange(10, 40))
             spec = LatticeCoverSpec(n, scale, tau)
             x = zero_sum_sample(rng, n, span=4)
-            for closed in (False, True):
-                assert sorted(membership(x, spec, closed=closed)) == \
-                    sorted(membership_reference(x, spec, closed=closed))
+            assert sorted(membership(x, spec)) == \
+                sorted(membership_reference(x, spec))
 
 
 SMALL_FRACTIONS = st.builds(Fraction, st.integers(-40, 40),
@@ -130,8 +129,8 @@ def zero_sum(head):
 @st.composite
 def decode_cases(draw, dims=(2, 4, 6, 8)):
     """A spec with random scale, offset and thickening, with the band
-    b = (n-1)/(2n) + tau/2 drawn on either side of 1/2 (and below 1), a
-    zero-sum point, and whether the cells are closed."""
+    b = (n-1)/(2n) + tau/2 drawn on either side of 1/2 (and below 1), and a
+    zero-sum point."""
     n = draw(st.sampled_from(dims))
     scale = Fraction(draw(st.integers(1, 40)), draw(st.integers(1, 8)))
     k = draw(st.integers(0, 39))
@@ -140,15 +139,14 @@ def decode_cases(draw, dims=(2, 4, 6, 8)):
     tau = Fraction(k + 1, 41 * n) if draw(st.booleans()) else Fraction(1, n) + Fraction(k, 80)
     offset = zero_sum(draw(st.lists(SMALL_FRACTIONS, min_size=n - 1, max_size=n - 1)))
     x = zero_sum(draw(st.lists(SMALL_FRACTIONS, min_size=n - 1, max_size=n - 1)))
-    return LatticeCoverSpec(n, scale, tau, offset), x, draw(st.booleans())
+    return LatticeCoverSpec(n, scale, tau, offset), x
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(decode_cases())
 def test_membership_equals_reference_property(case):
-    spec, x, closed = case
-    assert membership(x, spec, closed=closed) == \
-        membership_reference(x, spec, closed=closed)
+    spec, x = case
+    assert membership(x, spec) == membership_reference(x, spec)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -157,9 +155,9 @@ def test_membership_agrees_with_bruteforce_cells(case):
     # every zero-sum rounding of every shifted point is a lattice point
     # whose cell may hold it (the band stays below 1); the decode must
     # list exactly those whose cell the subset oracle accepts
-    spec, x, closed = case
+    spec, x = case
     n, tau = spec.n, spec.thickening
-    found = membership(x, spec, closed=closed)
+    found = membership(x, spec)
     xs = [c / spec.scale - o for c, o in zip(x, spec.offset)]
     expected = []
     for i in range(n):
@@ -169,7 +167,7 @@ def test_membership_agrees_with_bruteforce_cells(case):
         for chosen in combinations(fractional, -sum(floors)):
             mu = tuple(f + (j in chosen) for j, f in enumerate(floors))
             v = [a - b for a, b in zip(y, mu)]
-            if cell_contains_bruteforce(v, tau, closed=closed):
+            if cell_contains_bruteforce(v, tau, closed=False):
                 expected.append((i, mu))
     assert sorted(found) == sorted(expected)
 
@@ -302,6 +300,6 @@ def test_grid_membership_agrees_with_cover(small_grid):
     rng = random.Random(12)
     for _ in range(100):
         z = rng.choice(small_grid.points)
-        keys = set(grid_membership(z, spec))
+        keys = set(membership(embed_grid_point(z), spec))
         owners = {cover.tags[sid] for sid in cover.membership()[small_grid.index[z]]}
         assert keys == owners

@@ -1,5 +1,6 @@
 import json
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -123,6 +124,15 @@ def test_lattice_window_interior_radii():
     assert w.radius_of((2, 2)) == 0
     sparse = lattice_window([(0, 0), (5, 5)], 2, "sparse")
     assert sparse.radius_of((0, 0)) == 0
+
+
+def test_lattice_window_rejects_rational_coordinates():
+    # as a grid window the half-spaced line would claim integer distances:
+    # closed_ball((0,), 1) would be {-1, 0, 1} and the interior radius of
+    # 0 would read 4
+    half_line = [(Fraction(k, 2),) for k in range(-8, 9)]
+    with pytest.raises(ValueError):
+        lattice_window(half_line, 1, "half line")
 
 
 def test_space_json_round_trip_grid():
