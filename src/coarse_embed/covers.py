@@ -68,17 +68,18 @@ class Cover:
                     witness=self.space.points[i])
         return True
 
-    def to_json(self):
-        return {
-            "space": self.space.window_tag,
-            "sets": [list(s) for s in self.sets],
-            "family": ["" if f is None else f for f in self.family],
-        }
-
 
 @dataclass
 class CoverStats:
-    """Measured statistics of a cover on its window.
+    """Measured statistics of a cover on its window, each with the witness
+    its own measurement found.
+
+    multiplicity_point  the first point lying in multiplicity sets
+    mesh_witness        (set id, pair of points) of the first widest set,
+                        the pair at distance mesh
+    lebesgue_limit      the first point violating level lebesgue + 1, or
+                        None when the scan was truncated
+                        (lebesgue_truncated)
 
     mesh is exact: every set's diameter comes from ``set_diameter``, the
     grid signed-sum extremes or a pairwise scan pruned through the better
@@ -87,11 +88,17 @@ class CoverStats:
     both stay for reports that print them.
     """
     lebesgue: int
-    lebesgue_truncated: bool
+    lebesgue_limit: object
     multiplicity: int
+    multiplicity_point: object
     mesh: object            # int or Fraction
+    mesh_witness: tuple
     n_sets: int = 0
     mesh_exact = True
+
+    @property
+    def lebesgue_truncated(self):
+        return self.lebesgue_limit is None
 
     @property
     def mesh_witnessed(self):
@@ -111,10 +118,12 @@ def multiplicity(cover):
 
 
 def set_diameter(space, point_indices):
-    """Exact diameter of one set.
+    """Exact diameter of one set, with a pair of its points at that
+    distance: (value, (a, b)).
 
     Grids use the signed-coordinate trick (l1 diameter from linear
-    extremes).  Other spaces run a pairwise scan over the points ranked by
+    extremes; the pair is the argmax and argmin of the winning signed
+    sum).  Other spaces run a pairwise scan over the points ranked by
     their distance r to a pivot c, pruned by the triangle inequality
     d(x, y) <= r(x) + r(y); c need not lie in the set, so the scan is
     exact for any c.  The pivot is whichever of the set's first point and
@@ -124,17 +133,20 @@ def set_diameter(space, point_indices):
     reaches twice the next point's radius.
     """
     pts = [space.points[i] for i in point_indices]
+    best, pair = 0, (pts[0], pts[0])
     if len(pts) == 1:
-        return 0
+        return best, pair
     if space.kind == "grid" and len(pts[0]) <= 8:
         # l1 diameter from the extremes of all signed coordinate sums
         k = len(pts[0])
-        best = 0
+        winner = [0] * len(pts)     # no spread yet: the pair is (pts[0], pts[0])
         for mask in range(2 ** (k - 1)):
             signs = [1] + [1 if (mask >> b) & 1 else -1 for b in range(k - 1)]
             vals = [sum(s * c for s, c in zip(signs, p)) for p in pts]
-            best = max(best, max(vals) - min(vals))
-        return best
+            spread = max(vals) - min(vals)
+            if spread > best:
+                best, winner = spread, vals
+        return best, (pts[winner.index(max(winner))], pts[winner.index(min(winner))])
     dist = space.dist
     radii = [dist(pts[0], p) for p in pts]
     if space.deepest != pts[0]:
@@ -144,7 +156,6 @@ def set_diameter(space, point_indices):
     order = sorted(range(len(pts)), key=radii.__getitem__, reverse=True)
     ranked = [pts[i] for i in order]
     radii = [radii[i] for i in order]
-    best = 0
     for i in range(len(ranked)):
         if radii[i] * 2 <= best:
             break
@@ -153,16 +164,21 @@ def set_diameter(space, point_indices):
                 break
             d = dist(ranked[i], ranked[j])
             if d > best:
-                best = d
-    return best
+                best, pair = d, (ranked[i], ranked[j])
+    return best, pair
 
 
 def mesh(cover):
     """Largest set diameter, exact for every set.  Returns (value, True,
-    value): the exactness flag and the largest diameter witnessed, which
-    is the value itself."""
-    value = max((set_diameter(cover.space, s) for s in cover.sets), default=0)
-    return value, True, value
+    (set id, pair)): the exactness flag, which the benchmark's tracer
+    reads, and the first widest set with the pair realizing its diameter
+    (None for a cover without sets)."""
+    value, witness = 0, None
+    for sid, s in enumerate(cover.sets):
+        d, pair = set_diameter(cover.space, s)
+        if witness is None or d > value:
+            value, witness = d, (sid, pair)
+    return value, True, witness
 
 
 def lebesgue_condition(cover, r):
@@ -195,33 +211,34 @@ def lebesgue_condition(cover, r):
 
 
 def certified_lebesgue(cover, scan_cap=None):
-    """Largest certified level, with the window-truncation flag.
+    """Largest certified level, with the point that limits it.
 
-    Returns (value, truncated).  truncated means the scan hit the cap
-    (either 1 + max interior radius, or the caller's scan_cap) without
-    finding a violation, so the window cannot certify more.
+    Returns (level, limit): limit is the first point violating level + 1,
+    or None when the scan hit the cap (either 1 + max interior radius, or
+    the caller's scan_cap) without finding a violation, so the window
+    cannot certify more (the level is window-truncated).
     """
     space = cover.space
     cap = space.max_interior_radius() + 1
     if scan_cap is not None:
         cap = min(cap, scan_cap)
     level = 0
-    r = 1
-    while r <= cap:
-        if lebesgue_condition(cover, r) is not None:
-            return level, False
-        level = r
-        r += 1
-    return level, True
+    while level < cap:
+        limit = lebesgue_condition(cover, level + 1)
+        if limit is not None:
+            return level, limit
+        level += 1
+    return level, None
 
 
 def cover_stats(cover, scan_cap=None):
     cover.check_coverage()
-    leb, truncated = certified_lebesgue(cover, scan_cap=scan_cap)
-    mult, _ = multiplicity(cover)
-    s, _, _ = mesh(cover)
-    return CoverStats(lebesgue=leb, lebesgue_truncated=truncated,
-                      multiplicity=mult, mesh=s, n_sets=len(cover))
+    leb, limit = certified_lebesgue(cover, scan_cap=scan_cap)
+    mult, point = multiplicity(cover)
+    s, _, witness = mesh(cover)
+    return CoverStats(lebesgue=leb, lebesgue_limit=limit, multiplicity=mult,
+                      multiplicity_point=point, mesh=s, mesh_witness=witness,
+                      n_sets=len(cover))
 
 
 def delta_consistency_report(stats, p_list=(1, 2, 3)):

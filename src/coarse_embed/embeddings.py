@@ -117,7 +117,7 @@ class KernelField:
         self.levels = list(levels)
         self.top = top
         for S, kern, _ in self.levels:
-            radius = kern.support_radius()
+            radius, _ = kern.support_radius()
             if radius > S:
                 raise ContractViolation(
                     f"kernel at level {S} has support radius {radius}")
@@ -165,19 +165,6 @@ class CompressionEmbedding:
         powers = self.level_difference_powers(x, y)
         return sum(w * dp for w, dp in zip(self.level_weights, powers)) ** (1.0 / self.p)
 
-    def pair_breakdown(self, x, y):
-        """Per-level record of one embedded difference: level scale, weight
-        increment, difference norm to the p, and the total."""
-        powers = self.level_difference_powers(x, y)
-        levels = [{"S": S, "weight": w, "diff_power": dp}
-                  for (S, _, _), w, dp in zip(self.field.levels,
-                                              self.level_weights, powers)]
-        total = sum(w * dp for w, dp in zip(self.level_weights, powers)) ** (1.0 / self.p)
-        return {"levels": levels, "total": total}
-
-    def norm(self, x):
-        return self.distance(x, self.x0)
-
     def floor(self, d):
         """2 f(d/2) - 2 f(cutoff): the disjoint-support compression floor."""
         f = self.weight
@@ -189,7 +176,7 @@ class CompressionEmbedding:
         d = self.domain.dist(x, y)
         powers = self.level_difference_powers(x, y)
         for (S, kern, _), dp in zip(self.field.levels, powers):
-            if 2 * kern.support_radius() < d and abs(dp - 2.0) > 1e-9:
+            if 2 * kern.support_radius()[0] < d and abs(dp - 2.0) > 1e-9:
                 return (S, dp)
         return None
 
@@ -200,11 +187,14 @@ def build_embedding(field, weight, x0, p):
 
 class CompressionReport(Envelopes):
     """Envelopes of an embedded (or arbitrary) pair mapping, with the
-    largest measured distance ratio and the certified Lipschitz constant."""
+    largest measured distance ratio, the first pair attaining it, and the
+    certified Lipschitz constant."""
 
-    def __init__(self, rows, lipschitz_estimate, theoretical_C=None):
+    def __init__(self, rows, lipschitz_estimate, lipschitz_pair,
+                 theoretical_C=None):
         super().__init__(rows)
         self.lipschitz_estimate = lipschitz_estimate
+        self.lipschitz_pair = lipschitz_pair
         self.theoretical_C = theoretical_C
 
     def csv_rows(self, floor_fn=None):
@@ -219,15 +209,17 @@ class CompressionReport(Envelopes):
 
 def compression_report(dist_source, dist_embedded, pairs, theoretical_C=None):
     rows = []
-    lip = 0.0
+    lip, lip_pair = 0.0, None
     for a, b in pairs:
         d = dist_source(a, b)
         if d == 0:
             continue
         e = dist_embedded(a, b)
         rows.append((float(d), float(e)))
-        lip = max(lip, float(e) / float(d))
-    return CompressionReport(rows, lip, theoretical_C)
+        q = float(e) / float(d)
+        if lip_pair is None or q > lip:
+            lip, lip_pair = q, (a, b)
+    return CompressionReport(rows, lip, lip_pair, theoretical_C)
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,11 @@
 the acceptance suite.  Each is a function ``cfg -> Result(rows, checks)``
 that raises ConfigError on unknown or missing keys and on values of the
 wrong type or range before building anything.  A check is ``(name, value,
-bound, ok, witness)``; a failing check's witness names its first offending
-element, pair or sample.  Every experiment accepts ``seed``, which the
-``--seed`` flag sets for all of them.
+bound, ok, witness)``.  A failing check's witness is read, never measured
+again: a cover, kernel or embedding statistic's witness is the point, set
+or pair its own measurement found, and a sampled check keeps its first
+offending sample.  Every experiment accepts ``seed``, which the ``--seed``
+flag sets for all of them.
 """
 
 from __future__ import annotations
@@ -17,8 +19,7 @@ from fractions import Fraction
 from itertools import product
 
 from .covers import (balls_cover, cover_stats, delta_consistency_report,
-                     interval_cover, lebesgue_condition, multiplicity,
-                     set_diameter)
+                     interval_cover)
 from .embeddings import (KernelField, build_embedding, compression_report,
                          overlog_shape, shape_condition, weight_from_type)
 from .errors import ConfigError, ContractViolation, CoverageError
@@ -124,30 +125,13 @@ def experiment(name, **params):
     return register
 
 
-def _first_row(kernel, measure, bound, min_interior=0):
-    """First eligible point whose own row breaks measure([i]) <= bound."""
-    space = kernel.base
-    return next((space.points[i] for i in kernel.domain_indices
-                 if space.interior_radius[i] >= min_interior
-                 and measure([i]) > bound), None)
-
-
-def _wide_set(cover, bound):
-    """(index, diameter) of the first cover set wider than bound."""
-    return next(((k, d) for k, s in enumerate(cover.sets)
-                 if (d := set_diameter(cover.space, s)) > bound), None)
-
-
-def _kernel_checks(checks, at, kern, ks, eps_bound, radius_bound, min_interior=0):
+def _kernel_checks(checks, at, ks, eps_bound, radius_bound):
     """Unit rows, support radius and Lipschitz constant of one kernel."""
     return all([
         _check(checks, f"{at} norm error", ks.norm_error, 1e-9,
-               ks.norm_error <= 1e-9,
-               lambda: _first_row(kern, kern.norm_error, 1e-9, min_interior)),
+               ks.norm_error <= 1e-9, lambda: ks.norm_error_point),
         _check(checks, f"{at} support radius", ks.support_radius, radius_bound,
-               ks.support_radius <= radius_bound,
-               lambda: _first_row(kern, kern.support_radius, radius_bound,
-                                  min_interior)),
+               ks.support_radius <= radius_bound, lambda: ks.support_point),
         _check(checks, f"{at} eps", ks.lipschitz, eps_bound,
                ks.lipschitz <= eps_bound + 1e-9, lambda: ks.argmax_pair),
     ])
@@ -176,7 +160,7 @@ def run_zk_cover(c):
     checks = []
     if c["strict"]:
         _check(checks, f"mesh of {cover.name}", stats.mesh, bound,
-               stats.mesh <= bound, lambda: _wide_set(cover, bound))
+               stats.mesh <= bound, lambda: stats.mesh_witness)
     return Result(rows, checks)
 
 
@@ -259,8 +243,8 @@ def run_cover_kernel(c):
         kern = pou_kernel(cover, p)
         ks = kernel_stats(kern, min_interior=min_interior, seed=c["seed"])
         bound = pou_lipschitz_bound(stats, p=p)
-        ok = _kernel_checks(checks, f"{cover.name} p={p}", kern, ks, bound,
-                            stats.mesh, min_interior)
+        ok = _kernel_checks(checks, f"{cover.name} p={p}", ks, bound,
+                            stats.mesh)
         rows.append({
             "cover": cover.name, "p": p, "lebesgue": stats.lebesgue,
             "multiplicity": stats.multiplicity, "mesh": stats.mesh,
@@ -289,7 +273,7 @@ def run_tree_embed(c):
             bound = 8.0 / S
             floor = tent_norm_floor(S, p)
             raw_norm = p_norm(tent_profile(S), p)
-            ok = _kernel_checks(checks, f"S={S} p={p}", kern, ks, bound, S)
+            ok = _kernel_checks(checks, f"S={S} p={p}", ks, bound, S)
             ok &= _check(checks, f"S={S} p={p} profile norm", raw_norm, floor,
                          raw_norm > floor, lambda: tent_profile(S))
             rows.append({
@@ -341,7 +325,7 @@ def run_lamplighter_cover(c):
     radius, L = c["radius"], c["L"]
     ball = lamplighter_ball(radius, certify=False)
     # coverage: cover_stats raises CoverageError at the first uncovered point
-    cover, stats, detail = wreath_cover(ball, L)
+    _, stats, detail = wreath_cover(ball, L)
     mult_bound, mesh_bound = detail["multiplicity_bound"], detail["mesh_bound"]
     rows = [{
         "radius": radius, "L": L, "m": detail["m"],
@@ -353,12 +337,12 @@ def run_lamplighter_cover(c):
     }]
     checks = []
     _check(checks, "multiplicity", stats.multiplicity, mult_bound,
-           stats.multiplicity <= mult_bound, lambda: multiplicity(cover)[1])
+           stats.multiplicity <= mult_bound, lambda: stats.multiplicity_point)
     _check(checks, "certified level", stats.lebesgue, L,
            stats.lebesgue >= L or stats.lebesgue_truncated,
-           lambda: lebesgue_condition(cover, stats.lebesgue + 1))
+           lambda: stats.lebesgue_limit)
     _check(checks, "mesh", stats.mesh, mesh_bound, stats.mesh <= mesh_bound,
-           lambda: _wide_set(cover, mesh_bound))
+           lambda: stats.mesh_witness)
     return Result(rows, checks)
 
 
@@ -473,9 +457,7 @@ def run_embed(c):
     checks = []
     _check(checks, "Lipschitz estimate", report.lipschitz_estimate, C,
            report.lipschitz_estimate <= C * (1 + 1e-9),
-           lambda: next(((x, y) for x, y in pairs
-                         if float(theta.distance(x, y)) / float(domain.dist(x, y))
-                         > C * (1 + 1e-9)), None))
+           lambda: report.lipschitz_pair)
     low = [(d, lo, theta.floor(d)) for d, lo in report.rho_minus
            if lo < theta.floor(d) - 1e-6]
     _check(checks, "distances below the compression floor", len(low), 0,

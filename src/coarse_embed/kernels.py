@@ -119,9 +119,10 @@ class Kernel:
 
     def support_radius(self, indices=None):
         """Largest distance from a point to its row's support, over indices
-        (default: the domain)."""
+        (default: the domain), and the first point index attaining it
+        (None over no indices)."""
         radii, dist = self._radii, self.base.dist_i
-        worst = 0
+        worst, at = 0, None
         for i in (indices if indices is not None else self.domain_indices):
             r = radii.get(i)
             if r is None:
@@ -131,17 +132,19 @@ class Kernel:
                     if d > r:
                         r = d
                 radii[i] = r
-            if r > worst:
-                worst = r
-        return worst
+            if at is None or r > worst:
+                worst, at = r, i
+        return worst, at
 
     def norm_error(self, indices=None):
-        worst = 0.0
+        """Largest |row norm - 1| over indices (default: the domain), and
+        the first point index attaining it (None over no indices)."""
+        worst, at = 0.0, None
         for i in (indices if indices is not None else self.domain_indices):
             err = abs(p_norm(self.row(i).values(), self.p) - 1.0)
-            if err > worst:
-                worst = err
-        return worst
+            if at is None or err > worst:
+                worst, at = err, i
+        return worst, at
 
     def pair_quotient(self, i, j, d):
         """diff_norm(row(i), row(j), p) / d, where d = dist(i, j) is
@@ -150,29 +153,28 @@ class Kernel:
             raise ValueError("identical points")
         return diff_norm(self.row(i), self.row(j), self.p) / float(d)
 
-    def to_json(self, indices=None):
-        rows = []
-        for i in (indices if indices is not None else self.domain_indices):
-            support = sorted((j, float(v)) for j, v in self.row(i).items())
-            rows.append({"x": i, "support": [[j, v] for j, v in support]})
-        return {"p": self.p, "S": self.support_radius(indices), "rows": rows}
-
 
 @dataclass
 class KernelStats:
     """Measured statistics of a kernel on its eligible points.
 
-    The policy's pairs split into pairs_evaluated (pair_quotient calls)
-    and pairs_bounded (skipped because 2(1 + norm_error)/d fell below the
-    running maximum); lipschitz and argmax_pair are those of the full scan.
+    Each statistic keeps the witness its measurement found: support_point
+    and norm_error_point are the first eligible points whose rows attain
+    support_radius and norm_error, and argmax_pair the first pair
+    attaining lipschitz.  The policy's pairs split into pairs_evaluated
+    (pair_quotient calls) and pairs_bounded (skipped because
+    2(1 + norm_error)/d fell below the running maximum); lipschitz and
+    argmax_pair are those of the full scan.
     """
     support_radius: int
+    support_point: object
     lipschitz: float
     argmax_pair: tuple
     policy: str
     pairs_evaluated: int
     pairs_bounded: int
     norm_error: float
+    norm_error_point: object
 
 
 class PairPlan:
@@ -249,8 +251,8 @@ def kernel_stats(kernel, min_interior=0, seed=0, sample_pairs=20_000,
     space = kernel.base
     eligible = [i for i in kernel.domain_indices
                 if space.interior_radius[i] >= min_interior]
-    sup_radius = kernel.support_radius(eligible)
-    norm_error = kernel.norm_error(eligible)
+    sup_radius, sup_at = kernel.support_radius(eligible)
+    norm_error, err_at = kernel.norm_error(eligible)
     cap = 2.0 * (1.0 + norm_error)
     plan = pair_plan(kernel, eligible, seed, sample_pairs, all_pairs_cap)
 
@@ -274,10 +276,15 @@ def kernel_stats(kernel, min_interior=0, seed=0, sample_pairs=20_000,
         policy = "edges-exact+sample"
     else:
         policy = "edges+sample"
+
+    def label(i):
+        return None if i is None else space.points[i]
+
     return KernelStats(
-        support_radius=sup_radius, lipschitz=best, argmax_pair=arg,
-        policy=policy, pairs_evaluated=evaluated,
-        pairs_bounded=len(plan) - evaluated, norm_error=norm_error)
+        support_radius=sup_radius, support_point=label(sup_at), lipschitz=best,
+        argmax_pair=arg, policy=policy, pairs_evaluated=evaluated,
+        pairs_bounded=len(plan) - evaluated, norm_error=norm_error,
+        norm_error_point=label(err_at))
 
 
 # ---------------------------------------------------------------------------
@@ -448,11 +455,6 @@ def tent_norm_floor(S, p):
     return (S ** (p + 1) / (p + 1)) ** (1.0 / p)
 
 
-def tent_neighbor_identity(S, p):
-    """Exact p-th power of the unnormalized difference of adjacent rows."""
-    return 2 ** p * (2 * (S // 2) + 2)
-
-
 # ---------------------------------------------------------------------------
 # The radial sphere homeomorphism between l^q and l^p
 
@@ -570,8 +572,8 @@ def pullback_kernel(f, domain, kernel, pairs=None):
                 dk = diff_norm(kernel.row(target.index[f(a)]),
                                kernel.row(target.index[f(b)]), p)
             contraction_margin = max(contraction_margin, ds - dk)
-        s_sigma = sigma.support_radius()
-        s_xi = kernel.support_radius()
+        s_sigma, _ = sigma.support_radius()
+        s_xi, _ = kernel.support_radius()
         rho_at = Envelopes((domain.dist(a, b), target.dist(f(a), f(b)))
                            for a, b in pairs).minus(s_sigma)
         report = {

@@ -267,11 +267,6 @@ def coset_key(label, m):
     return tuple((p, v) for p, v in lamps if not (-m + 1 <= p <= m - 1))
 
 
-def coset_representative(key):
-    """Canonical section: the outside-lamps configuration itself, cursor 0."""
-    return LamplighterElement(tuple(key), 0)
-
-
 def block_part(label, m):
     lamps, _ = label
     inner = tuple((p, v) for p, v in lamps if -m + 1 <= p <= m - 1)

@@ -1,13 +1,18 @@
 import dataclasses
 import json
 import math
+from pathlib import Path
 
 import pytest
 
 from coarse_embed import experiments
 from coarse_embed.cli import main
+from coarse_embed.covers import cover_stats
 from coarse_embed.kernels import kernel_stats
 from coarse_embed.reports import read_csv_rows
+from coarse_embed.wreath import wreath_cover
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def run(tmp_path, *argv):
@@ -77,26 +82,54 @@ def test_contract_failure_exits_one_with_witness(tmp_path):
     assert any(r.get("check") == "FAILED" and r["witness"] for r in rows)
 
 
-# experiment, small settings, a construction replaced so that a check fails
+def wreath_detail(**entries):
+    """wreath_cover with some entries of its detail (the bounds) replaced."""
+    def fake(ball, L):
+        cover, stats, detail = wreath_cover(ball, L)
+        return cover, stats, {**detail, **entries}
+    return fake
+
+
+def broken(experiment, settings, target, fake, check=None):
+    """A case for the test below: an experiment, small settings, and a
+    construction replaced so that a check fails (named after the target,
+    or after the check when one target breaks several)."""
+    return pytest.param(experiment, settings, target, fake,
+                        id=f"{experiment}-{check or target}")
+
+
 BROKEN = [
-    ("voronoi-check", "n=2 samples=20", "cell_contains_bruteforce",
-     lambda x, tau: None),
-    ("tree-embed", "depth=4 S_list=[2] p_list=[1]", "tent_norm_floor",
-     lambda S, p: math.inf),
-    ("lamplighter-metric", "radius=1 block_radius=4 pairs=50",
-     "lamp_coordinates", lambda label, m: (hash(label),)),
-    ("embed", "depth=8 S_levels=[2,4,8] sample_points=10", "kernel_stats",
-     lambda kern, **kw: dataclasses.replace(kernel_stats(kern, **kw),
-                                            lipschitz=0.0)),
-    ("cp-check", "", "overlog_shape", lambda a, p: lambda t: t),
-    ("profile", "grid_S_list=[] tree_depth=2 tree_S_list=[] wreath_radius=1 "
-     "wreath_L_list=[] mazur_pairs=1", "mazur_pairs_check",
-     lambda *args, **kw: (3.0, 0)),
+    broken("voronoi-check", "n=2 samples=20", "cell_contains_bruteforce",
+           lambda x, tau: None),
+    broken("tree-embed", "depth=4 S_list=[2] p_list=[1]", "tent_norm_floor",
+           lambda S, p: math.inf),
+    broken("lamplighter-metric", "radius=1 block_radius=4 pairs=50",
+           "lamp_coordinates", lambda label, m: (hash(label),)),
+    broken("embed", "depth=8 S_levels=[2,4,8] sample_points=10", "kernel_stats",
+           lambda kern, **kw: dataclasses.replace(kernel_stats(kern, **kw),
+                                                  lipschitz=0.0)),
+    broken("cp-check", "", "overlog_shape", lambda a, p: lambda t: t),
+    broken("profile", "grid_S_list=[] tree_depth=2 tree_S_list=[] wreath_radius=1 "
+           "wreath_L_list=[] mazur_pairs=1", "mazur_pairs_check",
+           lambda *args, **kw: (3.0, 0)),
+    # the witnesses the statistics keep: the norm-error point, the support
+    # point, the multiplicity point, the mesh set and pair, and the point
+    # that limits the Lebesgue level
+    broken("cover-kernel", "half_width=10 p_list=[1]", "kernel_stats",
+           lambda kern, **kw: dataclasses.replace(kernel_stats(kern, **kw),
+                                                  norm_error=1.0)),
+    broken("cover-kernel", "half_width=10 p_list=[1]", "cover_stats",
+           lambda cover: dataclasses.replace(cover_stats(cover), mesh=0)),
+    broken("lamplighter-cover", "radius=3", "wreath_cover",
+           wreath_detail(multiplicity_bound=0), check="multiplicity"),
+    broken("lamplighter-cover", "radius=3", "wreath_cover",
+           wreath_detail(mesh_bound=0), check="mesh"),
+    broken("lamplighter-cover", "radius=6 L=3", "wreath_cover",
+           lambda ball, L: wreath_cover(ball, 1), check="level"),
 ]
 
 
-@pytest.mark.parametrize("experiment,settings,target,fake", BROKEN,
-                         ids=[f"{case[0]}-{case[2]}" for case in BROKEN])
+@pytest.mark.parametrize("experiment,settings,target,fake", BROKEN)
 def test_every_failed_check_names_a_witness(tmp_path, monkeypatch, experiment,
                                             settings, target, fake):
     monkeypatch.setattr(experiments, target, fake)
@@ -188,3 +221,27 @@ def test_rationals_render_as_num_den(tmp_path):
     assert code == 0
     text = open(out + ".csv").read()
     assert "1/5" in text        # separation target for n = 6
+
+
+# each experiment at a small passing config; its CSV must not change
+GOLDEN_CONFIGS = [
+    ("zk-cover", "k=2 L=3 half_width=15"),
+    ("voronoi-check", "n=4 samples=200"),
+    ("cover-kernel", "cover=zk L=2 half_width=12"),
+    ("tree-embed", "depth=5 S_list=[2,4] p_list=[1,2]"),
+    ("lamplighter-metric", "radius=3 m_list=[2] block_radius=4 pairs=50"),
+    ("lamplighter-cover", "radius=6"),
+    ("profile", "grid_half_width=6 grid_S_list=[2,4] tree_depth=4 "
+                "tree_S_list=[2,4] wreath_radius=3 mazur_pairs=100"),
+    ("embed", "depth=8 S_levels=[2,4,8] sample_points=20"),
+    ("cp-check", ""),
+]
+
+
+@pytest.mark.parametrize("experiment,settings", GOLDEN_CONFIGS,
+                         ids=[case[0] for case in GOLDEN_CONFIGS])
+def test_report_matches_golden(tmp_path, experiment, settings):
+    code, out = run(tmp_path, experiment, *sets(settings))
+    assert code == 0
+    golden = (GOLDEN / f"{experiment}.csv").read_bytes()
+    assert Path(out + ".csv").read_bytes() == golden

@@ -93,11 +93,14 @@ def test_multiplicity_and_mesh_against_bruteforce():
             for i in set(s):
                 counts[i] += 1
         assert mult == max(counts)
-        value, exact, _ = mesh(cover)
+        value, exact, (sid, (a, b)) = mesh(cover)
         assert exact
         brute = max(
             max((g.dist_i(i, j) for i in s for j in s), default=0) for s in sets)
         assert value == brute
+        # the witness pair lies in its set, at distance mesh
+        assert {g.index[a], g.index[b]} <= set(sets[sid])
+        assert g.dist(a, b) == value
 
 
 def brute_diameter(space, ids):
@@ -136,7 +139,10 @@ def test_set_diameter_matches_all_pairs(name, drop_deepest, data):
     pool = [i for i in range(len(space)) if not (drop_deepest and i == deepest)]
     ids = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=40,
                              unique=True))
-    assert set_diameter(space, ids) == brute_diameter(space, ids)
+    value, (a, b) = set_diameter(space, ids)
+    assert value == brute_diameter(space, ids)
+    assert {space.index[a], space.index[b]} <= set(ids)
+    assert space.dist(a, b) == value
 
 
 def test_explicit_window_is_a_matrix_round_trip():
@@ -203,13 +209,14 @@ def test_multiplicity_and_lebesgue_scan_match_definitions(cover, scan_cap):
     cap = space.max_interior_radius() + 1
     if scan_cap is not None:
         cap = min(cap, scan_cap)
-    # certified: the condition holds at every level 1..value
-    want = (cap, True)
+    # certified: the condition holds at every level 1..value, and the
+    # limit is the first point violating value + 1 (None when truncated)
+    want = (cap, None)
     for r in range(1, cap + 1):
         witness = brute_violation(cover, r)
         assert lebesgue_condition(cover, r) == witness
         if witness is not None:
-            want = (r - 1, False)
+            want = (r - 1, witness)
             break
     assert certified_lebesgue(cover, scan_cap=scan_cap) == want
 
@@ -228,7 +235,7 @@ def test_rational_window_lebesgue_uses_the_open_ball():
     cover = Cover(line, [everything_but_half, near_half])
     assert lebesgue_condition(cover, 1) == (0,)
     assert lebesgue_condition(cover, 2) == (0,)
-    assert certified_lebesgue(cover) == (0, False)
+    assert certified_lebesgue(cover) == (0, (0,))
     assert sorted(line.closed_ball((0,), 1)) == [
         (Fraction(k, 2),) for k in range(-2, 3)]
     assert len(balls_cover(line, Fraction(1, 2)).sets[8]) == 3
@@ -251,8 +258,8 @@ def test_grouped_cover_orders_sets_by_key():
 def test_certified_lebesgue_scan_cap():
     g = grid_space(2, 6)
     cover = Cover(g, [list(range(len(g)))])
-    level, truncated = certified_lebesgue(cover, scan_cap=2)
-    assert level == 2 and truncated
+    level, limit = certified_lebesgue(cover, scan_cap=2)
+    assert level == 2 and limit is None
 
 
 def test_envelopes_are_monotone():
@@ -386,18 +393,6 @@ def test_type_function_single_point_space():
 
     rows = type_function_upper(builder, [1, 2, 5])
     assert all(s == 0 for _, s in rows)
-
-
-def test_cover_json_shape():
-    import json
-    g = grid_space(1, 5)
-    cover = interval_cover(g)
-    doc = json.loads(json.dumps(cover.to_json()))
-    assert doc["space"] == g.window_tag
-    assert all(isinstance(s, list) for s in doc["sets"])
-    assert len(doc["family"]) == len(doc["sets"])
-    rebuilt = Cover(g, doc["sets"])
-    assert cover_stats(rebuilt).multiplicity == cover_stats(cover).multiplicity
 
 
 def test_delta_consistency_rows():

@@ -97,10 +97,6 @@ def small_embedding():
     return build_embedding(field, weight, x0=(), p=p)
 
 
-def test_embedding_reference_point_maps_to_zero(small_embedding):
-    assert small_embedding.norm(()) == 0.0
-
-
 def test_embedding_single_level_reduces_to_kernel_difference():
     tree = tree_ball(3, 5)
     kern = tree_kernel_tent(tree, 2, 2)
@@ -135,17 +131,10 @@ def test_embedding_compression_floor(small_embedding):
                              theoretical_C=theta.theoretical_C)
     for d, lo in rep.rho_minus:
         assert lo >= theta.floor(d) - 1e-6
-
-
-def test_pair_breakdown_reassembles_distance(small_embedding):
-    theta = small_embedding
-    dom = theta.domain
-    x, y = dom.points[3], dom.points[40]
-    breakdown = theta.pair_breakdown(x, y)
-    assert breakdown["total"] == pytest.approx(theta.distance(x, y), rel=1e-12)
-    assert all(lvl["weight"] >= 0 for lvl in breakdown["levels"])
-    total = sum(l["weight"] * l["diff_power"] for l in breakdown["levels"])
-    assert total ** 0.5 == pytest.approx(breakdown["total"], rel=1e-12)
+    # the kept pair is the first one attaining the largest ratio
+    ratios = [theta.distance(x, y) / dom.dist(x, y) for x, y in pairs]
+    assert rep.lipschitz_estimate == max(ratios)
+    assert rep.lipschitz_pair == pairs[ratios.index(max(ratios))]
 
 
 def test_disjoint_levels_contribute_two(small_embedding):

@@ -13,8 +13,7 @@ from coarse_embed.covers import Cover, balls_cover, cover_stats, interval_cover
 from coarse_embed.kernels import (Kernel, diff_norm, kernel_stats,
                                   mazur_map, mazur_pairs_check, p_norm,
                                   pou_kernel, pou_lipschitz_bound,
-                                  pullback_kernel, tent_neighbor_identity,
-                                  tent_norm_floor, tent_profile,
+                                  pullback_kernel, tent_norm_floor, tent_profile,
                                   tree_kernel_flat, tree_kernel_tent)
 from coarse_embed.lattice import embed_grid_point, zk_cover
 from coarse_embed.spaces import grid_space, tree_ball, FiniteMetricSpace
@@ -227,8 +226,9 @@ def assert_stats_match_oracle(kern, min_interior, **policy):
     radius measured on the kernel's own rows."""
     space = kern.base
     pairs, label = policy_pairs(kern, min_interior, **policy)
-    radius = max((space.dist_i(i, j) for i in kern.domain_indices
-                  if space.interior_radius[i] >= min_interior for j in kern.row(i)),
+    eligible = {space.points[i]: i for i in kern.domain_indices
+                if space.interior_radius[i] >= min_interior}
+    radius = max((space.dist_i(i, j) for i in eligible.values() for j in kern.row(i)),
                  default=0)
     best, arg = 0.0, None
     for i, j in pairs:
@@ -237,6 +237,14 @@ def assert_stats_match_oracle(kern, min_interior, **policy):
             best, arg = q, (space.points[i], space.points[j])
     ks = kernel_stats(kern, min_interior=min_interior, **policy)
     assert ks.support_radius == radius
+    # each point witness is eligible and its own row attains the statistic
+    if eligible:
+        at = eligible[ks.support_point]
+        assert max(space.dist_i(at, j) for j in kern.row(at)) == radius
+        at = eligible[ks.norm_error_point]
+        assert abs(p_norm(kern.row(at).values(), kern.p) - 1.0) == ks.norm_error
+    else:
+        assert ks.support_point is ks.norm_error_point is None
     assert ks.lipschitz == best
     assert ks.argmax_pair == arg
     assert ks.pairs_evaluated + ks.pairs_bounded == len(pairs)
@@ -333,7 +341,8 @@ def test_shared_support_radii_match_each_row(cover, order):
     for p, exact in order:
         kern = pou_kernel(cover, p, exact=exact)
         radii = [max(space.dist_i(i, j) for j in kern.row(i)) for i in range(len(space))]
-        assert [kern.support_radius([i]) for i in range(len(space))] == radii
+        assert [kern.support_radius([i]) for i in range(len(space))] == [
+            (r, i) for i, r in enumerate(radii)]
         assert kernel_stats(kern).support_radius == max(radii)
 
 
@@ -418,7 +427,8 @@ def test_tent_neighbor_difference_identity(S, p):
     norm = p_norm(raw, p)
     i, j = sp.index[(0, 1)], sp.index[(0,)]
     d = diff_norm(kern.row(i), kern.row(j), p)
-    assert d ** p * norm ** p == pytest.approx(tent_neighbor_identity(S, p), rel=1e-9)
+    # adjacent rows differ in p-th power by exactly 2^p (2 floor(S/2) + 2)
+    assert d ** p * norm ** p == pytest.approx(2 ** p * (2 * (S // 2) + 2), rel=1e-9)
 
 
 def test_tent_norm_floor_every_node():
@@ -448,7 +458,7 @@ def test_flat_kernel_examples():
         i, j = tree.space.index[()], tree.space.index[-1]
         assert diff_norm(kern.row(i), kern.row(j), p) == pytest.approx(
             (2 / 8) ** (1 / p), abs=1e-12)
-        assert kern.norm_error([i, j]) < 1e-12
+        assert kern.norm_error([i, j])[0] < 1e-12
 
 
 def test_flat_kernel_measured_constant_reported():
@@ -560,20 +570,6 @@ def test_epsilon_profile_monotone_with_interpolation_column():
     assert uppers == sorted(uppers, reverse=True)
     assert "mazur_bound" in rows[-1]      # 16 >= e^2
     assert "mazur_bound" not in rows[0]   # 2 < e^2
-
-
-def test_kernel_json_dump():
-    import json
-    g = grid_space(1, 8)
-    cover = interval_cover(g)
-    kern = pou_kernel(cover, 2)
-    doc = json.loads(json.dumps(kern.to_json(indices=[0, 3, 9])))
-    assert doc["p"] == 2
-    assert doc["S"] <= 2
-    assert [r["x"] for r in doc["rows"]] == [0, 3, 9]
-    for r in doc["rows"]:
-        total = sum(v ** 2 for _, v in r["support"])
-        assert abs(total - 1.0) < 1e-9
 
 
 def test_pullback_kernel_rejects_non_injective():
