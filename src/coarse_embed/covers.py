@@ -336,12 +336,12 @@ class Envelopes:
         """rho_minus at the smallest measured distance >= t, and 0 for t <= 0
         (the diagonal).  Between measured distances this can only overstate
         the ambient rho_minus, so a passing upper bound on it rests on
-        measured pairs.  Above the largest measured distance it reads the
-        last value, which no pair backs."""
-        if t <= 0 or not self.rows:
+        measured pairs.  Above the largest measured distance no pair backs
+        a value, and the read is None."""
+        if t <= 0:
             return 0
         i = bisect_left(self._distances, t)
-        return self.rho_minus[min(i, len(self.rho_minus) - 1)][1]
+        return self.rho_minus[i][1] if i < len(self.rho_minus) else None
 
     def plus(self, t):
         """rho_plus at the largest measured distance <= t, and 0 below the
@@ -384,7 +384,8 @@ def pullback_cover(f, domain, cover, name=""):
 
 def check_pullback_inequalities(f, domain, cover, pulled, pairs):
     """Measured form of the dilation/compression relations of an induced
-    cover: rho_plus(L(f*U)) >= L(U) and rho_minus(S(f*U)) <= S(U)."""
+    cover: rho_plus(L(f*U)) >= L(U) and rho_minus(S(f*U)) <= S(U).  The
+    second fails when no pair lies at distance S(f*U) or more."""
     env = Envelopes((domain.dist(a, b), cover.space.dist(f(a), f(b)))
                     for a, b in pairs)
     st_pull = cover_stats(pulled)
@@ -392,12 +393,14 @@ def check_pullback_inequalities(f, domain, cover, pulled, pairs):
     lhs_plus = env.plus(st_pull.lebesgue)
     lhs_minus = env.minus(st_pull.mesh)
     return {
+        "pulled_lebesgue": st_pull.lebesgue,
         "rho_plus_at_pulled_lebesgue": lhs_plus,
         "orig_lebesgue": st_orig.lebesgue,
         "plus_ok": lhs_plus >= st_orig.lebesgue or st_pull.lebesgue_truncated,
+        "pulled_mesh": st_pull.mesh,
         "rho_minus_at_pulled_mesh": lhs_minus,
         "orig_mesh": st_orig.mesh,
-        "minus_ok": lhs_minus <= st_orig.mesh,
+        "minus_ok": lhs_minus is not None and lhs_minus <= st_orig.mesh,
     }
 
 

@@ -18,20 +18,23 @@ from collections import namedtuple
 from fractions import Fraction
 from itertools import product
 
-from .covers import (balls_cover, cover_stats, delta_consistency_report,
-                     interval_cover)
+from .covers import (Envelopes, balls_cover, check_pullback_inequalities,
+                     cover_stats, delta_consistency_report, grouped_cover,
+                     interval_cover, pullback_cover)
 from .embeddings import (KernelField, build_embedding, compression_report,
                          overlog_shape, shape_condition, weight_from_type)
 from .errors import ConfigError, ContractViolation, CoverageError
-from .kernels import (epsilon_profile_upper, kernel_stats, mazur_pairs_check,
-                      p_norm, pou_kernel, pou_lipschitz_bound, tent_norm_floor,
-                      tent_profile, tree_kernel_tent)
+from .kernels import (diff_norm_exact, epsilon_profile_upper, kernel_stats,
+                      mazur_pairs_check, p_norm, pou_kernel, pou_lipschitz_bound,
+                      pullback_kernel, tent_norm_floor, tent_profile,
+                      tree_kernel_tent)
 from .lamplighter import (bfs_ball, block_window, lamp_coordinates,
                           lamplighter_ball, word_length)
 from .lattice import (BoxCoverSpec, LatticeCoverSpec, cell_contains,
-                      cell_contains_bruteforce, in_family_separation_bound,
-                      membership, zk_cover)
-from .spaces import grid_space, tree_ball
+                      cell_contains_bruteforce, embed_grid_point,
+                      in_family_separation_bound, membership,
+                      membership_or_fail, zk_cover)
+from .spaces import FiniteMetricSpace, grid_space, l1_dist, tree_ball
 from .wreath import wreath_cover
 
 
@@ -516,4 +519,76 @@ def run_cp_check(c):
            lambda: (*over["rows"][-1], over["tail_estimate"]))
     _check(checks, "overlog refinement change", rel, 1e-2, rel < 1e-2,
            lambda: (over["value"], fine["value"]))
+    return Result(rows, checks)
+
+
+# criterion 9's sizes: Z^2 in the zero-sum R^4, plus image points moved by bumps
+PULLBACK_HALF_WIDTH = 10
+PULLBACK_BUMPS = ((Fraction(1, 3), Fraction(-1, 3), 0, 0),
+                  (0, 0, Fraction(1, 3), Fraction(-1, 3)),
+                  (Fraction(1, 5), Fraction(-1, 5), Fraction(2, 5), Fraction(-2, 5)))
+PULLBACK_BUMP_DRAWS = 40
+PULLBACK_PAIR_DRAWS = 2000
+
+
+@experiment("pullback-check")
+def run_pullback_check(c):
+    """The exact l1 pou kernel xi of a lattice cell cover U of a rational
+    plane sample, pulled back along the grid's embedding f, keeps each
+    row's mass and contracts differences, rho_f(S(f*xi)) <= 3 S(xi), and
+    rho_plus(L(f*U)) >= L(U), rho_minus(S(f*U)) <= S(U) (criterion 9)."""
+    rng = random.Random(c["seed"])
+    f = embed_grid_point
+    grid = grid_space(2, PULLBACK_HALF_WIDTH)
+    points = [f(z) for z in grid.points]
+    for _ in range(PULLBACK_BUMP_DRAWS):
+        z, bump = rng.choice(grid.points), rng.choice(PULLBACK_BUMPS)
+        y = tuple(a + b for a, b in zip(f(z), bump))
+        if y not in points:
+            points.append(y)
+    rad = max(sum(map(abs, y)) for y in points)
+    target = FiniteMetricSpace(points, l1_dist, "plane sample",
+                               [rad - sum(map(abs, y)) for y in points],
+                               dist_tag="l1-rational", kind="rational")
+    spec = LatticeCoverSpec.standard(4, scale=2)
+    cover = grouped_cover(target, lambda i: membership_or_fail(points[i], spec),
+                          "plane cells", family=lambda key: key[0])
+    xi = pou_kernel(cover, 1, exact=True)
+    sigma = pullback_kernel(f, grid, xi)
+    draws = ((rng.choice(grid.points), rng.choice(grid.points))
+             for _ in range(PULLBACK_PAIR_DRAWS))
+    pairs = [(a, b) for a, b in draws if a != b]
+    source = {x: xi.row(target.index[f(x)]) for x in grid.points}
+    gaps = [(abs(sum(sigma.row(i).values()) - sum(source[x].values())), x)
+            for i, x in enumerate(grid.points)]
+    off_norm = [x for gap, x in gaps if gap]
+    margins = [(diff_norm_exact(sigma.row(grid.index[a]), sigma.row(grid.index[b]))
+                - diff_norm_exact(source[a], source[b]), (a, b)) for a, b in pairs]
+    stretched = [pair for margin, pair in margins if margin > 0]
+    margin = max([0] + [m for m, _ in margins])
+    s_sigma, s_xi = sigma.support_radius()[0], xi.support_radius()[0]
+    rho = Envelopes((grid.dist(a, b), target.dist(f(a), f(b)))
+                    for a, b in pairs).minus(s_sigma)
+    pulled = check_pullback_inequalities(f, grid, cover,
+                                         pullback_cover(f, grid, cover), pairs)
+    rows = [{"target_points": len(target), "sets": len(cover), "pairs": len(pairs),
+             "off_norm_rows": len(off_norm), "norm_error": max(g for g, _ in gaps),
+             "contraction_margin": margin, "support_radius_sigma": s_sigma,
+             "support_radius_xi": s_xi, "rho_f_at_support": rho,
+             **{k: v for k, v in pulled.items() if not k.endswith("_ok")}}]
+    checks = []
+    _check(checks, "rows off their source mass", len(off_norm), 0,
+           not off_norm, lambda: off_norm[0])
+    _check(checks, "contraction margin", margin, 0, not stretched,
+           lambda: stretched[0])
+    for name, t, value, bound, ok in (
+            ("rho_f", s_sigma, rho, 3 * s_xi, rho is not None and rho <= 3 * s_xi),
+            ("rho_plus", pulled["pulled_lebesgue"],
+             pulled["rho_plus_at_pulled_lebesgue"], pulled["orig_lebesgue"],
+             pulled["plus_ok"]),
+            ("rho_minus", pulled["pulled_mesh"], pulled["rho_minus_at_pulled_mesh"],
+             pulled["orig_mesh"], pulled["minus_ok"])):
+        _check(checks, f"{name} at {t}", value, bound, ok,
+               lambda: f"no pair at distance >= {t}" if value is None
+               else f"{name}({t}) = {value}")
     return Result(rows, checks)

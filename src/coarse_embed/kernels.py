@@ -494,18 +494,13 @@ def mazur_pairs_check(dim, q, p, n_pairs, seed=0):
 # Transfer along a map into a larger window
 
 
-def pullback_kernel(f, domain, kernel, pairs=None):
+def pullback_kernel(f, domain, kernel):
     """Transfer a kernel on the target window back along an injective map.
 
     A retraction sends every target point to a nearest image point; the
     transferred row at x collects, over each fiber of the retraction, the
-    p-mass of the original row at f(x).  Returns (kernel, report) where
-    the report carries the exactness checks: norm preservation, difference
-    contraction on the given pairs, and the support-radius relation
-    rho_f(S(sigma)) <= 3 S(xi).
+    p-mass of the original row at f(x).
     """
-    from .covers import Envelopes
-
     target = kernel.base
     p = kernel.p
     image = {}
@@ -545,46 +540,7 @@ def pullback_kernel(f, domain, kernel, pairs=None):
                 out[w_idx] = mass if p == 1 else float(mass) ** (1.0 / p)
         return out
 
-    sigma = Kernel(domain, p, row_fn, name=f"pullback({kernel.name})", exact=exact)
-
-    report = None
-    if pairs is not None:
-        exact_l1 = exact and p == 1
-        norm_err = 0
-        for i in range(len(domain)):
-            if exact_l1:
-                a = sum(sigma.row(i).values())
-                b = sum(kernel.row(target.index[f(domain.points[i])]).values())
-                norm_err = max(norm_err, abs(a - b))
-            else:
-                a = p_norm(sigma.row(i).values(), p)
-                b = p_norm(kernel.row(target.index[f(domain.points[i])]).values(), p)
-                norm_err = max(norm_err, abs(a - b))
-        contraction_margin = 0
-        for (a, b) in pairs:
-            ia, ib = domain.index[a], domain.index[b]
-            if exact_l1:
-                ds = diff_norm_exact(sigma.row(ia), sigma.row(ib))
-                dk = diff_norm_exact(kernel.row(target.index[f(a)]),
-                                     kernel.row(target.index[f(b)]))
-            else:
-                ds = diff_norm(sigma.row(ia), sigma.row(ib), p)
-                dk = diff_norm(kernel.row(target.index[f(a)]),
-                               kernel.row(target.index[f(b)]), p)
-            contraction_margin = max(contraction_margin, ds - dk)
-        s_sigma, _ = sigma.support_radius()
-        s_xi, _ = kernel.support_radius()
-        rho_at = Envelopes((domain.dist(a, b), target.dist(f(a), f(b)))
-                           for a, b in pairs).minus(s_sigma)
-        report = {
-            "norm_error": norm_err,
-            "contraction_margin": contraction_margin,
-            "support_radius_sigma": s_sigma,
-            "support_radius_xi": s_xi,
-            "rho_f_at_support": rho_at,
-            "support_ok": float(rho_at) <= 3.0 * float(s_xi),
-        }
-    return sigma, report
+    return Kernel(domain, p, row_fn, name=f"pullback({kernel.name})", exact=exact)
 
 
 # ---------------------------------------------------------------------------

@@ -191,21 +191,10 @@ def translated_shell(label, r):
 # The cursor-0 subgroup and its finite blocks
 
 
-def is_cursor_zero(label):
-    return label[1] == 0
-
-
 def in_block(label, m):
     """Cursor 0 and lamps confined to positions -m+1 .. m-1."""
     lamps, cursor = label
     return cursor == 0 and all(-m + 1 <= p <= m - 1 for p, _ in lamps)
-
-
-def lamp_window(ball_space):
-    """Cursor-0 portion of a ball window, with the restricted metric."""
-    pts = [p for p in ball_space.points if is_cursor_zero(p)]
-    tag = f"{ball_space.window_tag}|cursor0"
-    return ball_space.subspace(pts, tag)
 
 
 def cursor_zero_ball_labels(radius):

@@ -471,7 +471,7 @@ def candidate_specs(k, L):
     return out
 
 
-def pullback_grid_cover(window, k, spec):
+def pullback_grid_cover(window, spec):
     """Cover of a Z^k window by preimages of the enlarged scaled cells,
     one set per (family, lattice point) pair."""
     return grouped_cover(
@@ -544,7 +544,7 @@ def zk_cover(window, k, L, mesh_bound=None, strict=True, spec=None):
         if isinstance(spec, BoxCoverSpec):
             cover = box_grid_cover(window, spec)
         else:
-            cover = pullback_grid_cover(window, k, spec)
+            cover = pullback_grid_cover(window, spec)
         stats = cover_stats(cover)
         leb_ok = (stats.lebesgue >= L) or stats.lebesgue_truncated
         if not leb_ok:

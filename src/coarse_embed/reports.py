@@ -66,26 +66,3 @@ def write_report(path_base, rows, meta=None):
         fh.write("\n")
     return csv_path, json_path
 
-
-def parse_value(text):
-    if isinstance(text, str) and "/" in text:
-        num, den = text.split("/")
-        try:
-            return Fraction(int(num), int(den))
-        except ValueError:
-            return text
-    try:
-        return int(text)
-    except (TypeError, ValueError):
-        pass
-    try:
-        return float(text)
-    except (TypeError, ValueError):
-        return text
-
-
-def read_csv_rows(path):
-    with open(path) as fh:
-        reader = csv.reader(fh)
-        columns = next(reader)
-        return [dict(zip(columns, (parse_value(v) for v in row))) for row in reader]

@@ -1,6 +1,8 @@
+import csv
 import dataclasses
 import json
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -8,11 +10,34 @@ import pytest
 from coarse_embed import experiments
 from coarse_embed.cli import main
 from coarse_embed.covers import cover_stats
-from coarse_embed.kernels import kernel_stats
-from coarse_embed.reports import read_csv_rows
+from coarse_embed.kernels import Kernel, kernel_stats, pullback_kernel
 from coarse_embed.wreath import wreath_cover
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def parse_value(text):
+    if isinstance(text, str) and "/" in text:
+        num, den = text.split("/")
+        try:
+            return Fraction(int(num), int(den))
+        except ValueError:
+            return text
+    try:
+        return int(text)
+    except (TypeError, ValueError):
+        pass
+    try:
+        return float(text)
+    except (TypeError, ValueError):
+        return text
+
+
+def read_csv_rows(path):
+    with open(path) as fh:
+        reader = csv.reader(fh)
+        columns = next(reader)
+        return [dict(zip(columns, (parse_value(v) for v in row))) for row in reader]
 
 
 def run(tmp_path, *argv):
@@ -45,6 +70,7 @@ BAD_CONFIGS = [
     ("profile", "", "grid_halfwidth=5", "wreath_L_list=[0]"),
     ("embed", "", "samples=30", "depth=0"),
     ("cp-check", "", "T=5", "subdivisions=0"),
+    ("pullback-check", "", "half_width=3", "seed=1.5"),   # sizes are constants
 ]
 
 
@@ -90,12 +116,20 @@ def wreath_detail(**entries):
     return fake
 
 
-def broken(experiment, settings, target, fake, check=None):
-    """A case for the test below: an experiment, small settings, and a
-    construction replaced so that a check fails (named after the target,
-    or after the check when one target breaks several)."""
-    return pytest.param(experiment, settings, target, fake,
+def broken(experiment, settings, target, fake, check=None, **sizes):
+    """A case for the test below: an experiment, small settings (or module
+    constants shrunk through sizes), and a construction replaced so that a
+    check fails (named after the target, or after the check when one
+    target breaks several)."""
+    return pytest.param(experiment, settings, target, fake, sizes,
                         id=f"{experiment}-{check or target}")
+
+
+def halved(f, domain, kernel):
+    """The pulled-back kernel with every row at half its mass."""
+    sigma = pullback_kernel(f, domain, kernel)
+    return Kernel(domain, 1, lambda i: {j: v / 2 for j, v in sigma.row(i).items()},
+                  exact=True)
 
 
 BROKEN = [
@@ -126,13 +160,24 @@ BROKEN = [
            wreath_detail(mesh_bound=0), check="mesh"),
     broken("lamplighter-cover", "radius=6 L=3", "wreath_cover",
            lambda ball, L: wreath_cover(ball, 1), check="level"),
+    # rows off their source mass, a pair whose difference grows (point
+    # rows), and no pair to back rho_minus at the support radius
+    broken("pullback-check", "", "pullback_kernel", halved, check="norm",
+           PULLBACK_HALF_WIDTH=3),
+    broken("pullback-check", "", "pullback_kernel",
+           lambda f, domain, kernel: Kernel(domain, 1, lambda i: {i: Fraction(1)},
+                                            exact=True),
+           check="contraction", PULLBACK_HALF_WIDTH=3),
+    broken("pullback-check", "", "PULLBACK_PAIR_DRAWS", 0, check="support",
+           PULLBACK_HALF_WIDTH=3),
 ]
 
 
-@pytest.mark.parametrize("experiment,settings,target,fake", BROKEN)
+@pytest.mark.parametrize("experiment,settings,target,fake,sizes", BROKEN)
 def test_every_failed_check_names_a_witness(tmp_path, monkeypatch, experiment,
-                                            settings, target, fake):
-    monkeypatch.setattr(experiments, target, fake)
+                                            settings, target, fake, sizes):
+    for name, value in {target: fake, **sizes}.items():
+        monkeypatch.setattr(experiments, name, value)
     code, out = run(tmp_path, experiment, *sets(settings))
     assert code == 1
     failed = [r for r in read_csv_rows(out + ".csv") if r.get("check") == "FAILED"]
@@ -200,7 +245,6 @@ def test_csv_json_round_trip(tmp_path):
     json_lead = doc["rows"][0]
     assert lead["lebesgue"] == json_lead["lebesgue"]
     assert lead["multiplicity"] == json_lead["multiplicity"]
-    from fractions import Fraction
     assert isinstance(lead["scale"], Fraction)          # "num/den" rationals
     assert str(json_lead["scale"]).count("/") == 1
 

@@ -1,10 +1,11 @@
 import functools
+import itertools
 import json
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coarse_embed.covers import (Cover, Envelopes, balls_cover,
@@ -16,7 +17,7 @@ from coarse_embed.covers import (Cover, Envelopes, balls_cover,
                                  pullback_cover, set_diameter,
                                  type_function_upper)
 from coarse_embed.errors import ContractViolation, CoverageError
-from coarse_embed.lamplighter import (lamp_window, lamp_coordinates, block_window,
+from coarse_embed.lamplighter import (lamp_coordinates, block_window,
                                       lamplighter_ball)
 from coarse_embed.lattice import canonical_spec, zk_cover
 from coarse_embed.spaces import (FiniteMetricSpace, grid_space, l1_dist,
@@ -277,15 +278,19 @@ def test_envelopes_are_monotone():
 @given(st.lists(st.tuples(st.integers(1, 12), st.integers(0, 30)), min_size=1,
                 max_size=20),
        st.sampled_from([1, 2, 3, 4, 6]))
+@example([(1, 1), (3, 5)], 1)
 def test_envelope_reads_match_their_definitions(rows, den):
-    # every t in (0, max d] on a grid finer than the distances, so reads
-    # at, between and below the measured distances are all checked
+    # every t in (0, max d + 1/den] on a grid finer than the distances, so
+    # reads at, between, below and above the measured distances are all
+    # checked; above them no pair backs rho_minus
     env = Envelopes(rows)
     assert env.rows == sorted(rows)
     top = max(d for d, _ in rows)
-    for t in (Fraction(k, den) for k in range(1, top * den + 1)):
-        assert env.minus(t) == min(e for d, e in rows if d >= t)
+    for t in (Fraction(k, den) for k in range(1, top * den + 2)):
+        assert env.minus(t) == min((e for d, e in rows if d >= t), default=None)
         assert env.plus(t) == max((e for d, e in rows if d <= t), default=0)
+    if rows == [(1, 1), (3, 5)]:
+        assert env.minus(10) is None
 
 
 def test_pullback_minus_reads_pairs_at_or_above_the_mesh():
@@ -337,9 +342,8 @@ def test_pullback_through_block_coordinates(ball10):
     st = cover_stats(pulled)
     assert st.mesh <= 16 * m ** 3
     assert st.lebesgue >= 2 * m or st.lebesgue_truncated
-    rng = random.Random(31)
-    pairs = [(rng.choice(block.points), rng.choice(block.points)) for _ in range(300)]
-    pairs = [(a, b) for a, b in pairs if a != b]
+    # every pair, so that pairs at the pulled mesh back rho_minus there
+    pairs = list(itertools.combinations(block.points, 2))
     rho = check_pullback_inequalities(lambda p: coords[p], block, cover_z,
                                       pulled, pairs)
     assert rho["plus_ok"] and rho["minus_ok"]
@@ -347,7 +351,7 @@ def test_pullback_through_block_coordinates(ball10):
 
 def test_extend_by_cosets_identity_when_window_is_block(ball8):
     m = 6   # central block swallows every lamp pattern of the radius-8 ball
-    lamps = lamp_window(ball8)
+    lamps = ball8.subspace([p for p in ball8.points if p[1] == 0], "cursor0")
     base = Cover(lamps, [list(range(len(lamps)))], name="one")
     extended = extend_by_cosets(base, m, lamps)
     assert len(extended) == 1
@@ -356,7 +360,7 @@ def test_extend_by_cosets_identity_when_window_is_block(ball8):
 
 def test_extend_by_cosets_preserves_mesh_and_multiplicity(ball8):
     m = 2
-    lamps = lamp_window(ball8)
+    lamps = ball8.subspace([p for p in ball8.points if p[1] == 0], "cursor0")
     block_labels = [p for p in lamps.points
                     if all(-m + 1 <= pos <= m - 1 for pos, _ in p[0])]
     block = lamps.subspace(block_labels, "block")

@@ -257,7 +257,7 @@ def test_zk_cover_plane_level_three_best_effort():
     # 20, short of that bound
     lattice_meshes = []
     for scale, tau, off in candidate_specs(2, 3):
-        lattice = pullback_grid_cover(window, 2, LatticeCoverSpec(4, scale, tau, off))
+        lattice = pullback_grid_cover(window, LatticeCoverSpec(4, scale, tau, off))
         st = cover_stats(lattice)
         if st.multiplicity <= 4 and lebesgue_condition(lattice, 3) is None:
             lattice_meshes.append(st.mesh)
