@@ -29,15 +29,13 @@ class Cover:
     """A finite family of point sets over a FiniteMetricSpace.
 
     sets     list of tuples of point indices
-    family   parallel list of family labels (hashable; None allowed)
     tags     parallel list of construction tags (e.g. lattice translate)
     """
 
-    def __init__(self, space, sets, family=None, tags=None, name=""):
+    def __init__(self, space, sets, tags=None, name=""):
         self.space = space
         self.sets = [tuple(sorted(s)) for s in sets]
         self.frozen = [frozenset(s) for s in self.sets]
-        self.family = list(family) if family is not None else [None] * len(self.sets)
         self.tags = list(tags) if tags is not None else [None] * len(self.sets)
         self.name = name
         if any(not s for s in self.sets):
@@ -350,18 +348,17 @@ class Envelopes:
         return self.rho_plus[i - 1][1] if i else 0
 
 
-def grouped_cover(space, keys_of, name, family, tag=None):
+def grouped_cover(space, keys_of, name, tag=None):
     """Cover of space with one set per key: point i joins the set of every
     key in keys_of(i).  Sets come in sorted key order and hold their
-    points in window order; the set of key carries family(key) and
-    tag(key) (the key itself without tag).  Every derived cover is built
-    here."""
+    points in window order; the set of key carries tag(key) (the key
+    itself without tag).  Every derived cover is built here."""
     groups = {}
     for i in range(len(space)):
         for key in keys_of(i):
             groups.setdefault(key, []).append(i)
     keys = sorted(groups)
-    return Cover(space, [groups[key] for key in keys], family=map(family, keys),
+    return Cover(space, [groups[key] for key in keys],
                  tags=keys if tag is None else map(tag, keys), name=name)
 
 
@@ -379,7 +376,7 @@ def pullback_cover(f, domain, cover, name=""):
         return mem[j]
 
     return grouped_cover(domain, owners, name or f"pullback({cover.name})",
-                         family=cover.family.__getitem__, tag=cover.tags.__getitem__)
+                         tag=cover.tags.__getitem__)
 
 
 def check_pullback_inequalities(f, domain, cover, pulled, pairs):
@@ -428,7 +425,6 @@ def extend_by_cosets(cover, m, window):
         return [(key, sid) for sid in mem[j]]
 
     return grouped_cover(window, keys_of, f"{cover.name}|cosets m={m}",
-                         family=lambda key: cover.family[key[1]],
                          tag=lambda key: (key[0], cover.tags[key[1]]))
 
 

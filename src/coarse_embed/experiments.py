@@ -172,10 +172,13 @@ def run_zk_cover(c):
 def run_voronoi_check(c):
     """Sampled zero-sum points against the permutohedron cell and the
     lattice cover, and the separation of lattice translates in a box
-    (criterion 3).  n is even; box defaults to 6, 2, 1 for n = 2, 4, 6."""
+    (criterion 3).  n is even and at most 12, the limit of the brute-force
+    cell oracle; box defaults to 6, 2, 1 for n = 2, 4, 6."""
     n, samples = c["n"], c["samples"]
     if n % 2:
         raise ConfigError(f"n must be even, got {n}")
+    if n > 12:
+        raise ConfigError(f"n must be at most 12 (brute-force oracle), got {n}")
     rng = random.Random(c["seed"])
     spec = LatticeCoverSpec.standard(n)
     mismatched, uncovered, crowded = [], [], []     # offending samples
@@ -370,8 +373,7 @@ def run_profile(c):
             except (ContractViolation, CoverageError):
                 continue
             if stats.mesh <= S:
-                kern = pou_kernel(cover, p)
-                return kern, kernel_stats(kern, seed=seed)
+                return kernel_stats(pou_kernel(cover, p), seed=seed)
         return None
 
     tree = tree_ball(3, c["tree_depth"])
@@ -379,8 +381,7 @@ def run_profile(c):
     def tree_builder(S):
         if S < 1 or not tree.ray_domain(int(S)):
             return None
-        kern = tree_kernel_tent(tree, int(S), p)
-        return kern, kernel_stats(kern, seed=seed)
+        return kernel_stats(tree_kernel_tent(tree, int(S), p), seed=seed)
 
     for name, builder, S_list, mazur_ref in (
             ("grid2", grid_builder, c["grid_S_list"], None),
@@ -552,7 +553,7 @@ def run_pullback_check(c):
                                dist_tag="l1-rational", kind="rational")
     spec = LatticeCoverSpec.standard(4, scale=2)
     cover = grouped_cover(target, lambda i: membership_or_fail(points[i], spec),
-                          "plane cells", family=lambda key: key[0])
+                          "plane cells")
     xi = pou_kernel(cover, 1, exact=True)
     sigma = pullback_kernel(f, grid, xi)
     draws = ((rng.choice(grid.points), rng.choice(grid.points))

@@ -550,8 +550,8 @@ def pullback_kernel(f, domain, kernel):
 def epsilon_profile_upper(S_list, p, build, mazur_reference=None):
     """Upper bounds on the best kernel Lipschitz constant per support level.
 
-    build: callable S -> (kernel, measured stats) or None.  For each S the
-    measured constant of the built kernel is reported when its support
+    build: callable S -> the built kernel's KernelStats or None.  For each
+    S the measured constant of the built kernel is reported when its support
     radius is at most S; the final column is made non-increasing in S (a
     larger support budget can always reuse a smaller kernel).  When
     mazur_reference = (alpha, phi) is given, the interpolation bound
@@ -563,10 +563,10 @@ def epsilon_profile_upper(S_list, p, build, mazur_reference=None):
     running = None
     for S in sorted(S_list):
         built = build(S)
-        if built is None or built[1].support_radius > S:
+        if built is None or built.support_radius > S:
             raise ContractViolation(f"no kernel construction available at S={S}",
                                     witness=S)
-        measured = built[1].lipschitz
+        measured = built.lipschitz
         running = measured if running is None else min(running, measured)
         row = {"S": S, "eps_upper": running, "eps_measured": measured}
         if mazur_reference is not None:

@@ -168,7 +168,7 @@ def lamplighter_ball(radius, certify=True):
 
 def identity_ball_labels(radius):
     """Cached elements of word length <= radius, grouped by length (for
-    translated shells and the cursor-0 balls)."""
+    translated shells)."""
     if radius not in _IDENTITY_BALL_CACHE:
         depth = bfs_ball(radius, certify=False)
         by_r = {}
@@ -197,40 +197,19 @@ def in_block(label, m):
     return cursor == 0 and all(-m + 1 <= p <= m - 1 for p, _ in lamps)
 
 
-def cursor_zero_ball_labels(radius):
-    """Labels of cursor-0 elements with word length <= radius."""
-    return sorted(g.label() for shell in identity_ball_labels(radius).values()
-                  for g in shell if g.cursor == 0)
-
-
 def lamp_parts_window(ball_space):
     """Window of the lamp parts (cursor zeroed) of a ball's elements.
 
     These are elements of the cursor-0 subgroup with its restricted
     metric; their length can exceed the ball radius, so this is a sparse
-    sample.  Interior radii are honest subgroup-ball radii, scanned up to
-    ir_cap: r counts as interior when every subgroup element within r is
-    present in the sample.
+    sample.  Nothing is measured on it: covers of it are only spread over
+    cosets and looked up by point.  Every interior radius is 0, which marks
+    each point as boundary and so could only make a statistic certify less.
     """
-    ir_cap = 3
     parts = sorted({(label[0], 0) for label in ball_space.points})
-    present = set(parts)
-    shells = [[LamplighterElement.from_label(u) for u in cursor_zero_ball_labels(r)]
-              for r in range(1, ir_cap + 1)]
-    radii = []
-    for part in parts:
-        g = LamplighterElement.from_label(part)
-        r = 0
-        while r < ir_cap:
-            if all(g.mul(u).label() in present for u in shells[r]):
-                r += 1
-            else:
-                break
-        radii.append(r)
-    space = FiniteMetricSpace(
+    return FiniteMetricSpace(
         parts, label_dist, f"{ball_space.window_tag}|lamp parts",
-        radii, geodesic=False, dist_tag="lamplighter", kind="lamplighter")
-    return space
+        [0] * len(parts), geodesic=False, dist_tag="lamplighter", kind="lamplighter")
 
 
 def block_window(ball_space, m):

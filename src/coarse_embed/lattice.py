@@ -444,30 +444,29 @@ def _generic_offset(n):
 
 
 def candidate_specs(k, L):
-    """Deterministic (scale, thickening, offset) candidates of the lattice
-    family for a target Lebesgue level L on Z^k, cheapest mesh first.
-    zk_cover tries them in this order, before the box cover.
+    """The lattice family's candidate specs for a target Lebesgue level L
+    on Z^k, cheapest mesh first.  zk_cover tries them in this order, before
+    the box cover.
 
-    The canonical scale (last) makes the open thickening margin equal to L
-    in window units, so the level-L condition is guaranteed; the earlier
-    candidates only certify on lucky windows but give smaller mesh.  The
-    near-maximal thickening keeps translates within a family disjoint
-    (margin strictly below 1/n) while covering at depth L-1 from scale
-    about (L-1) * n.
+    The last is canonical_spec(k, L), which makes the open thickening
+    margin equal to L in window units, so the level-L condition is
+    guaranteed; the earlier candidates only certify on lucky windows but
+    give smaller mesh.  The near-maximal thickening keeps translates within
+    a family disjoint (margin strictly below 1/n) while covering at depth
+    L-1 from scale about (L-1) * n.
     """
     n = 2 * k
     tau0 = default_thickening(n)
     tau_big = Fraction(24, 25 * n)
-    canonical = Fraction(2 * (2 * k - 1) * L)
     out = []
     for off in (None, _generic_offset(n)):
-        out.append((Fraction(L), tau0, off))
-        out.append((Fraction(2 * L), tau0, off))
+        out.append(LatticeCoverSpec(n, Fraction(L), tau0, off))
+        out.append(LatticeCoverSpec(n, Fraction(2 * L), tau0, off))
     if L > 1:
         lam = Fraction(L - 1) / tau_big
         for bump in (Fraction(-1, 100), Fraction(1, 32), Fraction(1, 8)):
-            out.append((lam * (1 + bump), tau_big, _generic_offset(n)))
-    out.append((canonical, tau0, _generic_offset(n)))
+            out.append(LatticeCoverSpec(n, lam * (1 + bump), tau_big, _generic_offset(n)))
+    out.append(canonical_spec(k, L))
     return out
 
 
@@ -476,7 +475,7 @@ def pullback_grid_cover(window, spec):
     one set per (family, lattice point) pair."""
     return grouped_cover(
         window, lambda i: membership_or_fail(embed_grid_point(window.points[i]), spec),
-        f"lattice cover scale={spec.scale}", family=lambda key: key[0])
+        f"lattice cover scale={spec.scale}")
 
 
 def box_grid_cover(window, spec):
@@ -487,9 +486,7 @@ def box_grid_cover(window, spec):
     The l1 distance from a point to a cube is the sum over axes of the
     gap to the cube's coordinate range, so each point is assigned by
     choosing, per axis, its own cube (gap 0) or a neighbour (gap t + 1
-    below, side - t above, for the offset t within its own cube).  The
-    family label is the parity of the cube index on each axis; grown
-    cubes of one family are disjoint when 2 growth <= side.
+    below, side - t above, for the offset t within its own cube).
     """
     side, growth = spec.side, spec.growth
 
@@ -501,8 +498,7 @@ def box_grid_cover(window, spec):
         return [tuple(a for a, _ in choice) for choice in itertools.product(*axes)
                 if sum(gap for _, gap in choice) <= growth]
 
-    return grouped_cover(window, cubes, f"box cover side={side} growth={growth}",
-                         family=lambda key: tuple(a % 2 for a in key))
+    return grouped_cover(window, cubes, f"box cover side={side} growth={growth}")
 
 
 def canonical_spec(k, L):
@@ -513,30 +509,28 @@ def canonical_spec(k, L):
                             default_thickening(n), _generic_offset(n))
 
 
-def zk_cover(window, k, L, mesh_bound=None, strict=True, spec=None):
+def zk_cover(window, k, L, strict=True, spec=None):
     """Cover of a Z^k window meeting a Lebesgue target.
 
     Tries the lattice pullback candidates of candidate_specs in order,
     then, on Z^2 from L = 2, the box cover of side 2L-2 grown by L-1 (see
     the module notes), and returns the first cover certifying: level-L
     Lebesgue condition (or window truncation), multiplicity at most 2k,
-    and mesh at most mesh_bound (default the advertised (2k^2-2k+1) L).  Every candidate passes the same measured
-    checks, so the lattice family wins wherever it meets the contract.
-    With strict=False, when no candidate meets the mesh bound, the
-    certified cover of least mesh is returned with its honest statistics.
-    An explicit spec (a LatticeCoverSpec or a BoxCoverSpec) bypasses the
-    search.
+    and mesh at most the advertised (2k^2-2k+1) L.  Every candidate passes
+    the same measured checks, so the lattice family wins wherever it meets
+    the contract.  With strict=False, when no candidate meets the mesh
+    bound, the certified cover of least mesh is returned with its honest
+    statistics.  An explicit spec (a LatticeCoverSpec or a BoxCoverSpec)
+    bypasses the search.
 
     Returns (cover, stats, spec).
     """
     n = 2 * k
-    if mesh_bound is None:
-        mesh_bound = (2 * k * k - 2 * k + 1) * Fraction(L)
+    mesh_bound = (2 * k * k - 2 * k + 1) * Fraction(L)
     if spec is not None:
         candidates = [spec]
     else:
-        candidates = [LatticeCoverSpec(n, scale, tau, off)
-                      for scale, tau, off in candidate_specs(k, L)]
+        candidates = candidate_specs(k, L)
         if k == 2 and L >= 2:
             candidates.append(BoxCoverSpec(2 * L - 2, L - 1))
     best = None

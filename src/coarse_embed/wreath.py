@@ -14,35 +14,23 @@ from __future__ import annotations
 
 import math
 
-from .covers import cover_stats, extend_by_cosets, grouped_cover, pullback_cover
+from .covers import (cover_stats, extend_by_cosets, grouped_cover, interval_cover,
+                     pullback_cover)
 from .errors import ContractViolation
 from .lamplighter import coset_key, lamp_coordinates, lamp_parts_window
 from .lattice import canonical_spec, zk_cover
 from .spaces import lattice_window
 
 
-def line_interval_cover_sets(lo, hi, L):
-    """Intervals of length 4L stepping by 2L, two interleaved families,
-    restricted to [lo, hi]: multiplicity 2, Lebesgue level L+1 on the line."""
-    sets = []
-    c = (lo - 4 * L) - ((lo - 4 * L) % (2 * L))
-    while c <= hi:
-        cells = [x for x in range(c, c + 4 * L) if lo <= x <= hi]
-        if cells:
-            sets.append((c, (c // (2 * L)) % 2, cells))
-        c += 2 * L
-    return sets
-
-
-def block_cover(window, m, L_target, mesh_budget=None):
-    """Cover of the cursor-0 portion of a ball window through the block
+def block_cover(window, m, L_target):
+    """Cover of the lamp parts of a ball window through the block
     coordinates.
 
     The block elements embed into the grid of lamp vectors; the lattice
     pullback cover of that sparse grid window comes back through the
     coordinate map, and coset translation spreads it over the rest of the
-    cursor-0 portion.  Returns (cover of the cursor-0 window, the block
-    cover, the grid cover's stats).
+    lamp parts.  Returns (cover of the lamp-parts window, the grid cover's
+    stats).
     """
     k = 2 * m - 1
     lamp_w = lamp_parts_window(window)
@@ -53,13 +41,11 @@ def block_cover(window, m, L_target, mesh_budget=None):
     coords = {p: lamp_coordinates(p, m) for p in block_labels}
     grid_pts = sorted(set(coords.values()))
     grid = lattice_window(grid_pts, k, f"lamp coordinates m={m}")
-    spec = canonical_spec(k, L_target)
-    cover_z, stats_z, _ = zk_cover(grid, k, L_target, spec=spec,
-                                   mesh_bound=mesh_budget, strict=False)
+    cover_z, stats_z, _ = zk_cover(grid, k, L_target, spec=canonical_spec(k, L_target),
+                                   strict=False)
     inner = pullback_cover(coords.__getitem__, block_space, cover_z,
                            name=f"block cover m={m}")
-    extended = extend_by_cosets(inner, m, lamp_w)
-    return extended, inner, stats_z
+    return extend_by_cosets(inner, m, lamp_w), stats_z
 
 
 def wreath_cover(window, L):
@@ -72,17 +58,16 @@ def wreath_cover(window, L):
     if L < 1:
         raise ValueError("target level must be at least 1")
     m = 12 * math.ceil(L)
-    lamp_target = 2 * m
-    mesh_budget = 16 * m ** 3 - 4 * (m - 1)
-    lamp_cov, _, stats_z = block_cover(window, m, lamp_target,
-                                           mesh_budget=mesh_budget)
+    lamp_cov, stats_z = block_cover(window, m, 2 * m)
 
+    # intervals of length 4L stepping by 2L: multiplicity 2, Lebesgue
+    # level L+1 on the cursor line
+    step = 2 * math.ceil(L)
     cursors = [label[1] for label in window.points]
-    intervals = line_interval_cover_sets(min(cursors), max(cursors), math.ceil(L))
-    intervals_at = {}
-    for n, (_, _, cells) in enumerate(intervals):
-        for x in cells:
-            intervals_at.setdefault(x, []).append(n)
+    line = lattice_window([(c,) for c in range(min(cursors), max(cursors) + 1)], 1,
+                          f"{window.window_tag}|cursor line")
+    intervals = interval_cover(line, length=2 * step, step=step, anchor=0)
+    on_line = intervals.membership()
     lamp_index = lamp_cov.space.index
     mem = lamp_cov.membership()
 
@@ -91,17 +76,15 @@ def wreath_cover(window, L):
     def keys_of(i):
         lamps, cursor = window.points[i]
         owners = mem[lamp_index[(lamps, 0)]]
-        return [(n, sid) for n in intervals_at[cursor] for sid in owners]
+        return [(n, sid) for n in on_line[line.index[(cursor,)]] for sid in owners]
 
     cover = grouped_cover(
         window, keys_of, f"wreath cover L={L} m={m}",
-        family=lambda key: (intervals[key[0]][1], lamp_cov.family[key[1]]),
-        tag=lambda key: (intervals[key[0]][0], lamp_cov.tags[key[1]]))
+        tag=lambda key: (intervals.tags[key[0]], lamp_cov.tags[key[1]]))
 
     stats = cover_stats(cover, scan_cap=max(2, int(L) + 2))
     detail = {
         "m": m,
-        "lamp_target": lamp_target,
         "grid_stats": stats_z,
         "multiplicity_bound": 96 * L,
         "mesh_bound": 36864 * L ** 3,

@@ -63,6 +63,7 @@ def test_missing_required_key_exits_two(tmp_path):
 BAD_CONFIGS = [
     ("zk-cover", "k=2 L=1", "half_widht=5", "strict=maybe"),
     ("voronoi-check", "n=2", "sample=10", "n=1"),
+    ("voronoi-check", "n=2", "boxes=2", "n=14"),        # past the cell oracle's n <= 12
     ("cover-kernel", "", "half_widht=5", "cover=zk"),    # zk needs L
     ("tree-embed", "", "dept=6", "p_list=[0]"),
     ("lamplighter-metric", "", "raduis=3", "m_list=[0]"),
@@ -74,12 +75,22 @@ BAD_CONFIGS = [
 ]
 
 
+def case_ids(cases):
+    """Each case's experiment, with the bad value added when the experiment
+    already has a case."""
+    seen, ids = set(), []
+    for experiment, _, _, bad_value in cases:
+        ids.append(f"{experiment}-{bad_value}" if experiment in seen else experiment)
+        seen.add(experiment)
+    return ids
+
+
 def sets(settings):
     return [arg for item in settings.split() for arg in ("--set", item)]
 
 
 @pytest.mark.parametrize("experiment,required,bad_key,bad_value", BAD_CONFIGS,
-                         ids=[case[0] for case in BAD_CONFIGS])
+                         ids=case_ids(BAD_CONFIGS))
 def test_bad_key_and_bad_value_exit_two(tmp_path, experiment, required,
                                         bad_key, bad_value):
     for bad in (bad_key, bad_value):

@@ -244,15 +244,13 @@ def test_rational_window_lebesgue_uses_the_open_ball():
 
 def test_grouped_cover_orders_sets_by_key():
     g = grid_space(1, 3)
-    cover = grouped_cover(g, lambda i: {g.points[i][0] // 2, 9} - {0}, "halves",
-                          family=lambda key: key % 2)
+    cover = grouped_cover(g, lambda i: {g.points[i][0] // 2, 9} - {0}, "halves")
     assert cover.name == "halves"
     assert cover.tags == [-2, -1, 1, 9]
-    assert cover.family == [0, 1, 1, 1]
     assert cover.sets == [(0,), (1, 2), (5, 6), tuple(range(7))]
-    labelled = grouped_cover(g, lambda i: [(i % 2, "x")], "parity", family=len,
+    labelled = grouped_cover(g, lambda i: [(i % 2, "x")], "parity",
                              tag=lambda key: key[0])
-    assert labelled.family == [2, 2] and labelled.tags == [0, 1]
+    assert labelled.tags == [0, 1]
     assert labelled.sets == [(0, 2, 4, 6), (1, 3, 5)]
 
 
@@ -336,8 +334,7 @@ def test_pullback_through_block_coordinates(ball10):
                           "block coordinates m=2")
     cover_z, stats_z, _ = zk_cover(grid, 2 * m - 1, 2 * m,
                                    spec=canonical_spec(2 * m - 1, 2 * m),
-                                   strict=False,
-                                   mesh_bound=16 * m ** 3 - 4 * (m - 1))
+                                   strict=False)
     pulled = pullback_cover(lambda p: coords[p], block, cover_z)
     st = cover_stats(pulled)
     assert st.mesh <= 16 * m ** 3

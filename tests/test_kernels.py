@@ -528,8 +528,7 @@ def test_epsilon_profile_monotone_with_interpolation_column():
     tree = tree_ball(3, 7)
 
     def builder(S):
-        kern = tree_kernel_tent(tree, int(S), 2)
-        return kern, kernel_stats(kern, seed=0, sample_pairs=500)
+        return kernel_stats(tree_kernel_tent(tree, int(S), 2), seed=0, sample_pairs=500)
 
     rows = epsilon_profile_upper([2, 4, 8, 16], 2, builder,
                                  mazur_reference=(0.0, lambda S: 8.0 / S))

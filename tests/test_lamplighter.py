@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from coarse_embed.lamplighter import (LamplighterElement, bfs_ball,
                                       block_window, coset_key, block_part,
-                                      cursor_zero_ball_labels,
                                       lamp_coordinates, lamp_parts_window,
                                       lamplighter_ball, label_dist,
                                       word_length)
@@ -132,13 +131,6 @@ def test_coordinate_sandwich_random_pairs(ball10, m):
         l1 = sum(abs(x - y) for x, y in zip(va, vb))
         dk = block.dist(a, b)
         assert dk - 4 * (m - 1) <= l1 <= dk
-
-
-@pytest.mark.parametrize("radius", [1, 2, 3, 4])
-def test_cursor_zero_ball_labels_match_bfs(radius):
-    direct = sorted(g.label() for g in bfs_ball(radius, certify=False)
-                    if g.cursor == 0)
-    assert cursor_zero_ball_labels(radius) == direct
 
 
 def test_cosets_partition_and_representatives(ball8):

@@ -256,8 +256,8 @@ def test_zk_cover_plane_level_three_best_effort():
     # the lattice family's own best certified candidate still lands near
     # 20, short of that bound
     lattice_meshes = []
-    for scale, tau, off in candidate_specs(2, 3):
-        lattice = pullback_grid_cover(window, LatticeCoverSpec(4, scale, tau, off))
+    for spec in candidate_specs(2, 3):
+        lattice = pullback_grid_cover(window, spec)
         st = cover_stats(lattice)
         if st.multiplicity <= 4 and lebesgue_condition(lattice, 3) is None:
             lattice_meshes.append(st.mesh)
@@ -280,8 +280,7 @@ def test_box_cover_mesh_is_six_l_minus_eight(L):
 def test_zk_cover_respects_explicit_spec():
     window = grid_space(2, 12)
     spec = canonical_spec(2, 1)
-    cover, stats, used = zk_cover(window, 2, 1, spec=spec, strict=False,
-                                  mesh_bound=10 ** 6)
+    cover, stats, used = zk_cover(window, 2, 1, spec=spec, strict=False)
     assert used.scale == spec.scale
     assert stats.lebesgue >= 1
 

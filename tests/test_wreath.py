@@ -1,28 +1,19 @@
 import pytest
 
-from coarse_embed.covers import lebesgue_condition
+from coarse_embed.covers import cover_stats, interval_cover, lebesgue_condition
 from coarse_embed.lamplighter import lamplighter_ball
-from coarse_embed.wreath import line_interval_cover_sets, wreath_cover
+from coarse_embed.spaces import grid_space
+from coarse_embed.wreath import wreath_cover
 
 
-def test_line_intervals_cover_with_multiplicity_two():
-    sets = line_interval_cover_sets(-20, 20, 3)
-    hits = {x: 0 for x in range(-20, 21)}
-    for _, _, cells in sets:
-        for x in cells:
-            if -20 <= x <= 20:
-                hits[x] += 1
-    assert all(1 <= h <= 2 for h in hits.values())
-    families = {fam for _, fam, _ in sets}
-    assert families <= {0, 1}
-
-
-def test_line_intervals_interior_level():
-    L = 2
-    sets = line_interval_cover_sets(-30, 30, L)
-    for x in range(-25, 26):
-        ball = set(range(x - L, x + L + 1))
-        assert any(ball <= set(cells) for _, _, cells in sets)
+@pytest.mark.parametrize("L", [1, 2, 3])
+def test_cursor_line_intervals(L):
+    # the wreath's cursor intervals: length 4L, step 2L, anchor 0
+    intervals = interval_cover(grid_space(1, 30), 4 * L, 2 * L, 0)
+    stats = cover_stats(intervals)
+    assert stats.multiplicity == 2
+    assert stats.lebesgue == L + 1 and not stats.lebesgue_truncated
+    assert all(tag % (2 * L) == 0 for tag in intervals.tags)
 
 
 @pytest.fixture(scope="module")
