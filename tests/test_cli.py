@@ -290,6 +290,7 @@ GOLDEN_CONFIGS = [
                 "tree_S_list=[2,4] wreath_radius=3 mazur_pairs=100"),
     ("embed", "depth=8 S_levels=[2,4,8] sample_points=20"),
     ("cp-check", ""),
+    ("pullback-check", ""),
 ]
 
 
