@@ -121,7 +121,8 @@ def set_diameter(space, point_indices):
 
     Grids use the signed-coordinate trick (l1 diameter from linear
     extremes; the pair is the argmax and argmin of the winning signed
-    sum).  Other spaces run a pairwise scan over the points ranked by
+    sum).  Other spaces run a pairwise scan, on the space's scan_view
+    (integer numerators on rational windows), over the points ranked by
     their distance r to a pivot c, pruned by the triangle inequality
     d(x, y) <= r(x) + r(y); c need not lie in the set, so the scan is
     exact for any c.  The pivot is whichever of the set's first point and
@@ -145,15 +146,18 @@ def set_diameter(space, point_indices):
             if spread > best:
                 best, winner = spread, vals
         return best, (pts[winner.index(max(winner))], pts[winner.index(min(winner))])
-    dist = space.dist
+    coords, dist, _ = space.scan_view()
+    pts = [coords[i] for i in point_indices]
     radii = [dist(pts[0], p) for p in pts]
-    if space.deepest != pts[0]:
-        centred = [dist(space.deepest, p) for p in pts]
+    deep = coords[space.index[space.deepest]]
+    if deep != pts[0]:
+        centred = [dist(deep, p) for p in pts]
         if max(centred) < max(radii):
             radii = centred
     order = sorted(range(len(pts)), key=radii.__getitem__, reverse=True)
     ranked = [pts[i] for i in order]
     radii = [radii[i] for i in order]
+    best, arg = 0, (0, 0)
     for i in range(len(ranked)):
         if radii[i] * 2 <= best:
             break
@@ -162,8 +166,9 @@ def set_diameter(space, point_indices):
                 break
             d = dist(ranked[i], ranked[j])
             if d > best:
-                best, pair = d, (ranked[i], ranked[j])
-    return best, pair
+                best, arg = d, (i, j)
+    a, b = (space.points[point_indices[order[k]]] for k in arg)
+    return space.unscale(best), (a, b)
 
 
 def mesh(cover):
@@ -185,7 +190,7 @@ def lebesgue_condition(cover, r):
     Condition: every point with interior radius >= r-1 has the open r-ball
     around it inside some cover set.  On integer metrics the open r-ball
     is the closed (r-1)-ball; on any other it is every window point at
-    distance less than r.
+    distance less than r, found by a scan of the space's scan_view.
     """
     if r <= 0:
         return None
@@ -195,14 +200,17 @@ def lebesgue_condition(cover, r):
     if integer and r == 1:
         # every closed 0-ball is its own point: the condition is coverage
         return next((p for p, owners in zip(space.points, mem) if not owners), None)
+    if not integer:
+        coords, dist, D = space.scan_view()
+        limit = r * D
     for i, p in enumerate(space.points):
         if space.interior_radius[i] < r - 1:
             continue
         if integer:
-            ball = space.closed_ball(p, r - 1)
+            ball_ids = [space.index[q] for q in space.closed_ball(p, r - 1)]
         else:
-            ball = [q for q in space.points if space.dist(p, q) < r]
-        ball_ids = [space.index[q] for q in ball]
+            a = coords[i]
+            ball_ids = [j for j, q in enumerate(coords) if dist(a, q) < limit]
         if not any(all(q in cover.frozen[sid] for q in ball_ids) for sid in mem[i]):
             return p
     return None

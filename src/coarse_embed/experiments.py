@@ -34,7 +34,7 @@ from .lattice import (BoxCoverSpec, LatticeCoverSpec, cell_contains,
                       cell_contains_bruteforce, embed_grid_point,
                       in_family_separation_bound, membership,
                       membership_or_fail, zk_cover)
-from .spaces import FiniteMetricSpace, grid_space, l1_dist, tree_ball
+from .spaces import grid_space, rational_window, tree_ball
 from .wreath import wreath_cover
 
 
@@ -548,9 +548,8 @@ def run_pullback_check(c):
         if y not in points:
             points.append(y)
     rad = max(sum(map(abs, y)) for y in points)
-    target = FiniteMetricSpace(points, l1_dist, "plane sample",
-                               [rad - sum(map(abs, y)) for y in points],
-                               dist_tag="l1-rational", kind="rational")
+    target = rational_window(points, [rad - sum(map(abs, y)) for y in points],
+                             "plane sample")
     spec = LatticeCoverSpec.standard(4, scale=2)
     cover = grouped_cover(target, lambda i: membership_or_fail(points[i], spec),
                           "plane cells")

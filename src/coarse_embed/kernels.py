@@ -296,22 +296,25 @@ def boundary_distance(space, i, members, cap):
 
     Integer metrics scan shells outward (shells up to the interior radius
     coincide with ambient shells, and the cap is interior_radius + 1);
-    rational metrics take the minimum over the complement directly.
+    any other takes the minimum over the complement directly, on the
+    space's scan_view (integer numerators on rational windows).
     """
-    p = space.points[i]
     if space.integer_metric:
+        p = space.points[i]
         for r in range(1, cap):
             for q in space.shell(p, r):
                 if space.index[q] not in members:
                     return r
         return cap
-    best = cap
-    for j, q in enumerate(space.points):
+    coords, dist, D = space.scan_view()
+    a = coords[i]
+    best = limit = cap * D
+    for j, q in enumerate(coords):
         if j not in members:
-            d = space.dist(p, q)
+            d = dist(a, q)
             if d < best:
                 best = d
-    return best
+    return cap if best == limit else space.unscale(best)
 
 
 def cover_weights(cover):
@@ -510,17 +513,14 @@ def pullback_kernel(f, domain, kernel):
             raise ValueError("map must be injective on the window")
         image[y] = x
     image_ids = sorted(target.index[y] for y in image)
+    coords, dist, _ = target.scan_view()
     retract = {}
     for j, y in enumerate(target.points):
         if y in image:
             retract[j] = target.index[y]
-            continue
-        best = None
-        for i in image_ids:
-            d = target.dist(y, target.points[i])
-            if best is None or d < best[0]:
-                best = (d, i)
-        retract[j] = best[1]
+        else:
+            a = coords[j]
+            retract[j] = min(image_ids, key=lambda i: dist(a, coords[i]))
     exact = kernel.exact
 
     domain_of_anchor = {target.index[y]: domain.index[x] for y, x in image.items()}

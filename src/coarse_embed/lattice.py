@@ -26,19 +26,23 @@ Decoding.  membership lists the (family, lattice point) pairs whose
 enlarged scaled cell holds a point, in the sorted style of the A_n*
 quantizer (Conway & Sloane, "Fast quantizing and decoding algorithms for
 lattice quantizers and codes", IEEE Trans. IT 28, 1982; SPLAG ch. 20).
-The point is cleared to integers X_j over one denominator D, and the
-residues r_j = X_j mod D are sorted once.  Family i subtracts the glue
-shift, which rotates every residue by i D / n, so the coordinates that
-can round neither way, those that must round up and those that may round
-either way (band b = (n-1)/(2n) + tau/2 of at least 1/2) each form a
-circular interval of the sorted residues and are counted by bisection.
-The zero-sum condition then fixes how many ambiguous coordinates round
-up; only families where that count is feasible build their lattice
-points and run the sorted-prefix cell check.  The spec-only integers
-(offset numerators, band and prefix thresholds) are computed once per
-spec and point denominator; no Fraction is built per point.
-membership_reference (per-family rational rounding) and
-cell_contains_bruteforce (every subset inequality) stay as the oracles.
+The point is cleared to integers X_j over one denominator D (by
+spaces.clear_denominators), and the residues r_j = X_j mod D are sorted
+once and listed twice, the second copy lifted by D.  Family i subtracts
+the glue shift, which rotates every residue by i D / n, so the
+coordinates that can round neither way, those that must round up and
+those that may round either way (band b = (n-1)/(2n) + tau/2 of at least
+1/2) each form a circular interval of the residues, one run of the
+doubled list; two bisections per family count them all.  The zero-sum
+condition then fixes how many ambiguous coordinates round up; only
+families where that count is feasible build their lattice points and run
+the sorted-prefix cell check.  The spec-only integers (offset numerators,
+band and prefix thresholds) are computed once per spec and point
+denominator; no Fraction is built per point.  Grid points are decoded as
+integer vectors against the spec at twice its scale (pullback_grid_cover),
+so their denominator is 1.  membership_reference (per-family rational
+rounding) and cell_contains_bruteforce (every subset inequality) stay as
+the oracles.
 
 Box covers.  zk_cover also tries one cover that does not come from the
 lattice: cubes of side 2L-2 tiling Z^2, each grown by its closed l1
@@ -53,12 +57,13 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 
 from .covers import cover_stats, grouped_cover, lebesgue_condition
 from .errors import ContractViolation, CoverageError
+from .spaces import clear_denominators
 
 
 def split_average_gap(x, subset):
@@ -276,17 +281,6 @@ def membership_reference(x, spec):
     return out
 
 
-def _circular_count(residues, lo, hi, D):
-    """How many sorted residues in [0, D) lie in [lo, hi) taken mod D, for
-    0 <= lo <= hi <= lo + D and hi < 2D."""
-    if hi <= D:
-        return bisect_left(residues, hi) - bisect_left(residues, lo)
-    if lo >= D:
-        return bisect_left(residues, hi - D) - bisect_left(residues, lo - D)
-    return (len(residues) - bisect_left(residues, lo)
-            + bisect_left(residues, hi - D))
-
-
 class _SortedDecoder:
     """Everything the sorted decode needs that depends only on the spec.
 
@@ -317,8 +311,9 @@ class _SortedDecoder:
 
     def _build(self, point_den):
         D = math.lcm(self.offset_den, self.scale_num * point_den)
-        # X_j = D (x_j / scale - offset_j) = x_num_j * (mult // x_den_j) - shift_j
-        mult = D // self.scale_num * self.scale_den
+        # X_j = D (x_j / scale - offset_j) = x_num_j * mult - shift_j, with x_num_j
+        # the numerator of x_j over point_den
+        mult = D // (self.scale_num * point_den) * self.scale_den
         shift = [o * (D // self.offset_den) for o in self.offset_num]
 
         def first_rejected(num, den):
@@ -345,37 +340,44 @@ def _inside(v, limits):
 def membership(x, spec):
     """All (family, lattice point) pairs whose enlarged scaled cell holds x.
 
-    x is a zero-sum rational vector in ambient (scaled) coordinates.  The
-    arithmetic is exact and on integers only: one sorted pass over the
-    residues of the cleared coordinates (see the module notes on
-    decoding).  Pairs come family by family, and within a family in the
-    lexicographic order of the ambiguous coordinates rounded up.  An empty
-    result means the configuration failed to cover, a fatal geometry bug.
+    x is a zero-sum vector of ints and Fractions in ambient (scaled)
+    coordinates.  The arithmetic is exact and on integers only: the
+    coordinates are cleared to one denominator, their residues sorted
+    once, and each family tested by two bisections of the doubled sorted
+    residues (see the module notes on decoding).  Pairs come family by
+    family, and within a family in the lexicographic order of the
+    ambiguous coordinates rounded up.  An empty result means the
+    configuration failed to cover, a fatal geometry bug.
     """
     n = spec.n
     if len(x) != n:
         raise ValueError("dimension mismatch")
-    x = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in x]
-    dens = [c.denominator for c in x]
-    D, mult, shift, low, high, limits = spec._decoder.tables(math.lcm(*dens))
-    X = [c.numerator * (mult // d) - s for c, d, s in zip(x, dens, shift)]
+    point_den, nums = clear_denominators(x)
+    D, mult, shift, low, high, limits = spec._decoder.tables(point_den)
+    X = [c * mult - s for c, s in zip(nums, shift)]
     if sum(X):
         raise ValueError("point is not in the zero-sum hyperplane")
     quot = [c // D for c in X]
     res = [c - q * D for c, q in zip(X, quot)]
+    # residues sorted twice over, the second copy lifted by D: a circular
+    # interval of length at most D is then one run, counted by two bisections
     ordered = sorted(res)
+    ordered += [r + D for r in ordered]
     floor_sum = sum(quot)
     step = D // n
     up_from = max(low, high)
     out = []
     for i in range(n):
         c = i * step
-        if low < high and _circular_count(ordered, c + low, c + high, D):
-            continue
-        up = _circular_count(ordered, c + up_from, c + D, D)
-        ambiguous = _circular_count(ordered, c + high, c + low, D) if high < low else 0
-        need = bisect_left(ordered, c) - floor_sum - i - up
-        if need < 0 or need > ambiguous:
+        lo, hi = bisect_left(ordered, c + low), bisect_left(ordered, c + high)
+        # residues in [c + low, c + high) can round neither way (a negative
+        # count blocks the family), in [c + high, c + low) either way, and in
+        # [c + up_from, c + D) only up; max(lo, hi) = pos(c + up_from) is n
+        # plus the residues below c less those that round up, so need is
+        # how many ambiguous coordinates the zero-sum condition rounds up
+        ambiguous = lo - hi
+        need = max(lo, hi) - n - floor_sum - i
+        if ambiguous < 0 or need < 0 or need > ambiguous:
             continue
         base, v, free = [], [], []
         for j in range(n):
@@ -425,7 +427,11 @@ def in_family_separation_bound(delta, tau=0):
 
 def embed_grid_point(z):
     """Isometry of Z^k (l1) into the zero-sum hyperplane of R^{2k}:
-    each coordinate z_m becomes the pair (z_m/2, -z_m/2)."""
+    each coordinate z_m becomes the pair (z_m/2, -z_m/2).
+
+    The map of pullback-check, and the reference the grid decode is
+    tested against; pullback_grid_cover decodes the integer vector
+    2 embed_grid_point(z) instead, at twice the scale."""
     out = []
     for c in z:
         out.append(Fraction(c, 2))
@@ -472,10 +478,25 @@ def candidate_specs(k, L):
 
 def pullback_grid_cover(window, spec):
     """Cover of a Z^k window by preimages of the enlarged scaled cells,
-    one set per (family, lattice point) pair."""
-    return grouped_cover(
-        window, lambda i: membership_or_fail(embed_grid_point(window.points[i]), spec),
-        f"lattice cover scale={spec.scale}")
+    one set per (family, lattice point) pair.
+
+    Each grid point z is decoded as the integer vector (z_1, -z_1, ...,
+    z_k, -z_k) against the spec at twice its scale, with the same offset
+    and thickening: that is embed_grid_point(z) against spec, divided by
+    the scale, so the pairs are the same, and no Fraction is built per
+    point.  A point no cell holds raises CoverageError with the grid
+    point as witness.
+    """
+    doubled = replace(spec, scale=2 * spec.scale)
+
+    def keys_of(i):
+        z = window.points[i]
+        found = membership([c for zm in z for c in (zm, -zm)], doubled)
+        if not found:
+            raise CoverageError(f"lattice cover misses grid point {z}", witness=z)
+        return found
+
+    return grouped_cover(window, keys_of, f"lattice cover scale={spec.scale}")
 
 
 def box_grid_cover(window, spec):

@@ -7,11 +7,16 @@ ball, a rational point set in a zero-sum hyperplane).  Each point carries an
 around the point lies entirely inside the window.  Downstream statistics
 (Lebesgue numbers, kernel Lipschitz constants) restrict themselves to
 sufficiently interior points so that window truncation never fakes a result.
+
+A ``rational_window`` keeps its labels cleared to integer numerators over
+one denominator, so the scans over a whole window (``scan_view``) compare
+integers; every other window scans its labels with its metric.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 import random
 from collections import deque
@@ -67,6 +72,17 @@ class FiniteMetricSpace:
 
     def radius_of(self, label):
         return self.interior_radius[self.index[label]]
+
+    def scan_view(self):
+        """(coords, dist, D) for scans over every window point:
+        dist(coords[i], coords[j]) is D times the distance of points i and
+        j, and ``unscale`` turns such a value back into the distance.  Here
+        the labels, the metric and 1; rational windows scan integer
+        numerators instead."""
+        return self.points, self.dist, 1
+
+    def unscale(self, v):
+        return v
 
     @property
     def integer_metric(self):
@@ -235,7 +251,7 @@ def space_from_json(doc):
     if tag == "l1-grid":
         dist, kind = l1_dist, "grid"
     elif tag == "l1-rational":
-        dist, kind = l1_dist, "rational"
+        return rational_window(points, doc["interior_radius"], doc["window_tag"])
     elif tag == "tree":
         dist, kind = tree_dist, "tree"
     elif tag == "lamplighter":
@@ -260,11 +276,19 @@ def space_from_json(doc):
 
 
 # ---------------------------------------------------------------------------
-# Z^k box windows
+# Z^k box windows and rational point sets
 
 
 def l1_dist(a, b):
     return sum(map(abs, map(operator.sub, a, b)))
+
+
+def clear_denominators(values):
+    """(D, numerators): the least common denominator D of rational values
+    (ints or Fractions) and the integers value * D, in order."""
+    dens = [v.denominator for v in values]
+    D = math.lcm(*dens)
+    return D, [v.numerator * (D // d) for v, d in zip(values, dens)]
 
 
 def _grid_shell_offsets(k, r):
@@ -338,6 +362,40 @@ def lattice_window(points, k, tag):
         radii.append(r)
     return FiniteMetricSpace(pts, l1_dist, tag, radii, geodesic=False,
                              dist_tag="l1-grid", kind="grid")
+
+
+class _RationalWindow(FiniteMetricSpace):
+    def __init__(self, points, interior_radius, tag):
+        super().__init__(points, l1_dist, tag, interior_radius,
+                         dist_tag="l1-rational", kind="rational")
+        self.denominator, flat = clear_denominators(
+            [c for p in self.points for c in p])
+        it = iter(flat)
+        self.numerators = [tuple(itertools.islice(it, len(p))) for p in self.points]
+
+    def dist_i(self, i, j):
+        return Fraction(l1_dist(self.numerators[i], self.numerators[j]),
+                        self.denominator)
+
+    def scan_view(self):
+        return self.numerators, l1_dist, self.denominator
+
+    def unscale(self, v):
+        return Fraction(v, self.denominator)
+
+
+def rational_window(points, interior_radius, tag):
+    """Finite set of rational points (tuples of ints and Fractions) with
+    the l1 metric.
+
+    The labels are cleared once (``clear_denominators``, shared with the
+    lattice decode) to one denominator D and integer numerator tuples.
+    dist_i is Fraction(l1 of the numerators, D), and the scans of
+    ``scan_view`` (complement distances, open balls, diameters,
+    retractions) compare numerators and build one Fraction per result;
+    dist on labels stays l1_dist.
+    """
+    return _RationalWindow(points, interior_radius, tag)
 
 
 # ---------------------------------------------------------------------------

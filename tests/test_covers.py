@@ -20,8 +20,9 @@ from coarse_embed.errors import ContractViolation, CoverageError
 from coarse_embed.lamplighter import (lamp_coordinates, block_window,
                                       lamplighter_ball)
 from coarse_embed.lattice import canonical_spec, zk_cover
-from coarse_embed.spaces import (FiniteMetricSpace, grid_space, l1_dist,
-                                 lattice_window, space_from_json, tree_ball)
+from coarse_embed.spaces import (FiniteMetricSpace, grid_space,
+                                 lattice_window, rational_window,
+                                 space_from_json, tree_ball)
 
 
 def test_single_set_cover_stats():
@@ -120,9 +121,7 @@ def diameter_window(name):
         # dimension 10 is past the grid signed-sum fast path (k <= 8)
         pts = sorted({tuple(Fraction(rng.randrange(-12, 13), rng.choice((1, 2, 3)))
                             for _ in range(10)) for _ in range(60)})
-        return FiniteMetricSpace(pts, l1_dist, "sparse rational window",
-                                 [0] * len(pts), dist_tag="l1-rational",
-                                 kind="rational")
+        return rational_window(pts, [0] * len(pts), "sparse rational window")
     # an untagged l-infinity metric serializes as an explicit matrix
     pts = sorted({tuple(rng.randrange(-6, 7) for _ in range(3)) for _ in range(50)})
     space = FiniteMetricSpace(
@@ -227,9 +226,7 @@ def test_rational_window_lebesgue_uses_the_open_ball():
     # which fit in neither set, so 0 has Lebesgue number 1/2 and no level
     # is certified; shells at integer distances alone would certify 2
     pts = [(Fraction(k, 2),) for k in range(-8, 9)]
-    line = FiniteMetricSpace(pts, l1_dist, "half line",
-                             [1 if p == (0,) else 0 for p in pts],
-                             dist_tag="l1-rational", kind="rational")
+    line = rational_window(pts, [1 if p == (0,) else 0 for p in pts], "half line")
     half = line.index[(Fraction(1, 2),)]
     everything_but_half = [i for i in range(len(line)) if i != half]
     near_half = [line.index[(x,)] for x in (0, Fraction(1, 2), 1)]

@@ -16,7 +16,8 @@ from coarse_embed.kernels import (Kernel, diff_norm, kernel_stats,
                                   pullback_kernel, tent_norm_floor, tent_profile,
                                   tree_kernel_flat, tree_kernel_tent)
 from coarse_embed.lattice import zk_cover
-from coarse_embed.spaces import grid_space, tree_ball, FiniteMetricSpace
+from coarse_embed.spaces import (FiniteMetricSpace, grid_space, rational_window,
+                                 tree_ball)
 
 
 def test_constant_kernel_has_zero_lipschitz():
@@ -137,7 +138,7 @@ def test_cover_weights_computed_once_per_cover(monkeypatch):
 @functools.cache
 def quotient_window(name):
     if name == "rational":      # a line at half spacing
-        return rational_window([(Fraction(x, 2),) for x in range(-6, 7)], "half line")
+        return centred_window([(Fraction(x, 2),) for x in range(-6, 7)], "half line")
     return {"line": lambda: grid_space(1, 12), "plane": lambda: grid_space(2, 4),
             "tree": lambda: tree_ball(3, 5)}[name]()
 
@@ -507,12 +508,10 @@ def test_mazur_preserves_norm_and_contracts():
 # transfer along a map
 
 
-def rational_window(points, tag):
-    from coarse_embed.spaces import l1_dist
+def centred_window(points, tag):
+    """Rational window whose interior radii are measured from the origin."""
     rad = max(sum(abs(c) for c in p) for p in points)
-    radii = [rad - sum(abs(c) for c in p) for p in points]
-    return FiniteMetricSpace(points, l1_dist, tag, radii,
-                             dist_tag="l1-rational", kind="rational")
+    return rational_window(points, [rad - sum(abs(c) for c in p) for p in points], tag)
 
 
 def test_pullback_kernel_identity_map(small_grid):

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
@@ -7,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coarse_embed.covers import cover_stats, lebesgue_condition
-from coarse_embed.errors import ContractViolation
+from coarse_embed import lattice
+from coarse_embed.errors import ContractViolation, CoverageError
 from coarse_embed.lamplighter import lamp_coordinates, lamp_parts_window
 from coarse_embed.lattice import (BoxCoverSpec, LatticeCoverSpec,
                                   box_grid_cover, candidate_specs,
@@ -179,9 +181,33 @@ def test_membership_equals_reference_on_lamp_block(ball8):
     parts = lamp_parts_window(ball8).points
     picked = parts[::max(1, len(parts) // 200)]
     assert len(picked) >= 200
+    doubled = replace(spec, scale=2 * spec.scale)
     for label in picked:
-        x = embed_grid_point(lamp_coordinates(label, 12))
-        assert membership(x, spec) == membership_reference(x, spec)
+        z = lamp_coordinates(label, 12)
+        x = embed_grid_point(z)
+        want = membership_reference(x, spec)
+        assert membership(x, spec) == want
+        assert membership(integer_image(z), doubled) == want
+
+
+def integer_image(z):
+    """The grid decode's integer vector: embed_grid_point(z) times 2."""
+    return [c for zm in z for c in (zm, -zm)]
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(st.integers(1, 4).flatmap(
+    lambda k: st.lists(st.integers(-60, 60), min_size=k, max_size=k)),
+    st.integers(1, 3))
+def test_grid_decode_on_integers_equals_embedding(z, L):
+    # every candidate spec: tau0 forces the rounding (band below 1/2),
+    # tau_big (L > 1) leaves an ambiguous band
+    x = embed_grid_point(z)
+    for spec in candidate_specs(len(z), L):
+        doubled = replace(spec, scale=2 * spec.scale)
+        want = membership_reference(x, spec)
+        assert membership(x, spec) == want
+        assert membership(integer_image(z), doubled) == want
 
 
 def test_membership_covers_and_is_unique_per_family():
@@ -292,6 +318,13 @@ def test_pullback_sets_union_covers_window():
     for s in cover.sets:
         covered.update(s)
     assert covered == set(range(len(window)))
+
+
+def test_pullback_names_the_grid_point_it_misses(monkeypatch):
+    monkeypatch.setattr(lattice, "membership", lambda x, spec: [])
+    with pytest.raises(CoverageError) as err:
+        pullback_grid_cover(grid_space(2, 1), canonical_spec(2, 1))
+    assert err.value.witness == (-1, -1)
 
 
 def test_grid_membership_agrees_with_cover(small_grid):

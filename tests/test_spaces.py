@@ -1,15 +1,18 @@
 import json
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coarse_embed.covers import Cover, lebesgue_condition, set_diameter
 from coarse_embed.errors import CapExceeded
+from coarse_embed.kernels import boundary_distance
 from coarse_embed.spaces import (bfs_distances, grid_space, l1_dist,
-                                 lattice_window, ray_point, space_from_json,
-                                 tree_ball, tree_dist)
+                                 lattice_window, rational_window, ray_point,
+                                 space_from_json, tree_ball, tree_dist)
 
 
 def test_grid_line_basics():
@@ -177,3 +180,79 @@ def test_space_json_round_trip_tree_and_matrix():
     a, b = tb.space.points[3], tb.space.points[7]
     assert back2.dist(a, b) == tb.space.dist(a, b)
     tb.space.dist_tag = "tree"
+
+
+# ---------------------------------------------------------------------------
+# rational windows against Fraction-label oracles
+
+RATIONALS = st.builds(Fraction, st.integers(-24, 24), st.integers(1, 8))
+
+
+@st.composite
+def rational_cases(draw):
+    """A rational window of at most 40 points of Q^k (k = 1..3), with
+    denominators 1..8 mixed and interior radii 0..2, and a few index sets."""
+    k = draw(st.integers(1, 3))
+    pts = draw(st.lists(st.tuples(*[RATIONALS] * k), min_size=2, max_size=40,
+                        unique=True))
+    radii = draw(st.lists(st.integers(0, 2), min_size=len(pts), max_size=len(pts)))
+    ids = st.sets(st.integers(0, len(pts) - 1), min_size=1)
+    sets = draw(st.lists(ids, min_size=1, max_size=4))
+    return rational_window(pts, radii, "rational sample"), sets
+
+
+def label_boundary_distance(space, i, members, cap):
+    best = cap
+    for j, q in enumerate(space.points):
+        if j not in members:
+            d = l1_dist(space.points[i], q)
+            if d < best:
+                best = d
+    return best
+
+
+def label_lebesgue_condition(cover, r):
+    space = cover.space
+    for i, p in enumerate(space.points):
+        if space.interior_radius[i] < r - 1:
+            continue
+        ball = {j for j, q in enumerate(space.points) if l1_dist(p, q) < r}
+        if not any(ball <= cover.frozen[sid] for sid in cover.membership()[i]):
+            return p
+    return None
+
+
+def same(a, b):
+    return a == b and type(a) is type(b)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(rational_cases())
+def test_rational_window_distances_match_labels(case):
+    space, _ = case
+    back = space_from_json(json.loads(json.dumps(space.to_json())))
+    assert back.points == space.points and back.kind == "rational"
+    for w in (space, back):
+        for i, a in enumerate(w.points):
+            for j, b in enumerate(w.points):
+                assert same(w.dist_i(i, j), l1_dist(a, b))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(rational_cases())
+def test_rational_window_scans_match_label_oracles(case):
+    space, sets = case
+    for ids in sets:
+        members = frozenset(ids)
+        for i in ids:
+            cap = space.interior_radius[i] + 1
+            assert same(boundary_distance(space, i, members, cap),
+                        label_boundary_distance(space, i, members, cap))
+        diameter, (a, b) = set_diameter(space, sorted(ids))
+        labels = [space.points[i] for i in ids]
+        want = max((l1_dist(x, y) for x, y in combinations(labels, 2)), default=0)
+        assert same(diameter, want)
+        assert a in labels and b in labels and l1_dist(a, b) == diameter
+    cover = Cover(space, sets)
+    for r in (1, 2, 3):
+        assert lebesgue_condition(cover, r) == label_lebesgue_condition(cover, r)
