@@ -287,7 +287,7 @@ class _SortedDecoder:
     Coordinates are cleared to one integer denominator D per point; the
     integer thresholds that turn the band and prefix comparisons into
     comparisons of integers depend on D only, and are kept per point
-    denominator (grid points have one or two).
+    denominator (grid points, decoded as integer vectors, have one).
     """
 
     def __init__(self, spec):
@@ -481,11 +481,11 @@ def pullback_grid_cover(window, spec):
     one set per (family, lattice point) pair.
 
     Each grid point z is decoded as the integer vector (z_1, -z_1, ...,
-    z_k, -z_k) against the spec at twice its scale, with the same offset
-    and thickening: that is embed_grid_point(z) against spec, divided by
-    the scale, so the pairs are the same, and no Fraction is built per
-    point.  A point no cell holds raises CoverageError with the grid
-    point as witness.
+    z_k, -z_k) = 2 embed_grid_point(z) against the spec at twice its
+    scale, with the same offset and thickening.  Both give the same
+    point x / scale, so the pairs are those of embed_grid_point(z)
+    against spec, and no Fraction is built per point.  A point no cell
+    holds raises CoverageError with the grid point as witness.
     """
     doubled = replace(spec, scale=2 * spec.scale)
 
