@@ -247,7 +247,7 @@ def run_cover_kernel(c):
     rows, checks = [], []
     for p in c["p_list"]:
         kern = pou_kernel(cover, p)
-        ks = kernel_stats(kern, min_interior=min_interior, seed=c["seed"])
+        ks = kernel_stats(kern, min_interior=min_interior)
         bound = pou_lipschitz_bound(stats, p=p)
         ok = _kernel_checks(checks, f"{cover.name} p={p}", ks, bound,
                             stats.mesh)
@@ -275,7 +275,7 @@ def run_tree_embed(c):
     for S in c["S_list"]:
         for p in c["p_list"]:
             kern = tree_kernel_tent(tree, S, p)
-            ks = kernel_stats(kern, seed=c["seed"])
+            ks = kernel_stats(kern)
             bound = 8.0 / S
             floor = tent_norm_floor(S, p)
             raw_norm = p_norm(tent_profile(S), p)
@@ -357,8 +357,7 @@ def run_lamplighter_cover(c):
             grid_S_list=listing([2, 4, 8], float),
             tree_S_list=listing([2, 4, 8, 16], float),
             wreath_radius=integer(5, lo=1), wreath_L_list=listing([1], int, lo=1),
-            wreath_pairs=integer(3000, lo=0), mazur_dim=integer(16, lo=1),
-            mazur_pairs=integer(2000, lo=1))
+            mazur_dim=integer(16, lo=1), mazur_pairs=integer(2000, lo=1))
 def run_profile(c):
     """Epsilon profiles of the plane, tree and lamplighter group, and the
     Mazur map's q/p contraction on sampled unit pairs (criterion 12)."""
@@ -373,7 +372,7 @@ def run_profile(c):
             except (ContractViolation, CoverageError):
                 continue
             if stats.mesh <= S:
-                return kernel_stats(pou_kernel(cover, p), seed=seed)
+                return kernel_stats(pou_kernel(cover, p))
         return None
 
     tree = tree_ball(3, c["tree_depth"])
@@ -381,7 +380,7 @@ def run_profile(c):
     def tree_builder(S):
         if S < 1 or not tree.ray_domain(int(S)):
             return None
-        return kernel_stats(tree_kernel_tent(tree, int(S), p), seed=seed)
+        return kernel_stats(tree_kernel_tent(tree, int(S), p))
 
     for name, builder, S_list, mazur_ref in (
             ("grid2", grid_builder, c["grid_S_list"], None),
@@ -406,7 +405,7 @@ def run_profile(c):
                    False, lambda: exc.witness)
             continue
         kern = pou_kernel(cover, p)
-        ks = kernel_stats(kern, seed=seed, sample_pairs=c["wreath_pairs"])
+        ks = kernel_stats(kern)
         S = max(2.0, float(stats.mesh))
         wreath_rows.append({"space": "wreath", "S": stats.mesh,
                             "eps_measured": ks.lipschitz,
@@ -446,7 +445,7 @@ def run_embed(c):
     field_levels = []
     for S in levels[:-1]:
         kern = tree_kernel_tent(tree, S, p)
-        ks = kernel_stats(kern, seed=c["seed"], sample_pairs=2000)
+        ks = kernel_stats(kern)
         field_levels.append((S, kern, ks.lipschitz))
     theta = build_embedding(KernelField(field_levels, top=levels[-1]),
                             weight, x0=(), p=p)

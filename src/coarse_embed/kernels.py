@@ -6,22 +6,22 @@ distance at which a row is nonzero) and the best Lipschitz constant of
 the map into l^p, measured as the supremum of difference-norm over
 distance.
 
-Measuring the supremum on a window follows a documented policy: small
-windows evaluate every pair; geodesic windows evaluate the unit edges,
-whose maximum equals the full supremum because any pair quotient is an
-average of edge quotients along a geodesic, plus a seeded confirmation
-sample; everything else uses edges plus a seeded sample and is labeled
-as sampled.  Every row has norm within e = norm_error of 1, so no pair
-of the policy can exceed 2(1 + e)/d; a pair whose bound falls below the
-running maximum is counted as bounded instead of evaluated.
+The supremum is exact on every window, over the pairs of a policy that
+the window picks (``PairPlan``): unit edges where geodesics through
+eligible points join every two of them (a pair quotient is then an
+average of edge quotients), shells r = 1, 2, ... around each eligible
+point on any other integer metric, and all pairs elsewhere.  Every row
+has norm within e = norm_error of 1, so no pair can exceed 2(1 + e)/d: a
+pair whose bound falls below the running maximum is counted as bounded
+instead of evaluated, and a shell scan stops at the first such radius.
 
 Work that does not depend on p is done once and shared:
 
 - the policy's pairs and their distances form a ``PairPlan``, keyed on
-  (eligible points, seed, sample size, all-pairs cap); the
-  partition-of-unity kernels of one cover keep their last plan on the
-  cover, so p = 1, 2, 3 scanned back to back measure each distance once,
-  and any other kernel builds a plan per scan;
+  the eligible points; the partition-of-unity kernels of one cover keep
+  their last plan on the cover, so p = 1, 2, 3 scanned back to back
+  measure each distance once, and any other kernel builds a plan per
+  scan;
 - the partition-of-unity kernels of one cover share one cache of row
   support radii, because their rows have the same supports for every p;
 - each cover's weights (``cover_weights``) are computed once per cover,
@@ -34,11 +34,10 @@ import random
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, starmap
+from itertools import combinations, repeat, starmap
 
 from .errors import ContractViolation
 
-ALL_PAIRS_CAP = 700
 NORM_TOL = 1e-9
 # A pair is skipped only when its bound 2(1 + e)/d falls below the running
 # maximum by this relative margin.  The computed quotient of an n-term
@@ -158,13 +157,13 @@ class Kernel:
 class KernelStats:
     """Measured statistics of a kernel on its eligible points.
 
-    Each statistic keeps the witness its measurement found: support_point
-    and norm_error_point are the first eligible points whose rows attain
-    support_radius and norm_error, and argmax_pair the first pair
-    attaining lipschitz.  The policy's pairs split into pairs_evaluated
-    (pair_quotient calls) and pairs_bounded (skipped because
-    2(1 + norm_error)/d fell below the running maximum); lipschitz and
-    argmax_pair are those of the full scan.
+    Every statistic is exact.  Each keeps the witness its measurement
+    found: support_point and norm_error_point are the first eligible points
+    whose rows attain support_radius and norm_error, and argmax_pair the
+    first pair attaining lipschitz.  policy names the window's pair policy
+    ("edges", "shells" or "all-pairs", see ``PairPlan``), whose pairs split
+    into pairs_evaluated (pair_quotient calls) and pairs_bounded (never
+    evaluated, because 2(1 + norm_error)/d fell below the running maximum).
     """
     support_radius: int
     support_point: object
@@ -177,59 +176,88 @@ class KernelStats:
     norm_error_point: object
 
 
-class PairPlan:
-    """The pair policy's pairs on one window, in visiting order, with their
-    distances.
+def _convex(space, eligible, edges):
+    """Every two eligible points are joined by a geodesic through eligible
+    points: on a geodesic grid box they fill a sub-box of interior radius,
+    on a geodesic tree they are connected (one edge fewer than points)."""
+    if not space.geodesic:
+        return False
+    if space.kind == "grid":
+        radii = space.interior_radius
+        least = min((radii[i] for i in eligible), default=0)
+        return sum(r >= least for r in radii) == len(eligible)
+    return space.kind == "tree" and edges == len(eligible) - 1
 
-    key is (eligible point indices, seed, sample size, all-pairs cap).  Up
-    to the cap the pairs are all pairs of eligible points, in
-    ``combinations`` order, and only their distances are stored; past it,
-    they are the window's unit edges between eligible points followed by
-    the seeded sample, stored as machine-int arrays of point indices.
-    Distances are machine ints on integer metrics and otherwise the floats
-    the pair quotient divides by.
+
+class PairPlan:
+    """The pairs of the window's pair policy, in visiting order, with their
+    distances; key is the tuple of eligible point indices.
+
+    - "edges" where ``_convex`` holds: the unit edges between eligible
+      points, whose largest quotient is the supremum;
+    - "shells" on any other integer metric: the pairs at distance
+      r = 1, 2, ... from ``space.shell``, each once, a radius collected
+      when a scan first reaches it and kept for the next;
+    - "all-pairs" on any other metric: every pair, in ``combinations``
+      order, with its distance as the float the quotient divides by.
+
+    Pairs are machine-int arrays of point indices, the smaller first; len()
+    counts the pairs the policy accounts for (the edges, or every pair).
     """
 
     def __init__(self, space, key):
-        eligible, seed, sample_pairs, all_pairs_cap = key
+        self.space = space
         self.key = key
-        self.all_pairs = len(eligible) <= all_pairs_cap
-        if not self.all_pairs:
-            chosen = set(eligible)
-            self.first, self.second = array("i"), array("i")
-            for i, j in space.edge_pairs():
-                if i in chosen and j in chosen:
-                    self.first.append(i)
-                    self.second.append(j)
-            rng = random.Random(seed)
-            n = len(eligible)
-            for _ in range(sample_pairs):
-                i = eligible[rng.randrange(n)]
-                j = eligible[rng.randrange(n)]
-                if i != j:
-                    self.first.append(i)
-                    self.second.append(j)
-        code = "I" if space.integer_metric else "d"
-        self.dist = array(code, starmap(space.dist_i, self.pairs()))
+        n = len(key)
+        self.size = n * (n - 1) // 2
+        if not space.integer_metric:
+            self.policy = "all-pairs"
+            self.dist = array("d", starmap(space.dist_i, combinations(key, 2)))
+            return
+        self._eligible = set(key)
+        self._shells = [None, self._shell(1)]
+        edges = len(self._shells[1][0])
+        if _convex(space, key, edges):
+            self.policy, self.size = "edges", edges
+        else:
+            self.policy = "shells"
 
-    def pairs(self):
-        """(i, j) in visiting order."""
-        if self.all_pairs:
-            return combinations(self.key[0], 2)
-        return zip(self.first, self.second)
+    def _shell(self, r):
+        """(first, second): the pairs of eligible points at distance r."""
+        space, eligible = self.space, self._eligible
+        first, second = array("i"), array("i")
+        for i in self.key:
+            for q in space.shell(space.points[i], r):
+                j = space.index[q]
+                if j > i and j in eligible:
+                    first.append(i)
+                    second.append(j)
+        return first, second
 
     def __len__(self):
-        return len(self.dist)
+        return self.size
 
-    def __iter__(self):
-        """((i, j), distance) in visiting order."""
-        return zip(self.pairs(), self.dist)
+    def scan(self, reach):
+        """((i, j), distance) in visiting order.  Edges and shells go radius
+        by radius, and stop before the first radius r with reach(r) false,
+        or once len() pairs have been visited."""
+        if self.policy == "all-pairs":
+            yield from zip(combinations(self.key, 2), self.dist)
+            return
+        shells, visited, r = self._shells, 0, 1
+        while visited < self.size and reach(r):
+            if r == len(shells):
+                shells.append(self._shell(r))
+            first, second = shells[r]
+            visited += len(first)
+            yield from zip(zip(first, second), repeat(r))
+            r += 1
 
 
-def pair_plan(kernel, eligible, seed, sample_pairs, all_pairs_cap):
-    """The kernel's plan for these arguments: the one kept in its shared
-    plans when the key matches, else a new one that replaces it."""
-    key = (tuple(eligible), seed, sample_pairs, all_pairs_cap)
+def pair_plan(kernel, eligible):
+    """The kernel's plan on these eligible points: the one kept in its
+    shared plans when the key matches, else a new one that replaces it."""
+    key = tuple(eligible)
     plans = kernel._plans
     if plans is None:
         return PairPlan(kernel.base, key)
@@ -239,14 +267,14 @@ def pair_plan(kernel, eligible, seed, sample_pairs, all_pairs_cap):
     return plans[key]
 
 
-def kernel_stats(kernel, min_interior=0, seed=0, sample_pairs=20_000,
-                 all_pairs_cap=ALL_PAIRS_CAP):
-    """Measured support radius and Lipschitz constant.
+def kernel_stats(kernel, min_interior=0, *, seed=None, sample_pairs=None):
+    """Measured support radius and exact Lipschitz constant.
 
     min_interior restricts both statistics to points whose interior radius
     reaches that level (used by partition-of-unity bounds, which hold on
     the ambient space and therefore only sufficiently far from the window
-    boundary).
+    boundary).  seed and sample_pairs are accepted and ignored: no
+    measurement samples.
     """
     space = kernel.base
     eligible = [i for i in kernel.domain_indices
@@ -254,14 +282,14 @@ def kernel_stats(kernel, min_interior=0, seed=0, sample_pairs=20_000,
     sup_radius, sup_at = kernel.support_radius(eligible)
     norm_error, err_at = kernel.norm_error(eligible)
     cap = 2.0 * (1.0 + norm_error)
-    plan = pair_plan(kernel, eligible, seed, sample_pairs, all_pairs_cap)
+    plan = pair_plan(kernel, eligible)
 
     # the strict > keeps the first maximum, so a pair whose bound falls
     # below floor cannot change lipschitz or argmax_pair
     best = floor = 0.0
     arg = None
     evaluated = 0
-    for (i, j), d in plan:
+    for (i, j), d in plan.scan(lambda r: cap / r >= floor):
         if cap / d < floor:
             continue
         q = kernel.pair_quotient(i, j, d)
@@ -270,19 +298,13 @@ def kernel_stats(kernel, min_interior=0, seed=0, sample_pairs=20_000,
             best = q
             floor = best * (1.0 - PRUNE_MARGIN)
             arg = (space.points[i], space.points[j])
-    if plan.all_pairs:
-        policy = "all-pairs"
-    elif space.geodesic and (min_interior == 0 or space.kind == "grid"):
-        policy = "edges-exact+sample"
-    else:
-        policy = "edges+sample"
 
     def label(i):
         return None if i is None else space.points[i]
 
     return KernelStats(
         support_radius=sup_radius, support_point=label(sup_at), lipschitz=best,
-        argmax_pair=arg, policy=policy, pairs_evaluated=evaluated,
+        argmax_pair=arg, policy=plan.policy, pairs_evaluated=evaluated,
         pairs_bounded=len(plan) - evaluated, norm_error=norm_error,
         norm_error_point=label(err_at))
 

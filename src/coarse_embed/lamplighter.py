@@ -154,16 +154,10 @@ def lamplighter_ball(radius, certify=True):
     elements = sorted(depth, key=lambda g: (depth[g], g.label()))
     labels = [g.label() for g in elements]
 
-    def neighbors(label):
-        g = LamplighterElement.from_label(label)
-        for h in generator_moves(g):
-            yield h.label()
-
     radii = [radius - depth[g] for g in elements]
     return FiniteMetricSpace(
         labels, label_dist, f"Z wr Z ball, radius={radius}",
-        radii, geodesic=False, dist_tag="lamplighter",
-        neighbors=neighbors, kind="lamplighter")
+        radii, geodesic=False, dist_tag="lamplighter", kind="lamplighter")
 
 
 def identity_ball_labels(radius):

@@ -40,8 +40,8 @@ class FiniteMetricSpace:
     geodesic          True if any two window points are joined by a geodesic
                       running inside the window (grids, truncated trees)
     dist_tag          recomputable-metric tag for JSON round trips
-    neighbors         optional callable label -> iterable of adjacent window
-                      labels (distance-1 moves), used for shells and edges
+    neighbors         optional callable label -> adjacent window labels
+                      (tree windows), walked for shells and BFS
     """
 
     def __init__(self, points, dist, window_tag, interior_radius,
@@ -99,27 +99,13 @@ class FiniteMetricSpace:
         radii = self.interior_radius
         return self.points[max(range(len(radii)), key=radii.__getitem__)]
 
-    def edge_pairs(self):
-        """Index pairs at distance exactly 1 (deduplicated)."""
-        if self.neighbors is not None:
-            for i, p in enumerate(self.points):
-                for q in self.neighbors(p):
-                    j = self.index.get(q)
-                    if j is not None and j > i:
-                        yield i, j
-        else:
-            for i in range(len(self.points)):
-                for j in range(i + 1, len(self.points)):
-                    if self.dist_i(i, j) == 1:
-                        yield i, j
-
     def shell(self, label, r):
         """Window points at distance exactly r from label.
 
         Grid and lamplighter windows intersect the true ambient shell with
-        the window (correct on any subset of points); tree windows walk
-        their unit edges, valid because the stored tree is closed under
-        geodesics; anything else scans the window.
+        the window (correct on any subset of points); geodesic tree windows
+        walk their unit edges, which every geodesic between their points
+        follows; anything else, tree subspaces included, scans the window.
         """
         if r == 0:
             return [label]
@@ -135,22 +121,26 @@ class FiniteMetricSpace:
         if self.kind == "lamplighter":
             from .lamplighter import translated_shell
             return [q for q in translated_shell(label, r) if q in self.index]
-        if self.neighbors is not None and self.kind == "tree":
-            return self._bfs_shell(label, r)
+        if self.geodesic and self.kind == "tree" and self.neighbors is not None:
+            return self._tree_shell(label, r)
         return [q for q in self.points if self.dist(label, q) == r]
 
-    def _bfs_shell(self, label, r):
-        seen = {label}
-        frontier = [label]
+    @cached_property
+    def _adjacent(self):
+        return {p: [q for q in self.neighbors(p) if q in self.index]
+                for p in self.points}
+
+    def _tree_shell(self, label, r):
+        """The ends of the non-backtracking edge walks of length r from
+        label: on a tree, each point at distance r once, in BFS order."""
+        if r == 1:                  # the edges alone need no adjacency cache
+            return [q for q in self.neighbors(label) if q in self.index]
+        adjacent = self._adjacent
+        frontier = [(label, None)]
         for _ in range(r):
-            nxt = []
-            for p in frontier:
-                for q in self.neighbors(p):
-                    if q in self.index and q not in seen:
-                        seen.add(q)
-                        nxt.append(q)
-            frontier = nxt
-        return frontier
+            frontier = [(q, p) for p, back in frontier for q in adjacent[p]
+                        if q != back]
+        return [p for p, _ in frontier]
 
     def closed_ball(self, label, r):
         """Window points at distance at most r from label: shells 0..r on
@@ -322,18 +312,11 @@ def grid_space(k, half_width):
     guard_cap(side ** k, f"grid_space(k={k}, half_width={half_width})")
     points = [tuple(p) for p in itertools.product(range(-half_width, half_width + 1), repeat=k)]
 
-    def neighbors(p, _w=half_width, _k=k):
-        for i in range(_k):
-            for s in (-1, 1):
-                v = p[i] + s
-                if -_w <= v <= _w:
-                    yield p[:i] + (v,) + p[i + 1:]
-
     radii = [half_width - max(abs(c) for c in p) for p in points]
     return FiniteMetricSpace(
         points, l1_dist,
         f"Z^{k} box, half_width={half_width}",
-        radii, geodesic=True, dist_tag="l1-grid", neighbors=neighbors, kind="grid")
+        radii, geodesic=True, dist_tag="l1-grid", kind="grid")
 
 
 def lattice_window(points, k, tag):

@@ -69,6 +69,7 @@ BAD_CONFIGS = [
     ("lamplighter-metric", "", "raduis=3", "m_list=[0]"),
     ("lamplighter-cover", "", "L_list=[1]", "L=0"),
     ("profile", "", "grid_halfwidth=5", "wreath_L_list=[0]"),
+    ("profile", "", "wreath_pairs=3000", "mazur_dim=0"),   # no kernel samples
     ("embed", "", "samples=30", "depth=0"),
     ("cp-check", "", "T=5", "subdivisions=0"),
     ("pullback-check", "", "half_width=3", "seed=1.5"),   # sizes are constants

@@ -89,7 +89,7 @@ def small_embedding():
     levels = []
     for S in (2, 4):
         kern = tree_kernel_tent(tree, S, p)
-        ks = kernel_stats(kern, sample_pairs=500, seed=0)
+        ks = kernel_stats(kern)
         levels.append((S, kern, ks.lipschitz))
     u = overlog_shape(1, p)
     weight = weight_from_type(u, [(2.0, 2.0), (4.0, 4.0), (8.0, 8.0)], cutoff=2.0)
@@ -100,7 +100,7 @@ def small_embedding():
 def test_embedding_single_level_reduces_to_kernel_difference():
     tree = tree_ball(3, 5)
     kern = tree_kernel_tent(tree, 2, 2)
-    ks = kernel_stats(kern, sample_pairs=200, seed=0)
+    ks = kernel_stats(kern)
     field = KernelField([(2, kern, ks.lipschitz)], top=4)
     weight = WeightFunction([2, 4], [0.0, 1.0])
     theta = build_embedding(field, weight, x0=(), p=2)

@@ -15,6 +15,7 @@ from coarse_embed.kernels import (Kernel, diff_norm, kernel_stats,
                                   pou_kernel, pou_lipschitz_bound,
                                   pullback_kernel, tent_norm_floor, tent_profile,
                                   tree_kernel_flat, tree_kernel_tent)
+from coarse_embed.lamplighter import lamplighter_ball
 from coarse_embed.lattice import zk_cover
 from coarse_embed.spaces import (FiniteMetricSpace, grid_space, rational_window,
                                  tree_ball)
@@ -35,7 +36,7 @@ def test_norm_error_checks_every_eligible_point():
     bad = 4100
 
     kern = Kernel(g, 1, lambda i: {i: 2.0 if i == bad else 1.0}, name="one bad row")
-    st = kernel_stats(kern, sample_pairs=10)
+    st = kernel_stats(kern)
     assert st.norm_error == 1.0
 
 
@@ -140,7 +141,11 @@ def quotient_window(name):
     if name == "rational":      # a line at half spacing
         return centred_window([(Fraction(x, 2),) for x in range(-6, 7)], "half line")
     return {"line": lambda: grid_space(1, 12), "plane": lambda: grid_space(2, 4),
-            "tree": lambda: tree_ball(3, 5)}[name]()
+            "tree": lambda: tree_ball(3, 5),
+            "lamplighter": lambda: lamplighter_ball(3, certify=False)}[name]()
+
+
+WINDOWS = ("line", "plane", "rational", "tree", "lamplighter")
 
 
 @st.composite
@@ -178,83 +183,93 @@ def signed_kernel(p, seed, spread):
     return Kernel(g, p, row_fn, name=f"signed seed={seed}")
 
 
+def restricted(kern, keep, seed):
+    """The same rows on a random part of the kernel's domain, each point
+    kept with probability keep: a part that geodesics through it need
+    not join."""
+    rng = random.Random(seed)
+    domain = [i for i in kern.domain_indices if rng.random() < keep]
+    return Kernel(kern.base, kern.p, kern.row, name=f"{kern.name} restricted",
+                  exact=kern.exact, domain_indices=domain)
+
+
 @st.composite
 def quotient_kernels(draw):
     family = draw(st.sampled_from(["pou", "pou exact", "tent", "flat",
                                    "pullback", "pullback exact", "signed"]))
     p = 1 if "exact" in family else draw(st.sampled_from([1, 2, 3]))
     if family.startswith("pou"):
-        return pou_kernel(draw(random_covers()), p, exact="exact" in family)
-    if family == "tent":
-        return tree_kernel_tent(quotient_window("tree"), draw(st.integers(1, 3)), p)
-    if family == "flat":
-        return tree_kernel_flat(quotient_window("tree"), draw(st.integers(1, 4)), p)
-    if family == "signed":
-        return signed_kernel(p, draw(st.integers(0, 2 ** 16)),
+        kern = pou_kernel(draw(random_covers(WINDOWS)), p, exact="exact" in family)
+    elif family == "tent":
+        kern = tree_kernel_tent(quotient_window("tree"), draw(st.integers(1, 3)), p)
+    elif family == "flat":
+        kern = tree_kernel_flat(quotient_window("tree"), draw(st.integers(1, 4)), p)
+    elif family == "signed":
+        kern = signed_kernel(p, draw(st.integers(0, 2 ** 16)),
                              draw(st.sampled_from([0.0, 0.1])))
-    # the line's rows collect the plane rows along the retraction onto the axis
-    cover = balls_cover(quotient_window("plane"), draw(st.integers(1, 2)))
-    plane = pou_kernel(cover, p, exact="exact" in family)
-    return pullback_kernel(lambda z: (z[0], 0), grid_space(1, 4), plane)
+    else:
+        # the line's rows collect the plane rows along the retraction onto
+        # the axis
+        cover = balls_cover(quotient_window("plane"), draw(st.integers(1, 2)))
+        plane = pou_kernel(cover, p, exact="exact" in family)
+        kern = pullback_kernel(lambda z: (z[0], 0), grid_space(1, 4), plane)
+    keep = draw(st.sampled_from([None, 0.4, 0.8]))
+    if keep is None:
+        return kern
+    return restricted(kern, keep, draw(st.integers(0, 2 ** 16)))
 
 
-def policy_pairs(kern, min_interior, seed=0, sample_pairs=20_000,
-                 all_pairs_cap=kernels.ALL_PAIRS_CAP):
-    """The pair policy's pairs, enumerated apart from kernel_stats, and the
-    policy's label."""
+def assert_stats_match_oracle(kern, min_interior):
+    """kernel_stats equals the unpruned, unshared scan of every pair of
+    eligible points: the largest diff_norm / d, attained by the witness
+    pair.  The policy accounts for every pair, evaluated or bounded; it is
+    all-pairs exactly off integer metrics, and edges only where every pair
+    is joined by a geodesic through eligible points, whose unit edges are
+    then its pairs.  The support radius is measured on the kernel's own
+    rows."""
     space = kern.base
-    eligible = [i for i in kern.domain_indices
-                if space.interior_radius[i] >= min_interior]
-    if len(eligible) <= all_pairs_cap:
-        return list(itertools.combinations(eligible, 2)), "all-pairs"
-    chosen = set(eligible)
-    pairs = [(i, j) for i, j in space.edge_pairs() if i in chosen and j in chosen]
-    rng = random.Random(seed)
-    for _ in range(sample_pairs):
-        i = eligible[rng.randrange(len(eligible))]
-        j = eligible[rng.randrange(len(eligible))]
-        if i != j:
-            pairs.append((i, j))
-    exact = space.geodesic and (min_interior == 0 or space.kind == "grid")
-    return pairs, "edges-exact+sample" if exact else "edges+sample"
+    ids = [i for i in kern.domain_indices if space.interior_radius[i] >= min_interior]
+    at = {space.points[i]: a for a, i in enumerate(ids)}
+    radius = max((space.dist_i(i, j) for i in ids for j in kern.row(i)), default=0)
+    dist = [[space.dist_i(i, j) for j in ids] for i in ids]
 
+    def quotient(a, b):
+        return (diff_norm(kern.row(ids[a]), kern.row(ids[b]), kern.p)
+                / float(dist[a][b]))
 
-def assert_stats_match_oracle(kern, min_interior, **policy):
-    """kernel_stats equals the unpruned, unshared scan: the largest
-    diff_norm / d over the policy's pairs, its first strict maximum as the
-    witness pair, every pair either evaluated or bounded, and the support
-    radius measured on the kernel's own rows."""
-    space = kern.base
-    pairs, label = policy_pairs(kern, min_interior, **policy)
-    eligible = {space.points[i]: i for i in kern.domain_indices
-                if space.interior_radius[i] >= min_interior}
-    radius = max((space.dist_i(i, j) for i in eligible.values() for j in kern.row(i)),
-                 default=0)
-    best, arg = 0.0, None
-    for i, j in pairs:
-        q = diff_norm(kern.row(i), kern.row(j), kern.p) / float(space.dist_i(i, j))
-        if q > best:
-            best, arg = q, (space.points[i], space.points[j])
-    ks = kernel_stats(kern, min_interior=min_interior, **policy)
+    pairs = list(itertools.combinations(range(len(ids)), 2))
+    best = max(itertools.starmap(quotient, pairs), default=0.0)
+    ks = kernel_stats(kern, min_interior=min_interior)
     assert ks.support_radius == radius
     # each point witness is eligible and its own row attains the statistic
-    if eligible:
-        at = eligible[ks.support_point]
-        assert max(space.dist_i(at, j) for j in kern.row(at)) == radius
-        at = eligible[ks.norm_error_point]
-        assert abs(p_norm(kern.row(at).values(), kern.p) - 1.0) == ks.norm_error
+    if ids:
+        i = ids[at[ks.support_point]]
+        assert max(space.dist_i(i, j) for j in kern.row(i)) == radius
+        i = ids[at[ks.norm_error_point]]
+        assert abs(p_norm(kern.row(i).values(), kern.p) - 1.0) == ks.norm_error
     else:
         assert ks.support_point is ks.norm_error_point is None
     assert ks.lipschitz == best
-    assert ks.argmax_pair == arg
+    if best:
+        a, b = (at[x] for x in ks.argmax_pair)
+        assert a < b and quotient(a, b) == best
+    else:
+        assert ks.argmax_pair is None
+    assert (ks.policy == "all-pairs") == (not space.integer_metric)
+    if ks.policy == "edges":
+        steps = [[k for k, d in enumerate(row) if d == 1] for row in dist]
+        assert all(dist[a][b] == 1 or any(dist[k][b] == dist[a][b] - 1 for k in steps[a])
+                   for a, b in pairs)
+        pairs = [(a, b) for a, b in pairs if dist[a][b] == 1]
     assert ks.pairs_evaluated + ks.pairs_bounded == len(pairs)
-    assert ks.policy == label
 
 
 def hand_built_kernel(p, rows):
-    """Rows given outright at the first len(rows) points of a line."""
+    """Rows given outright on a line: a list at its first len(rows) points,
+    a dict at the points it names."""
+    rows = rows if isinstance(rows, dict) else dict(enumerate(rows))
     return Kernel(grid_space(1, 6), p, lambda i: dict(rows[i]), name="hand-built",
-                  domain_indices=range(len(rows)))
+                  domain_indices=rows)
 
 
 # Norms 1.05, 1.0 and 1.1, so e = 0.1: the last pair, 2.1 at d = 1, beats
@@ -266,6 +281,10 @@ SIGNED_ROWS = [{0: 1.05}, {0: -1.0}, {0: 1.1}]
 ROUNDING_ROWS = [{0: 1.0}, dict(enumerate([0.39, 0.39, 0.22], start=1)),
                  dict(enumerate([0.11, 0.13, 0.1, 0.14, 0.1, 0.14, 0.28],
                                 start=4))]
+# Points 0, 1 and 3, with no point between 1 and 3: the edge (0, 1) reads
+# 0.7 and the pair (1, 3) reads 2 / 2.  The edge rules out distance 3
+# (2 / 3 < 0.7) but not distance 2, which holds the maximum.
+GAP_ROWS = {0: {0: 1.0}, 1: {0: 0.65, 1: 0.35}, 3: {3: 1.0}}
 
 
 @settings(max_examples=250, deadline=None, derandomize=True)
@@ -274,11 +293,35 @@ ROUNDING_ROWS = [{0: 1.0}, dict(enumerate([0.39, 0.39, 0.22], start=1)),
 @example(hand_built_kernel(2, SIGNED_ROWS), 0)
 @example(hand_built_kernel(3, SIGNED_ROWS), 0)
 @example(hand_built_kernel(1, ROUNDING_ROWS), 0)
-# past the all-pairs cap: edges plus the seeded sample
+@example(hand_built_kernel(1, GAP_ROWS), 0)
+# large windows: a plane box and a tree past their boundary layers
 @example(pou_kernel(balls_cover(grid_space(2, 20), 2), 2), 0)
 @example(tree_kernel_tent(tree_ball(3, 10), 4, 2), 1)
 def test_pruned_kernel_stats_matches_oracle(kern, min_interior):
     assert_stats_match_oracle(kern, min_interior)
+
+
+def test_tent_kernel_on_the_leaves_alone_scans_every_pair():
+    """At S = 30 only the 1,024 leaves of the depth-10 tree keep a ray of
+    length 30 inside the window.  No two leaves are adjacent, so unit edges
+    would see no pair; the shells reach every pair and find the unpruned
+    all-pairs maximum."""
+    kern = tree_kernel_tent(tree_ball(3, 10), 30, 2)
+    ks = kernel_stats(kern)
+    assert len(kern.domain_indices) == 1024
+    assert ks.policy == "shells"
+    assert ks.lipschitz == 0.026525117744225557
+    assert ks.pairs_evaluated + ks.pairs_bounded == 1024 * 1023 // 2
+
+
+def test_disconnected_tree_interior_takes_shells():
+    # min_interior 2 drops the root (interior radius 1) and the leaves:
+    # the eligible nodes at depth 1..3 form two subtrees that only the
+    # root joins
+    kern = tree_kernel_tent(tree_ball(3, 5), 2, 2)
+    assert kernel_stats(kern, min_interior=1).policy == "edges"
+    assert kernel_stats(kern, min_interior=2).policy == "shells"
+    assert_stats_match_oracle(kern, 2)
 
 
 def permuted_window(space, seed):
@@ -298,37 +341,27 @@ def moved_cover(cover, space):
                          for s in cover.sets], name=cover.name)
 
 
-@st.composite
-def scan_policies(draw):
-    """kernel_stats' policy arguments, with caps low enough that small
-    windows take the edges-plus-sample branch."""
-    return {"seed": draw(st.integers(0, 3)),
-            "sample_pairs": draw(st.sampled_from([0, 50, 400])),
-            "all_pairs_cap": draw(st.sampled_from([kernels.ALL_PAIRS_CAP, 10]))}
-
-
 @settings(max_examples=20, deadline=None, derandomize=True)
-@given(random_covers(("line", "plane", "rational", "tree")), st.integers(0, 2),
-       st.integers(0, 2), scan_policies(), st.integers(0, 3), st.integers(0, 2 ** 16))
-def test_back_to_back_scans_match_unshared_oracle(cover, m1, m2, policy, seed2, shuffle):
+@given(random_covers(WINDOWS), st.integers(0, 2), st.integers(0, 2),
+       st.integers(0, 3), st.integers(0, 2 ** 16))
+def test_back_to_back_scans_match_unshared_oracle(cover, m1, m2, seed, shuffle):
     """Kernels scanned one after another share pair plans and support
     radii; each result still equals its own unshared oracle."""
     for p, exact in ((1, False), (2, False), (3, False), (1, True)):
-        assert_stats_match_oracle(pou_kernel(cover, p, exact=exact), m1, **policy)
+        assert_stats_match_oracle(pou_kernel(cover, p, exact=exact), m1)
     kern = pou_kernel(cover, 2)
-    assert_stats_match_oracle(kern, m2, **policy)
-    assert_stats_match_oracle(kern, m2, **dict(policy, seed=seed2))
-    # the same rows on two domains of one size
+    assert_stats_match_oracle(kern, m2)
+    # the same rows on domains of one size: two halves and a random part
     n, half = len(cover.space), len(cover.space) // 2
-    for domain in (range(half), range(n - half, n)):
+    rng = random.Random(seed)
+    for domain in (range(half), range(n - half, n), rng.sample(range(n), half)):
         assert_stats_match_oracle(Kernel(cover.space, 2, kern.row, domain_indices=domain,
-                                         plans=cover._plans),
-                                  0, **dict(policy, seed=seed2))
+                                         plans=cover._plans), 0)
     # every point of this window, then of one of the same size and kind
-    assert_stats_match_oracle(kern, 0, **policy)
+    assert_stats_match_oracle(kern, 0)
     other = moved_cover(cover, permuted_window(cover.space, shuffle))
     for p in (1, 3):
-        assert_stats_match_oracle(pou_kernel(other, p), 0, **policy)
+        assert_stats_match_oracle(pou_kernel(other, p), 0)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -375,7 +408,7 @@ def test_pou_rows_equal_reference_builder(cover, p):
 
 
 def test_second_scan_of_a_cover_measures_no_distance():
-    g = grid_space(2, 20)               # past the all-pairs cap
+    g = grid_space(2, 20)
     calls = []
     bare = g.dist
 
@@ -444,7 +477,7 @@ def test_tent_lipschitz_bound(S):
     tree = tree_ball(3, 7)
     for p in (1, 2):
         kern = tree_kernel_tent(tree, S, p)
-        ks = kernel_stats(kern, seed=1, sample_pairs=3000)
+        ks = kernel_stats(kern)
         assert ks.lipschitz <= 8.0 / S + 1e-9
 
 
@@ -468,7 +501,7 @@ def test_flat_kernel_measured_constant_reported():
     S = 8
     for p in (1, 2):
         kern = tree_kernel_flat(tree, S, p)
-        ks = kernel_stats(kern, seed=0, sample_pairs=2000)
+        ks = kernel_stats(kern)
         assert ks.lipschitz == pytest.approx((2.0 / S) ** (1.0 / p), rel=1e-9)
 
 
@@ -527,7 +560,7 @@ def test_epsilon_profile_monotone_with_interpolation_column():
     tree = tree_ball(3, 7)
 
     def builder(S):
-        return kernel_stats(tree_kernel_tent(tree, int(S), 2), seed=0, sample_pairs=500)
+        return kernel_stats(tree_kernel_tent(tree, int(S), 2))
 
     rows = epsilon_profile_upper([2, 4, 8, 16], 2, builder,
                                  mazur_reference=(0.0, lambda S: 8.0 / S))

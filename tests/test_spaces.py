@@ -120,6 +120,23 @@ def test_tree_interior_radius_reflects_missing_neighbors():
     assert sp.radius_of(-2) == 0
 
 
+def test_tree_subspace_shells_follow_the_metric():
+    # two leaves 6 apart with no window edge between them: a walk along
+    # edges would find nothing around either
+    sub = tree_ball(3, 3).space.subspace([(0, 0, 0), (1, 1, 1)])
+    assert sub.closed_ball((0, 0, 0), 6) == [(0, 0, 0), (1, 1, 1)]
+    assert sub.shell((1, 1, 1), 6) == [(0, 0, 0)]
+    assert sub.closed_ball((0, 0, 0), 5) == [(0, 0, 0)]
+    sp = tree_ball(3, 4).space
+    rng = random.Random(4)
+    for _ in range(20):
+        sub = sp.subspace(rng.sample(sp.points, 12))
+        x = rng.choice(sub.points)
+        for r in range(10):
+            assert sorted(sub.shell(x, r), key=str) == sorted(
+                (q for q in sub.points if tree_dist(x, q) == r), key=str)
+
+
 def test_lattice_window_interior_radii():
     pts = [(x, y) for x in range(-2, 3) for y in range(-2, 3)]
     w = lattice_window(pts, 2, "box sample")
