@@ -9,11 +9,13 @@ distance.
 The supremum is exact on every window, over the pairs of a policy that
 the window picks (``PairPlan``): unit edges where geodesics through
 eligible points join every two of them (a pair quotient is then an
-average of edge quotients), shells r = 1, 2, ... around each eligible
-point on any other integer metric, and all pairs elsewhere.  Every row
-has norm within e = norm_error of 1, so no pair can exceed 2(1 + e)/d: a
-pair whose bound falls below the running maximum is counted as bounded
-instead of evaluated, and a shell scan stops at the first such radius.
+average of edge quotients); on any other integer metric, shells r = 1,
+2, ... around each eligible point for as long as they cost less than a
+sweep of the eligible points, then the pairs farther apart; all pairs
+elsewhere.  Every row has norm within e = norm_error of 1, so no pair can
+exceed 2(1 + e)/d: a pair whose bound falls below the running maximum is
+counted as bounded instead of evaluated, and a scan stops at the first
+distance whose bound does.
 
 Work that does not depend on p is done once and shared:
 
@@ -160,7 +162,8 @@ class KernelStats:
     Every statistic is exact.  Each keeps the witness its measurement
     found: support_point and norm_error_point are the first eligible points
     whose rows attain support_radius and norm_error, and argmax_pair the
-    first pair attaining lipschitz.  policy names the window's pair policy
+    first pair attaining lipschitz in the policy's visiting order.  policy
+    names the window's pair policy
     ("edges", "shells" or "all-pairs", see ``PairPlan``), whose pairs split
     into pairs_evaluated (pair_quotient calls) and pairs_bounded (never
     evaluated, because 2(1 + norm_error)/d fell below the running maximum).
@@ -191,18 +194,19 @@ def _convex(space, eligible, edges):
 
 class PairPlan:
     """The pairs of the window's pair policy, in visiting order, with their
-    distances; key is the tuple of eligible point indices.
+    distances; key is the tuple of eligible point indices, ascending.
 
     - "edges" where ``_convex`` holds: the unit edges between eligible
       points, whose largest quotient is the supremum;
-    - "shells" on any other integer metric: the pairs at distance
-      r = 1, 2, ... from ``space.shell``, each once, a radius collected
-      when a scan first reaches it and kept for the next;
-    - "all-pairs" on any other metric: every pair, in ``combinations``
-      order, with its distance as the float the quotient divides by.
+    - "shells" on any other integer metric whose shells cost less than a
+      sweep: the pairs at distance r = 1, 2, ..., top from ``space.shell``,
+      each once, a radius collected when a scan first reaches it and kept
+      for the next; then the pairs farther apart, swept as in "all-pairs";
+    - "all-pairs" elsewhere: every pair, in ``combinations`` order, with
+      its distance as the float the quotient divides by, measured once.
 
-    Pairs are machine-int arrays of point indices, the smaller first; len()
-    counts the pairs the policy accounts for (the edges, or every pair).
+    Within a radius pairs come in index order (i, j), i < j; len() counts
+    the pairs the policy accounts for (the edges, or every pair).
     """
 
     def __init__(self, space, key):
@@ -210,25 +214,31 @@ class PairPlan:
         self.key = key
         n = len(key)
         self.size = n * (n - 1) // 2
-        if not space.integer_metric:
-            self.policy = "all-pairs"
-            self.dist = array("d", starmap(space.dist_i, combinations(key, 2)))
-            return
         self._eligible = set(key)
-        self._shells = [None, self._shell(1)]
-        edges = len(self._shells[1][0])
-        if _convex(space, key, edges):
-            self.policy, self.size = "edges", edges
-        else:
-            self.policy = "shells"
+        self._shells = [None]
+        self._dist = None
+        if space.integer_metric and space.geodesic:
+            self._shells.append(self._shell(1))
+            edges = len(self._shells[1][0])
+            if _convex(space, key, edges):
+                self.policy, self.size, self.top = "edges", edges, 1
+                return
+        # shells up to the largest radius r at which they still cost less,
+        # around each of the n points, than sweeping the others: the labels
+        # space.shell looks at for radii 1..r number fewer than n
+        top = work = 0
+        while n > 1 and (w := space.shell_work(top + 1)) is not None and work + w < n:
+            work += w
+            top += 1
+        self.top = max(top, len(self._shells) - 1)
+        self.policy = "shells" if self.top else "all-pairs"
 
     def _shell(self, r):
         """(first, second): the pairs of eligible points at distance r."""
-        space, eligible = self.space, self._eligible
+        space, eligible, index = self.space, self._eligible, self.space.index
         first, second = array("i"), array("i")
         for i in self.key:
-            for q in space.shell(space.points[i], r):
-                j = space.index[q]
+            for j in sorted(index[q] for q in space.shell(space.points[i], r)):
                 if j > i and j in eligible:
                     first.append(i)
                     second.append(j)
@@ -238,20 +248,25 @@ class PairPlan:
         return self.size
 
     def scan(self, reach):
-        """((i, j), distance) in visiting order.  Edges and shells go radius
-        by radius, and stop before the first radius r with reach(r) false,
-        or once len() pairs have been visited."""
-        if self.policy == "all-pairs":
-            yield from zip(combinations(self.key, 2), self.dist)
-            return
+        """((i, j), distance) in visiting order: radius by radius up to top,
+        then the farther pairs.  The scan stops before the first distance r
+        with reach(r) false, or once len() pairs have been visited."""
         shells, visited, r = self._shells, 0, 1
-        while visited < self.size and reach(r):
+        while r <= self.top and visited < self.size and reach(r):
             if r == len(shells):
                 shells.append(self._shell(r))
             first, second = shells[r]
             visited += len(first)
             yield from zip(zip(first, second), repeat(r))
             r += 1
+        if visited < self.size and reach(r):
+            if self._dist is None:
+                self._dist = array("d", starmap(self.space.dist_i,
+                                                combinations(self.key, 2)))
+            top = self.top
+            for pair, d in zip(combinations(self.key, 2), self._dist):
+                if d > top:
+                    yield pair, d
 
 
 def pair_plan(kernel, eligible):

@@ -17,6 +17,8 @@ from .errors import guard_cap
 from .spaces import FiniteMetricSpace
 
 _IDENTITY_BALL_CACHE = {}
+# largest radius whose ambient shells translated_shell enumerates
+SHELL_CAP = 12
 
 
 @dataclass(frozen=True)
@@ -174,8 +176,8 @@ def identity_ball_labels(radius):
 
 def translated_shell(label, r):
     """Ambient shell around an element, via left translation of the identity shell."""
-    if r > 12:
-        raise ValueError(f"lamplighter shell radius {r} beyond cap 12")
+    if r > SHELL_CAP:
+        raise ValueError(f"lamplighter shell radius {r} beyond cap {SHELL_CAP}")
     g = LamplighterElement.from_label(label)
     by_r = identity_ball_labels(r)
     return [g.mul(u).label() for u in by_r.get(r, ())]

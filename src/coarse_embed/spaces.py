@@ -122,25 +122,33 @@ class FiniteMetricSpace:
             from .lamplighter import translated_shell
             return [q for q in translated_shell(label, r) if q in self.index]
         if self.geodesic and self.kind == "tree" and self.neighbors is not None:
-            return self._tree_shell(label, r)
+            return self._bfs_shell(label, r)
         return [q for q in self.points if self.dist(label, q) == r]
 
-    @cached_property
-    def _adjacent(self):
-        return {p: [q for q in self.neighbors(p) if q in self.index]
-                for p in self.points}
-
-    def _tree_shell(self, label, r):
-        """The ends of the non-backtracking edge walks of length r from
-        label: on a tree, each point at distance r once, in BFS order."""
-        if r == 1:                  # the edges alone need no adjacency cache
-            return [q for q in self.neighbors(label) if q in self.index]
-        adjacent = self._adjacent
-        frontier = [(label, None)]
+    def _bfs_shell(self, label, r):
+        seen = {label}
+        frontier = [label]
         for _ in range(r):
-            frontier = [(q, p) for p, back in frontier for q in adjacent[p]
-                        if q != back]
-        return [p for p, _ in frontier]
+            nxt = []
+            for p in frontier:
+                for q in self.neighbors(p):
+                    if q in self.index and q not in seen:
+                        seen.add(q)
+                        nxt.append(q)
+            frontier = nxt
+        return frontier
+
+    def shell_work(self, r):
+        """How many labels one ``shell(label, r)`` looks at: the ambient
+        sphere on grid and lamplighter windows, at most the window on trees;
+        None past the radius the lamplighter enumerates and off integer
+        metrics."""
+        if self.kind == "grid":
+            return len(_grid_shell_offsets(len(self.points[0]), r))
+        if self.kind == "lamplighter":
+            from .lamplighter import SHELL_CAP, identity_ball_labels
+            return len(identity_ball_labels(r).get(r, ())) if r <= SHELL_CAP else None
+        return len(self) if self.integer_metric else None
 
     def closed_ball(self, label, r):
         """Window points at distance at most r from label: shells 0..r on

@@ -221,24 +221,28 @@ def quotient_kernels(draw):
 
 def assert_stats_match_oracle(kern, min_interior):
     """kernel_stats equals the unpruned, unshared scan of every pair of
-    eligible points: the largest diff_norm / d, attained by the witness
-    pair.  The policy accounts for every pair, evaluated or bounded; it is
-    all-pairs exactly off integer metrics, and edges only where every pair
-    is joined by a geodesic through eligible points, whose unit edges are
-    then its pairs.  The support radius is measured on the kernel's own
-    rows."""
+    eligible points: lipschitz is the largest diff_norm / d, and
+    argmax_pair the first strict maximum over the policy's pairs in its
+    visiting order (distance, then index, up to the plan's shell radius
+    top; index order past it).  The policy accounts for every pair,
+    evaluated or bounded; it is all-pairs off integer metrics, and edges
+    only where every pair is joined by a geodesic through eligible points,
+    whose unit edges are then its pairs.  The support radius is measured on
+    the kernel's own rows."""
     space = kern.base
     ids = [i for i in kern.domain_indices if space.interior_radius[i] >= min_interior]
     at = {space.points[i]: a for a, i in enumerate(ids)}
     radius = max((space.dist_i(i, j) for i in ids for j in kern.row(i)), default=0)
-    dist = [[space.dist_i(i, j) for j in ids] for i in ids]
+    n = len(ids)
+    pairs = list(itertools.combinations(range(n), 2))
+    dist = [space.dist_i(ids[a], ids[b]) for a, b in pairs]
+    quotient = [diff_norm(kern.row(ids[a]), kern.row(ids[b]), kern.p) / float(d)
+                for (a, b), d in zip(pairs, dist)]
 
-    def quotient(a, b):
-        return (diff_norm(kern.row(ids[a]), kern.row(ids[b]), kern.p)
-                / float(dist[a][b]))
+    # pair (a, b), a < b, sits at offset[a] + b in combinations order
+    offset = [a * n - a * (a + 1) // 2 - a - 1 for a in range(n)]
 
-    pairs = list(itertools.combinations(range(len(ids)), 2))
-    best = max(itertools.starmap(quotient, pairs), default=0.0)
+    best = max(quotient, default=0.0)
     ks = kernel_stats(kern, min_interior=min_interior)
     assert ks.support_radius == radius
     # each point witness is eligible and its own row attains the statistic
@@ -250,18 +254,27 @@ def assert_stats_match_oracle(kern, min_interior):
     else:
         assert ks.support_point is ks.norm_error_point is None
     assert ks.lipschitz == best
-    if best:
-        a, b = (at[x] for x in ks.argmax_pair)
-        assert a < b and quotient(a, b) == best
-    else:
-        assert ks.argmax_pair is None
-    assert (ks.policy == "all-pairs") == (not space.integer_metric)
+    if not space.integer_metric:
+        assert ks.policy == "all-pairs"
+    order = range(len(pairs))
     if ks.policy == "edges":
-        steps = [[k for k, d in enumerate(row) if d == 1] for row in dist]
-        assert all(dist[a][b] == 1 or any(dist[k][b] == dist[a][b] - 1 for k in steps[a])
-                   for a, b in pairs)
-        pairs = [(a, b) for a, b in pairs if dist[a][b] == 1]
-    assert ks.pairs_evaluated + ks.pairs_bounded == len(pairs)
+        steps = [[] for _ in ids]
+        for (a, b), d in zip(pairs, dist):
+            if d == 1:
+                steps[a].append(b)
+                steps[b].append(a)
+        assert all(d == 1 or any(dist[offset[k] + b if k < b else offset[b] + k] == d - 1
+                                 for k in steps[a])
+                   for (a, b), d in zip(pairs, dist))
+        order = [k for k in order if dist[k] == 1]
+    assert ks.pairs_evaluated + ks.pairs_bounded == len(order)
+    # a stable sort keeps index order within a distance
+    top = kernels.PairPlan(space, tuple(ids)).top
+    first, arg = 0.0, None
+    for k in sorted(order, key=lambda k: min(dist[k], top + 1)):
+        if quotient[k] > first:
+            first, arg = quotient[k], tuple(space.points[ids[c]] for c in pairs[k])
+    assert first == best and ks.argmax_pair == arg
 
 
 def hand_built_kernel(p, rows):
@@ -283,8 +296,10 @@ ROUNDING_ROWS = [{0: 1.0}, dict(enumerate([0.39, 0.39, 0.22], start=1)),
                                 start=4))]
 # Points 0, 1 and 3, with no point between 1 and 3: the edge (0, 1) reads
 # 0.7 and the pair (1, 3) reads 2 / 2.  The edge rules out distance 3
-# (2 / 3 < 0.7) but not distance 2, which holds the maximum.
-GAP_ROWS = {0: {0: 1.0}, 1: {0: 0.65, 1: 0.35}, 3: {3: 1.0}}
+# (2 / 3 < 0.7) but not distance 2, which holds the maximum.  Points 9 and
+# 12 repeat point 3's row, so five points take the shells to radius 2.
+GAP_ROWS = {0: {0: 1.0}, 1: {0: 0.65, 1: 0.35}, 3: {3: 1.0}, 9: {3: 1.0},
+            12: {3: 1.0}}
 
 
 @settings(max_examples=250, deadline=None, derandomize=True)
@@ -304,8 +319,8 @@ def test_pruned_kernel_stats_matches_oracle(kern, min_interior):
 def test_tent_kernel_on_the_leaves_alone_scans_every_pair():
     """At S = 30 only the 1,024 leaves of the depth-10 tree keep a ray of
     length 30 inside the window.  No two leaves are adjacent, so unit edges
-    would see no pair; the shells reach every pair and find the unpruned
-    all-pairs maximum."""
+    would see no pair; the shells and the sweep past them reach every pair
+    and find the unpruned all-pairs maximum."""
     kern = tree_kernel_tent(tree_ball(3, 10), 30, 2)
     ks = kernel_stats(kern)
     assert len(kern.domain_indices) == 1024
@@ -322,6 +337,16 @@ def test_disconnected_tree_interior_takes_shells():
     assert kernel_stats(kern, min_interior=1).policy == "edges"
     assert kernel_stats(kern, min_interior=2).policy == "shells"
     assert_stats_match_oracle(kern, 2)
+
+
+def test_far_lamplighter_pair_is_swept():
+    """Two elements of the radius-7 ball at distance 14, past the radius
+    whose lamplighter shells are enumerated: a constant kernel on them
+    reads 0 from the one pair, swept with no shell."""
+    far = lamplighter_ball(7, certify=False).subspace([((), 7), ((), -7)])
+    assert far.dist(*far.points) == 14
+    ks = kernel_stats(Kernel(far, 1, lambda i: {0: 1.0}, name="constant"))
+    assert (ks.policy, ks.lipschitz, ks.pairs_evaluated) == ("all-pairs", 0.0, 1)
 
 
 def permuted_window(space, seed):
