@@ -247,24 +247,21 @@ def cover_stats(cover, scan_cap=None):
                       n_sets=len(cover))
 
 
-def delta_consistency_report(stats, p_list=(1, 2, 3)):
+def delta_consistency_report(stats):
     """Witnessed instances relating the cover's statistics: the cover
     shows that a multiplicity-m family can reach Lebesgue level L with
     this mesh, so it witnesses both an upper bound on the mesh-growth
     function at L and a lower bound on delta_p at its own mesh.  Recorded
-    for comparison across constructions; nothing here is an assertion."""
-    rows = []
-    delta = stats.delta
-    for p in p_list:
-        rows.append({
-            "p": p,
-            "lebesgue": stats.lebesgue,
-            "multiplicity": stats.multiplicity,
-            "mesh": float(stats.mesh),
-            "delta_witness_at_mesh": delta[p],
-            "mesh_growth_upper_at_L": float(stats.mesh),
-        })
-    return rows
+    for comparison across constructions; nothing here is an assertion.
+    One row for each p = 1, 2, 3 of ``CoverStats.delta``."""
+    return [{
+        "p": p,
+        "lebesgue": stats.lebesgue,
+        "multiplicity": stats.multiplicity,
+        "mesh": float(stats.mesh),
+        "delta_witness_at_mesh": delta,
+        "mesh_growth_upper_at_L": float(stats.mesh),
+    } for p, delta in stats.delta.items()]
 
 
 # ---------------------------------------------------------------------------

@@ -235,14 +235,13 @@ def run_cover_kernel(c):
     if kind == "zk" and c["L"] is None:
         raise ConfigError("cover=zk needs L")
     half_width = c["half_width"] or (100 if kind == "interval" else 40)
-    if kind == "interval":
-        cover = interval_cover(grid_space(1, half_width))
-    elif kind == "balls":
-        cover = balls_cover(grid_space(2, half_width), c["r"])
-    else:
+    if kind == "zk":
         window = grid_space(c["k"], half_width)
-        cover, _, _ = zk_cover(window, c["k"], c["L"], strict=False)
-    stats = cover_stats(cover)
+        cover, stats, _ = zk_cover(window, c["k"], c["L"], strict=False)
+    else:
+        cover = (interval_cover(grid_space(1, half_width)) if kind == "interval"
+                 else balls_cover(grid_space(2, half_width), c["r"]))
+        stats = cover_stats(cover)
     min_interior = max(0, stats.lebesgue - 1)
     rows, checks = [], []
     for p in c["p_list"]:
@@ -365,14 +364,18 @@ def run_profile(c):
     rows, checks = [], []
     grid = grid_space(2, c["grid_half_width"])
 
+    @functools.cache
+    def grid_cover(L):      # each level built once; None where it raises
+        try:
+            return zk_cover(grid, 2, L, strict=False)
+        except (ContractViolation, CoverageError):
+            return None
+
     def grid_builder(S):
         for L in range(max(1, int(S) // 2), 0, -1):
-            try:
-                cover, stats, _ = zk_cover(grid, 2, L, strict=False)
-            except (ContractViolation, CoverageError):
-                continue
-            if stats.mesh <= S:
-                return kernel_stats(pou_kernel(cover, p))
+            built = grid_cover(L)
+            if built is not None and built[1].mesh <= S:
+                return kernel_stats(pou_kernel(built[0], p))
         return None
 
     tree = tree_ball(3, c["tree_depth"])

@@ -183,8 +183,6 @@ def _convex(space, eligible, edges):
     """Every two eligible points are joined by a geodesic through eligible
     points: on a geodesic grid box they fill a sub-box of interior radius,
     on a geodesic tree they are connected (one edge fewer than points)."""
-    if not space.geodesic:
-        return False
     if space.kind == "grid":
         radii = space.interior_radius
         least = min((radii[i] for i in eligible), default=0)

@@ -4,8 +4,9 @@ Elements are a finitely supported Z -> Z lamp configuration plus a cursor
 position.  Generators are the cursor moves t, t^-1 and the lamp increments
 a, a^-1 acting at the cursor.  Word length has a closed form: total lamp
 mass plus the shortest walk on the line that starts at 0, visits every lit
-lamp and ends at the cursor.  A BFS oracle over the generators certifies
-the closed form on every enumerated ball.
+lamp and ends at the cursor; label_dist computes it between any two
+labels, and word_length is label_dist from the identity.  A BFS oracle
+over the generators certifies the closed form on every enumerated ball.
 """
 
 from __future__ import annotations
@@ -67,17 +68,9 @@ class LamplighterElement:
 
 
 def word_length(g):
-    """Lamp mass plus the shortest 0 -> cursor walk visiting every lit lamp."""
-    mass = sum(abs(v) for _, v in g.lamps)
-    c = g.cursor
-    lo = min(0, c)
-    hi = max(0, c)
-    if g.lamps:
-        lo = min(lo, g.lamps[0][0])
-        hi = max(hi, g.lamps[-1][0])
-    left_first = (0 - lo) + (hi - lo) + (hi - c)
-    right_first = (hi - 0) + (hi - lo) + (c - lo)
-    return mass + min(left_first, right_first)
+    """Lamp mass plus the shortest 0 -> cursor walk visiting every lit lamp:
+    the distance from the identity."""
+    return label_dist(((), 0), g.label())
 
 
 def label_dist(a, b):
@@ -159,7 +152,7 @@ def lamplighter_ball(radius, certify=True):
     radii = [radius - depth[g] for g in elements]
     return FiniteMetricSpace(
         labels, label_dist, f"Z wr Z ball, radius={radius}",
-        radii, geodesic=False, dist_tag="lamplighter", kind="lamplighter")
+        radii, geodesic=False, kind="lamplighter")
 
 
 def identity_ball_labels(radius):
@@ -205,7 +198,7 @@ def lamp_parts_window(ball_space):
     parts = sorted({(label[0], 0) for label in ball_space.points})
     return FiniteMetricSpace(
         parts, label_dist, f"{ball_space.window_tag}|lamp parts",
-        [0] * len(parts), geodesic=False, dist_tag="lamplighter", kind="lamplighter")
+        [0] * len(parts), geodesic=False, kind="lamplighter")
 
 
 def block_window(ball_space, m):

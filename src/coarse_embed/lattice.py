@@ -40,9 +40,9 @@ the sorted-prefix cell check.  The spec-only integers (offset numerators,
 band and prefix thresholds) are computed once per spec and point
 denominator; no Fraction is built per point.  Grid points are decoded as
 integer vectors against the spec at twice its scale (pullback_grid_cover),
-so their denominator is 1.  membership_reference (per-family rational
-rounding) and cell_contains_bruteforce (every subset inequality) stay as
-the oracles.
+so their denominator is 1.  cell_contains runs the same prefix test on
+one cleared vector.  membership_reference (per-family rational rounding)
+and cell_contains_bruteforce (every subset inequality) stay as the oracles.
 
 Box covers.  zk_cover also tries one cover that does not come from the
 lattice: cubes of side 2L-2 tiling Z^2, each grown by its closed l1
@@ -154,30 +154,18 @@ def _prefix_bounds(n, tau):
     return [Fraction(j * (n - j), 2 * n) + tau / 2 for j in range(1, n)]
 
 
-def cell_contains(v, tau=0, closed=None):
-    """Membership of a zero-sum vector in the (tau-enlarged) cell.
-
-    closed defaults to True for tau == 0 (the closed cell) and False for
-    tau > 0 (open enlargement, keeping in-family translates disjoint).
-    """
+def cell_contains(v, tau=0):
+    """Membership of a zero-sum vector in the closed cell (tau == 0) or its
+    open tau-enlargement (tau > 0, keeping in-family translates disjoint):
+    membership's integer prefix test on v and the prefix bounds cleared
+    together, each limit raised by 1 for the closed cell."""
     n = len(v)
-    if closed is None:
-        closed = (tau == 0)
-    bounds = _prefix_bounds(n, Fraction(tau))
-    ordered = sorted(v, reverse=True)
-    run = Fraction(0)
-    for j in range(1, n):
-        run += ordered[j - 1]
-        if closed:
-            if run > bounds[j - 1]:
-                return False
-        else:
-            if run >= bounds[j - 1]:
-                return False
-    return True
+    _, nums = clear_denominators([*v, *_prefix_bounds(n, Fraction(tau))])
+    closed = tau == 0
+    return _inside(nums[:n], [lim + closed for lim in nums[n:]])
 
 
-def cell_contains_bruteforce(v, tau=0, closed=None):
+def cell_contains_bruteforce(v, tau=0):
     """Oracle: test every one of the 2^n - 2 proper subsets directly.
 
     Exponential in n (capped at 12); denominators are cleared once so the
@@ -188,14 +176,9 @@ def cell_contains_bruteforce(v, tau=0, closed=None):
     n = len(v)
     if n > 12:
         raise ValueError("brute force oracle limited to n <= 12")
-    if closed is None:
-        closed = (tau == 0)
+    closed = tau == 0
     tau = Fraction(tau)
-    D = 1
-    for c in v:
-        d = c.denominator if isinstance(c, Fraction) else 1
-        D = D * d // math.gcd(D, d)
-    X = [int(c * D) for c in v]
+    D, X = clear_denominators(v)
     sums = [0] * (1 << n)
     for mask in range(1, 1 << n):
         low = mask & -mask
@@ -208,12 +191,8 @@ def cell_contains_bruteforce(v, tau=0, closed=None):
         j = mask.bit_count()
         lhs = 2 * n * td * sums[mask]
         rhs = (j * (n - j) * td + tn * n) * D
-        if closed:
-            if lhs > rhs:
-                return False
-        else:
-            if lhs >= rhs:
-                return False
+        if lhs > rhs or (lhs == rhs and not closed):
+            return False
     return True
 
 
@@ -276,7 +255,7 @@ def membership_reference(x, spec):
         y = tuple(a - b for a, b in zip(xs, shift))
         for mu in _decode_family(y, n, spec.thickening):
             v = tuple(a - b for a, b in zip(y, mu))
-            if cell_contains(v, spec.thickening, closed=False):
+            if cell_contains(v, spec.thickening):
                 out.append((i, mu))
     return out
 
@@ -298,10 +277,8 @@ class _SortedDecoder:
         self.offset_num = [o.numerator * (self.offset_den // o.denominator)
                            for o in spec.offset]
         self.band = Fraction(n - 1, 2 * n) + spec.thickening / 2
-        bounds = _prefix_bounds(n, spec.thickening)
-        self.bound_den = math.lcm(*(lim.denominator for lim in bounds))
-        self.bound_num = [lim.numerator * (self.bound_den // lim.denominator)
-                          for lim in bounds]
+        self.bound_den, self.bound_num = clear_denominators(
+            _prefix_bounds(n, spec.thickening))
         self._tables = {}
 
     def tables(self, point_den):
@@ -410,19 +387,19 @@ def membership_or_fail(x, spec):
     return found
 
 
-def in_family_separation_bound(delta, tau=0):
-    """Certified lower bound for the l1 distance between cells at offset delta.
+def in_family_separation_bound(delta):
+    """Certified lower bound for the l1 distance between closed cells at
+    offset delta.
 
     For translates mu + C and mu' + C of a convex set C on which every
     split-average gap is at most g, any two points z, z' satisfy
-    ||z - z'||_1 > gap(delta, I) - 2g for every subset I.  With the exact
-    cell g = 1/2; with the functional tau-enlargement g depends on |I|.
-    The returned value is the best such bound over singleton subsets, which
-    is what the in-family disjointness argument uses.
+    ||z - z'||_1 > gap(delta, I) - 2g for every subset I.  The closed cell
+    has g = 1/2.  The returned value is the best such bound over singleton
+    subsets, which is what the in-family disjointness argument uses.
     """
     n = len(delta)
     peak = max(abs(d) for d in delta)
-    return Fraction(n, n - 1) * peak - 1 - Fraction(tau) * Fraction(n, n - 1)
+    return Fraction(n, n - 1) * peak - 1
 
 
 def embed_grid_point(z):

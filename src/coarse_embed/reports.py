@@ -1,8 +1,8 @@
 """Deterministic CSV and JSON emission.
 
-Floating values print with 12 significant digits, rationals as "num/den",
-column order is fixed by the caller's row dicts.  Identical inputs produce
-identical bytes.
+Floating values print with 12 significant digits, rationals as "num/den"
+and integral ones as integers (the str of the Fraction), column order is
+fixed by the caller's row dicts.  Identical inputs produce identical bytes.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from fractions import Fraction
 
 def format_value(v):
     if isinstance(v, Fraction):
-        return f"{v.numerator}/{v.denominator}"
+        return str(v)
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, float):
@@ -40,7 +40,7 @@ def rows_to_csv_text(rows):
 
 def jsonable(v):
     if isinstance(v, Fraction):
-        return f"{v.numerator}/{v.denominator}"
+        return str(v)
     if isinstance(v, float):
         return float(f"{v:.12g}")
     if isinstance(v, dict):

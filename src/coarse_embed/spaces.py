@@ -28,6 +28,10 @@ from .errors import guard_cap
 _GRID_SHELL_CACHE = {}
 # window kinds whose metric takes integer values
 INTEGER_KINDS = ("grid", "tree", "lamplighter")
+# the JSON tag of each window kind whose metric space_from_json recomputes
+# from the labels; a window of no kind serializes an explicit matrix
+JSON_TAGS = {"grid": "l1-grid", "rational": "l1-rational", "tree": "tree",
+             "lamplighter": "lamplighter"}
 
 
 class FiniteMetricSpace:
@@ -39,13 +43,14 @@ class FiniteMetricSpace:
     interior_radius   list, aligned with points
     geodesic          True if any two window points are joined by a geodesic
                       running inside the window (grids, truncated trees)
-    dist_tag          recomputable-metric tag for JSON round trips
     neighbors         optional callable label -> adjacent window labels
                       (tree windows), walked for shells and BFS
+    kind              grid, rational, tree, lamplighter or None (any other
+                      metric): picks shells, pair policy and ``JSON_TAGS``
     """
 
     def __init__(self, points, dist, window_tag, interior_radius,
-                 geodesic=False, dist_tag=None, neighbors=None, kind=None):
+                 geodesic=False, neighbors=None, kind=None):
         self.points = list(points)
         self.index = {p: i for i, p in enumerate(self.points)}
         if len(self.index) != len(self.points):
@@ -54,7 +59,6 @@ class FiniteMetricSpace:
         self.window_tag = window_tag
         self.interior_radius = list(interior_radius)
         self.geodesic = geodesic
-        self.dist_tag = dist_tag
         self.neighbors = neighbors
         self.kind = kind
 
@@ -169,8 +173,7 @@ class FiniteMetricSpace:
             labels, self.dist,
             window_tag or f"{self.window_tag}|subspace",
             interior_radius,
-            geodesic=False, dist_tag=self.dist_tag,
-            neighbors=self.neighbors, kind=self.kind)
+            geodesic=False, neighbors=self.neighbors, kind=self.kind)
 
     def check_metric(self):
         """Verify the metric axioms, exhaustively when affordable.
@@ -210,7 +213,7 @@ class FiniteMetricSpace:
         return {
             "window_tag": self.window_tag,
             "points": [_label_to_json(p) for p in self.points],
-            "dist": self.dist_tag if self.dist_tag else _explicit_matrix(self),
+            "dist": JSON_TAGS.get(self.kind) or _explicit_matrix(self),
             "interior_radius": [int(r) for r in self.interior_radius],
             "geodesic": self.geodesic,
         }
@@ -240,23 +243,23 @@ def _label_from_json(obj):
 def space_from_json(doc):
     """Rebuild a space serialized by ``to_json``.
 
-    Tagged metrics are recomputed from the labels; untagged ones come back
-    as an explicit lower-triangular matrix lookup.  A document without a
-    geodesic entry comes back not geodesic.
+    A tag of ``JSON_TAGS`` gives back the window's kind, whose metric is
+    recomputed from the labels; an explicit lower-triangular matrix comes
+    back as a lookup, of no kind.  A document without a geodesic entry
+    comes back not geodesic.
     """
     points = [_label_from_json(p) for p in doc["points"]]
-    tag = doc["dist"]
-    if tag == "l1-grid":
-        dist, kind = l1_dist, "grid"
-    elif tag == "l1-rational":
+    kind = next((k for k, tag in JSON_TAGS.items() if tag == doc["dist"]), None)
+    if kind == "rational":
         return rational_window(points, doc["interior_radius"], doc["window_tag"])
-    elif tag == "tree":
-        dist, kind = tree_dist, "tree"
-    elif tag == "lamplighter":
-        from .lamplighter import label_dist
-        dist, kind = label_dist, "lamplighter"
+    if kind == "grid":
+        dist = l1_dist
+    elif kind == "tree":
+        dist = tree_dist
+    elif kind == "lamplighter":
+        from .lamplighter import label_dist as dist
     else:
-        matrix = tag
+        matrix = doc["dist"]
         index = {p: i for i, p in enumerate(points)}
 
         def dist(a, b, _m=matrix, _ix=index):
@@ -267,10 +270,8 @@ def space_from_json(doc):
                 i, j = j, i
             return _m[i][j]
 
-        kind, tag = None, None
     return FiniteMetricSpace(points, dist, doc["window_tag"], doc["interior_radius"],
-                             geodesic=doc.get("geodesic", False), dist_tag=tag,
-                             kind=kind)
+                             geodesic=doc.get("geodesic", False), kind=kind)
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +325,7 @@ def grid_space(k, half_width):
     return FiniteMetricSpace(
         points, l1_dist,
         f"Z^{k} box, half_width={half_width}",
-        radii, geodesic=True, dist_tag="l1-grid", kind="grid")
+        radii, geodesic=True, kind="grid")
 
 
 def lattice_window(points, k, tag):
@@ -351,14 +352,12 @@ def lattice_window(points, k, tag):
             else:
                 break
         radii.append(r)
-    return FiniteMetricSpace(pts, l1_dist, tag, radii, geodesic=False,
-                             dist_tag="l1-grid", kind="grid")
+    return FiniteMetricSpace(pts, l1_dist, tag, radii, geodesic=False, kind="grid")
 
 
 class _RationalWindow(FiniteMetricSpace):
     def __init__(self, points, interior_radius, tag):
-        super().__init__(points, l1_dist, tag, interior_radius,
-                         dist_tag="l1-rational", kind="rational")
+        super().__init__(points, l1_dist, tag, interior_radius, kind="rational")
         self.denominator, flat = clear_denominators(
             [c for p in self.points for c in p])
         it = iter(flat)
@@ -497,7 +496,7 @@ def tree_ball(valence, depth, spine_len=None):
     space = FiniteMetricSpace(
         points, tree_dist,
         f"{valence}-regular tree ball, depth={depth}, spine={spine_len}",
-        radii, geodesic=True, dist_tag="tree", neighbors=neighbors, kind="tree")
+        radii, geodesic=True, neighbors=neighbors, kind="tree")
     return TreeBall(valence, depth, spine_len, space)
 
 

@@ -257,8 +257,10 @@ def test_csv_json_round_trip(tmp_path):
     json_lead = doc["rows"][0]
     assert lead["lebesgue"] == json_lead["lebesgue"]
     assert lead["multiplicity"] == json_lead["multiplicity"]
-    assert isinstance(lead["scale"], Fraction)          # "num/den" rationals
-    assert str(json_lead["scale"]).count("/") == 1
+    # "num/den" rationals; an integral one prints as an integer
+    assert isinstance(lead["thickening"], Fraction)
+    assert str(json_lead["thickening"]).count("/") == 1
+    assert lead["scale"] == 1 and json_lead["scale"] == "1"
 
 
 def test_zk_cover_row_names_box_family(tmp_path):

@@ -147,7 +147,7 @@ def test_set_diameter_matches_all_pairs(name, drop_deepest, data):
 
 def test_explicit_window_is_a_matrix_round_trip():
     space = diameter_window("explicit")
-    assert space.kind is None and space.dist_tag is None
+    assert space.kind is None and isinstance(space.to_json()["dist"], list)
     assert space.deepest != space.points[0]
 
 
@@ -396,7 +396,7 @@ def test_type_function_single_point_space():
 def test_delta_consistency_rows():
     g = grid_space(1, 20)
     st = cover_stats(interval_cover(g))
-    rows = delta_consistency_report(st, p_list=(1, 2))
-    assert [r["p"] for r in rows] == [1, 2]
+    rows = delta_consistency_report(st)
+    assert [r["p"] for r in rows] == [1, 2, 3]
     for r in rows:
         assert r["mesh_growth_upper_at_L"] == float(st.mesh)

@@ -42,7 +42,6 @@ def test_gap_at_cell_vertex():
     assert sigma == (Fraction(-3, 8), Fraction(-1, 8), Fraction(1, 8), Fraction(3, 8))
     assert split_average_gap(sigma, [3]) == Fraction(1, 2)
     assert cell_contains(sigma, 0)       # on the boundary of the closed cell
-    assert not cell_contains(sigma, 0, closed=False)
 
 
 def test_gap_antisymmetry_under_complement():
@@ -75,15 +74,15 @@ def test_norm_dominates_gap():
                     assert norm > gap
 
 
-@pytest.mark.parametrize("n", [2, 4, 6])
+@pytest.mark.parametrize("n", [2, 4, 6, 8])
 def test_prefix_test_matches_bruteforce(n):
+    # the closed cell and both thickenings the decoder uses: the default
+    # and candidate_specs' tau_big = 24/(25n)
     rng = random.Random(100 + n)
-    tau = default_thickening(n)
     for _ in range(800):
         x = zero_sum_sample(rng, n, span=2)
-        for t, closed in ((0, True), (tau, False)):
-            assert cell_contains(x, t, closed=closed) == \
-                cell_contains_bruteforce(x, t, closed=closed)
+        for t in (0, default_thickening(n), Fraction(24, 25 * n)):
+            assert cell_contains(x, t) == cell_contains_bruteforce(x, t)
 
 
 def test_vertex_norm_is_half_dimension():
@@ -169,7 +168,7 @@ def test_membership_agrees_with_bruteforce_cells(case):
         for chosen in combinations(fractional, -sum(floors)):
             mu = tuple(f + (j in chosen) for j, f in enumerate(floors))
             v = [a - b for a, b in zip(y, mu)]
-            if cell_contains_bruteforce(v, tau, closed=False):
+            if cell_contains_bruteforce(v, tau):
                 expected.append((i, mu))
     assert sorted(found) == sorted(expected)
 

@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 from coarse_embed.covers import Cover, lebesgue_condition, set_diameter
 from coarse_embed.errors import CapExceeded
 from coarse_embed.kernels import boundary_distance
-from coarse_embed.spaces import (bfs_distances, grid_space, l1_dist,
-                                 lattice_window, rational_window, ray_point,
-                                 space_from_json, tree_ball, tree_dist)
+from coarse_embed.spaces import (JSON_TAGS, FiniteMetricSpace, bfs_distances,
+                                 grid_space, l1_dist, lattice_window,
+                                 rational_window, ray_point, space_from_json,
+                                 tree_ball, tree_dist)
 
 
 def test_grid_line_basics():
@@ -190,13 +191,43 @@ def test_space_json_round_trip_tree_and_matrix():
     doc = json.loads(json.dumps(tb.space.to_json()))
     back = space_from_json(doc)
     assert back.dist((0, 1), -2) == tb.space.dist((0, 1), -2)
-    # explicit matrix fallback
-    tb.space.dist_tag = None
-    doc2 = json.loads(json.dumps(tb.space.to_json()))
+    # explicit matrix fallback: the same points and metric, of no kind
+    plain = FiniteMetricSpace(tb.space.points, tb.space.dist, "untagged tree",
+                              tb.space.interior_radius)
+    doc2 = json.loads(json.dumps(plain.to_json()))
     back2 = space_from_json(doc2)
     a, b = tb.space.points[3], tb.space.points[7]
     assert back2.dist(a, b) == tb.space.dist(a, b)
-    tb.space.dist_tag = "tree"
+
+
+def test_space_json_round_trip_every_kind():
+    # each kind's tag comes from JSON_TAGS and gives the kind back; a
+    # window of no kind goes through an explicit matrix
+    from coarse_embed.lamplighter import lamp_parts_window, lamplighter_ball
+    ball = lamplighter_ball(2)
+    rational = rational_window([(Fraction(1, 2), 0), (1, Fraction(-1, 3)), (2, 2)],
+                               [0, 1, 0], "rational")
+    tree = tree_ball(3, 2).space
+    windows = [grid_space(2, 2), lattice_window([(0, 0), (0, 1), (5, 5)], 2, "sparse"),
+               rational, rational.subspace(rational.points[:2], "rational pair"),
+               tree, ball, lamp_parts_window(ball),
+               FiniteMetricSpace(tree.points, tree.dist, "untagged tree",
+                                 tree.interior_radius)]
+    assert {w.kind for w in windows} == {*JSON_TAGS, None}
+    for space in windows:
+        doc = json.loads(json.dumps(space.to_json()))
+        if space.kind:
+            assert doc["dist"] == JSON_TAGS[space.kind]
+        else:
+            assert isinstance(doc["dist"], list)
+        back = space_from_json(doc)
+        assert back.kind == space.kind
+        assert back.points == space.points
+        assert back.interior_radius == space.interior_radius
+        assert back.geodesic == space.geodesic
+        n = len(space)
+        assert [back.dist_i(i, j) for i in range(n) for j in range(n)] == \
+            [space.dist_i(i, j) for i in range(n) for j in range(n)]
 
 
 # ---------------------------------------------------------------------------
