@@ -140,7 +140,7 @@ class CompressionEmbedding:
         self.theoretical_C = sum(
             w * (eps ** p) for w, (_, _, eps) in zip(self.level_weights, field.levels)
         ) ** (1.0 / p)
-        base = field.levels[-1][1].base
+        self.base = base = field.levels[-1][1].base
         shared = None
         for _, kern, _ in field.levels:
             if kern.base is not base:
@@ -155,11 +155,10 @@ class CompressionEmbedding:
 
     def level_difference_powers(self, x, y):
         """Per-level p-th powers of the kernel row differences."""
-        out = []
-        for S, kern, _ in self.field.levels:
-            i, j = kern.base.index[x], kern.base.index[y]
-            out.append(diff_norm(kern.row(i), kern.row(j), self.p) ** self.p)
-        return out
+        i, j = self.base.index[x], self.base.index[y]     # one window
+        p = self.p
+        return [diff_norm(kern.row(i), kern.row(j), p) ** p
+                for _, kern, _ in self.field.levels]
 
     def distance(self, x, y):
         powers = self.level_difference_powers(x, y)

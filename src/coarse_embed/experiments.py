@@ -371,11 +371,15 @@ def run_profile(c):
         except (ContractViolation, CoverageError):
             return None
 
+    @functools.cache
+    def grid_stats(L):      # each level's kernel measured once
+        return kernel_stats(pou_kernel(grid_cover(L)[0], p))
+
     def grid_builder(S):
         for L in range(max(1, int(S) // 2), 0, -1):
             built = grid_cover(L)
             if built is not None and built[1].mesh <= S:
-                return kernel_stats(pou_kernel(built[0], p))
+                return grid_stats(L)
         return None
 
     tree = tree_ball(3, c["tree_depth"])

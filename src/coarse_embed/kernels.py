@@ -27,13 +27,21 @@ Work that does not depend on p is done once and shared:
 - the partition-of-unity kernels of one cover share one cache of row
   support radii, because their rows have the same supports for every p;
 - each cover's weights (``cover_weights``) are computed once per cover,
-  and their p-th powers once per kernel, that is per (cover, p).
+  and their p-th powers once per kernel, that is per (cover, p);
+- the rows of a tent kernel share one list of normalized profile values.
+
+Rows are kept only while something reads them: ``kernel_stats`` measures
+through a scratch row cache and lets go of the rows it built, so a later
+reader (an embedding reads the rows of its sampled points only) rebuilds
+the rows it needs.  Every row is a pure function of its kernel, so a
+rebuilt row equals the measured one.
 """
 
 from __future__ import annotations
 
 import random
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, repeat, starmap
@@ -86,10 +94,12 @@ class Kernel:
     """Sparse unit-sphere-valued map on a window.
 
     rows are dicts point-index -> value, built lazily through row_fn and
-    cached.  Values are exact rationals when exact is set (p = 1
-    constructions) and floats otherwise.
+    cached until ``kernel_stats``, which drops the rows it built.  Values
+    are exact rationals when exact is set (p = 1 constructions) and floats
+    otherwise.
     domain_indices restricts where rows are defined (support may still use
-    the whole window); None means everywhere.
+    the whole window); None means everywhere.  row checks it on a cache
+    miss, by bisecting the sorted indices.
     Each row's support radius is measured once and cached in radii, a dict
     point-index -> radius that kernels whose rows share their supports may
     share (None: a cache of this kernel's own).  plans, a dict holding at
@@ -106,33 +116,33 @@ class Kernel:
         self.exact = exact
         self.domain_indices = (list(range(len(base))) if domain_indices is None
                                else sorted(domain_indices))
-        self._domain_set = set(self.domain_indices)
         self._rows = {}
         self._radii = {} if radii is None else radii
         self._plans = plans
 
     def row(self, i):
-        if i not in self._rows:
-            if i not in self._domain_set:
+        row = self._rows.get(i)
+        if row is None:
+            domain = self.domain_indices
+            k = bisect_left(domain, i)
+            if k == len(domain) or domain[k] != i:
                 raise KeyError(f"kernel not defined at {self.base.points[i]}")
-            self._rows[i] = self.row_fn(i)
-        return self._rows[i]
+            row = self._rows[i] = self.row_fn(i)
+        return row
 
     def support_radius(self, indices=None):
         """Largest distance from a point to its row's support, over indices
         (default: the domain), and the first point index attaining it
         (None over no indices)."""
-        radii, dist = self._radii, self.base.dist_i
+        radii, space = self._radii, self.base
+        coords, dist, _ = space.scan_view()
         worst, at = 0, None
         for i in (indices if indices is not None else self.domain_indices):
             r = radii.get(i)
             if r is None:
-                r = 0
-                for j in self.row(i):
-                    d = dist(i, j)
-                    if d > r:
-                        r = d
-                radii[i] = r
+                r = radii[i] = space.unscale(max(
+                    map(dist, repeat(coords[i]), map(coords.__getitem__, self.row(i))),
+                    default=0))
             if at is None or r > worst:
                 worst, at = r, i
         return worst, at
@@ -288,29 +298,38 @@ def kernel_stats(kernel, min_interior=0, *, seed=None, sample_pairs=None):
     the ambient space and therefore only sufficiently far from the window
     boundary).  seed and sample_pairs are accepted and ignored: no
     measurement samples.
+
+    The rows are read through a scratch copy of the kernel's row cache:
+    the rows cached before the call stay, and the rows built during it are
+    dropped.  The support radii stay in the kernel's radius cache.
     """
     space = kernel.base
     eligible = [i for i in kernel.domain_indices
                 if space.interior_radius[i] >= min_interior]
-    sup_radius, sup_at = kernel.support_radius(eligible)
-    norm_error, err_at = kernel.norm_error(eligible)
-    cap = 2.0 * (1.0 + norm_error)
-    plan = pair_plan(kernel, eligible)
+    kept = kernel._rows
+    kernel._rows = dict(kept)
+    try:
+        sup_radius, sup_at = kernel.support_radius(eligible)
+        norm_error, err_at = kernel.norm_error(eligible)
+        cap = 2.0 * (1.0 + norm_error)
+        plan = pair_plan(kernel, eligible)
 
-    # the strict > keeps the first maximum, so a pair whose bound falls
-    # below floor cannot change lipschitz or argmax_pair
-    best = floor = 0.0
-    arg = None
-    evaluated = 0
-    for (i, j), d in plan.scan(lambda r: cap / r >= floor):
-        if cap / d < floor:
-            continue
-        q = kernel.pair_quotient(i, j, d)
-        evaluated += 1
-        if q > best:
-            best = q
-            floor = best * (1.0 - PRUNE_MARGIN)
-            arg = (space.points[i], space.points[j])
+        # the strict > keeps the first maximum, so a pair whose bound falls
+        # below floor cannot change lipschitz or argmax_pair
+        best = floor = 0.0
+        arg = None
+        evaluated = 0
+        for (i, j), d in plan.scan(lambda r: cap / r >= floor):
+            if cap / d < floor:
+                continue
+            q = kernel.pair_quotient(i, j, d)
+            evaluated += 1
+            if q > best:
+                best = q
+                floor = best * (1.0 - PRUNE_MARGIN)
+                arg = (space.points[i], space.points[j])
+    finally:
+        kernel._rows = kept
 
     def label(i):
         return None if i is None else space.points[i]
@@ -453,13 +472,13 @@ def tree_kernel_tent(tree, S, p):
     space = tree.space
     profile = tent_profile(S)
     norm = p_norm(profile, p)
+    values = [v / norm for v in profile]    # shared by every row
 
     def row_fn(i):
         label = space.points[i]
         out = {}
-        for d, v in enumerate(profile):
-            z = ray_point(label, d)
-            out[space.index[z]] = v / norm
+        for d, v in enumerate(values):
+            out[space.index[ray_point(label, d)]] = v
         return out
 
     return Kernel(space, p, row_fn, name=f"tent S={S} p={p}",

@@ -489,6 +489,47 @@ def test_tent_neighbor_difference_identity(S, p):
     assert d ** p * norm ** p == pytest.approx(2 ** p * (2 * (S // 2) + 2), rel=1e-9)
 
 
+def test_tent_row_raises_outside_its_ray_domain():
+    tree = tree_ball(3, 2, spine_len=4)
+    kern = tree_kernel_tent(tree, 4, 1)
+    sp = tree.space
+    domain = set(kern.domain_indices)
+    outside = [i for i, x in enumerate(sp.points)
+               if isinstance(x, int) and i not in domain]
+    assert outside
+    for i in outside:
+        with pytest.raises(KeyError):
+            kern.row(i)
+    assert all(kern.row(i) for i in domain)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: tree_kernel_tent(tree_ball(3, 6), 4, 2),
+    lambda: pou_kernel(balls_cover(grid_space(2, 6), 2), 2),
+], ids=["tent", "pou"])
+def test_kernel_stats_drops_the_rows_it_built(build):
+    kern = build()
+    built = {}
+    row_fn = kern.row_fn
+
+    def recording(i):
+        built[i] = row_fn(i)
+        return built[i]
+
+    kern.row_fn = recording
+    held = {i: kern.row(i) for i in kern.domain_indices[:3]}
+    first = kernel_stats(kern)
+    assert kern._rows == held
+    assert all(kern._rows[i] is row for i, row in held.items())
+    measured = dict(built)
+    assert set(measured) > set(held)
+    assert kernel_stats(kern) == first
+    assert kern._rows == held
+    for i, row in measured.items():
+        rebuilt = kern.row(i)
+        assert rebuilt == row and list(rebuilt) == list(row)
+
+
 def test_tent_norm_floor_every_node():
     tree = tree_ball(3, 5)
     for S in (2, 4, 8):

@@ -74,15 +74,40 @@ def test_norm_dominates_gap():
                     assert norm > gap
 
 
+def cell_wall_sample(rng, n):
+    """A permuted cell vertex scaled by 1/2, 1 or 3/2 (inside, on the
+    closed cell's boundary, outside), or the midpoint of two permuted
+    vertices, which lies on a wall or inside."""
+    def vertex():
+        v = list(vertex_profile(n))
+        rng.shuffle(v)
+        return v
+    kind = rng.randrange(4)
+    if kind < 3:
+        return tuple(Fraction(kind + 1, 2) * c for c in vertex())
+    return tuple((a + b) / 2 for a, b in zip(vertex(), vertex()))
+
+
+def on_closed_wall(x):
+    """The largest split gap, over the sets of the j largest coordinates,
+    is exactly the closed cell's 1/2."""
+    top = sorted(range(len(x)), key=x.__getitem__, reverse=True)
+    return max(split_average_gap(x, top[:j]) for j in range(1, len(x))) == Fraction(1, 2)
+
+
 @pytest.mark.parametrize("n", [2, 4, 6, 8])
 def test_prefix_test_matches_bruteforce(n):
     # the closed cell and both thickenings the decoder uses: the default
-    # and candidate_specs' tau_big = 24/(25n)
+    # and candidate_specs' tau_big = 24/(25n); random samples rarely land
+    # on a wall of the closed cell, so half the points are built on one
     rng = random.Random(100 + n)
-    for _ in range(800):
-        x = zero_sum_sample(rng, n, span=2)
+    walls = 0
+    for k in range(800):
+        x = zero_sum_sample(rng, n, span=2) if k % 2 else cell_wall_sample(rng, n)
+        walls += on_closed_wall(x)
         for t in (0, default_thickening(n), Fraction(24, 25 * n)):
             assert cell_contains(x, t) == cell_contains_bruteforce(x, t)
+    assert walls > 100
 
 
 def test_vertex_norm_is_half_dimension():

@@ -112,6 +112,54 @@ def test_ray_points_walk_to_infinity():
     assert tree_dist(label, walk[7]) == 7
 
 
+SPINE = 8
+
+
+def spine_path(label):
+    """The label as a path down from the spine point -SPINE."""
+    if isinstance(label, int):
+        return ("s",) * (SPINE + label)
+    return ("s",) * SPINE + label
+
+
+def common_prefix_dist(a, b):
+    """Tree distance by definition: both paths climb to their meet."""
+    pa, pb = spine_path(a), spine_path(b)
+    common = 0
+    while common < min(len(pa), len(pb)) and pa[common] == pb[common]:
+        common += 1
+    return len(pa) + len(pb) - 2 * common
+
+
+tree_labels = st.one_of(st.lists(st.integers(0, 2), max_size=7).map(tuple),
+                        st.integers(-SPINE, -1))
+
+
+@st.composite
+def tree_label_pairs(draw):
+    """Any two labels, an ancestor and its descendant, or two nodes below
+    sibling children, in either order."""
+    a = draw(tree_labels)
+    kind = draw(st.sampled_from(("any", "ancestor", "siblings")))
+    if kind == "any" or not isinstance(a, tuple):
+        b = draw(tree_labels)
+    elif kind == "ancestor":
+        b = a[:draw(st.integers(0, len(a)))]
+    else:
+        c = draw(st.integers(0, 2))
+        below = draw(st.lists(st.integers(0, 2), max_size=3))
+        b = a + ((c + 1) % 3,) + tuple(below)
+        a = a + (c,) + tuple(draw(st.lists(st.integers(0, 2), max_size=3)))
+    return (b, a) if draw(st.booleans()) else (a, b)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(tree_label_pairs())
+def test_tree_dist_is_the_common_prefix_distance(pair):
+    a, b = pair
+    assert tree_dist(a, b) == common_prefix_dist(a, b) == tree_dist(b, a)
+
+
 def test_tree_interior_radius_reflects_missing_neighbors():
     tb = tree_ball(3, 4)
     sp = tb.space
