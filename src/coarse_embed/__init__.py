@@ -4,8 +4,7 @@ compression embeddings on finite metric windows."""
 from .errors import CapExceeded, ContractViolation, CoverageError
 from .spaces import (FiniteMetricSpace, grid_space, lattice_window,
                      space_from_json, tree_ball)
-from .lamplighter import (LamplighterElement, lamplighter_ball, word_length,
-                          lamp_coordinates)
+from .lamplighter import lamp_coordinates, lamplighter_ball, word_length
 from .covers import (Cover, CoverStats, balls_cover, cover_stats,
                      interval_cover, pullback_cover)
 from .lattice import (LatticeCoverSpec, cell_contains, membership,

@@ -24,7 +24,7 @@ from .covers import (Envelopes, balls_cover, check_pullback_inequalities,
 from .embeddings import (KernelField, build_embedding, compression_report,
                          overlog_shape, shape_condition, weight_from_type)
 from .errors import ConfigError, ContractViolation, CoverageError
-from .kernels import (diff_norm_exact, epsilon_profile_upper, kernel_stats,
+from .kernels import (diff_norm, epsilon_profile_upper, kernel_stats,
                       mazur_pairs_check, p_norm, pou_kernel, pou_lipschitz_bound,
                       pullback_kernel, tent_norm_floor, tent_profile,
                       tree_kernel_tent)
@@ -568,8 +568,8 @@ def run_pullback_check(c):
     gaps = [(abs(sum(sigma.row(i).values()) - sum(source[x].values())), x)
             for i, x in enumerate(grid.points)]
     off_norm = [x for gap, x in gaps if gap]
-    margins = [(diff_norm_exact(sigma.row(grid.index[a]), sigma.row(grid.index[b]))
-                - diff_norm_exact(source[a], source[b]), (a, b)) for a, b in pairs]
+    margins = [(diff_norm(sigma.row(grid.index[a]), sigma.row(grid.index[b]), 1)
+                - diff_norm(source[a], source[b], 1), (a, b)) for a, b in pairs]
     stretched = [pair for margin, pair in margins if margin > 0]
     margin = max([0] + [m for m, _ in margins])
     s_sigma, s_xi = sigma.support_radius()[0], xi.support_radius()[0]

@@ -66,28 +66,18 @@ def p_norm(values, p):
 
 def diff_norm(row_a, row_b, p):
     """l^p norm of row_a - row_b, summed in a fixed order: row_a's entries
-    in row order, then row_b's remaining entries in row order."""
-    acc = 0.0
+    in row order, then row_b's remaining entries in row order.  Exact on
+    rational rows at p = 1."""
+    acc = 0
     for key, va in row_a.items():
         vb = row_b.get(key)
-        d = abs(float(va) - float(vb)) if vb is not None else abs(float(va))
+        d = abs(va - vb) if vb is not None else abs(va)
         acc += d if p == 1 else d ** p
     for key, vb in row_b.items():
         if key not in row_a:
-            d = abs(float(vb))
+            d = abs(vb)
             acc += d if p == 1 else d ** p
     return acc if p == 1 else acc ** (1.0 / p)
-
-
-def diff_norm_exact(row_a, row_b):
-    """Exact l1 difference of two rational rows."""
-    acc = Fraction(0)
-    for key, va in row_a.items():
-        acc += abs(va - row_b.get(key, 0))
-    for key, vb in row_b.items():
-        if key not in row_a:
-            acc += abs(vb)
-    return acc
 
 
 class Kernel:
@@ -95,8 +85,7 @@ class Kernel:
 
     rows are dicts point-index -> value, built lazily through row_fn and
     cached until ``kernel_stats``, which drops the rows it built.  Values
-    are exact rationals when exact is set (p = 1 constructions) and floats
-    otherwise.
+    are floats, or exact rationals in exact p = 1 constructions.
     domain_indices restricts where rows are defined (support may still use
     the whole window); None means everywhere.  row checks it on a cache
     miss, by bisecting the sorted indices.
@@ -107,13 +96,12 @@ class Kernel:
     (None: kernel_stats builds a plan per scan).
     """
 
-    def __init__(self, base, p, row_fn, name="", exact=False, domain_indices=None,
+    def __init__(self, base, p, row_fn, name="", domain_indices=None,
                  radii=None, plans=None):
         self.base = base
         self.p = p
         self.row_fn = row_fn
         self.name = name
-        self.exact = exact
         self.domain_indices = (list(range(len(base))) if domain_indices is None
                                else sorted(domain_indices))
         self._rows = {}
@@ -126,7 +114,8 @@ class Kernel:
             domain = self.domain_indices
             k = bisect_left(domain, i)
             if k == len(domain) or domain[k] != i:
-                raise KeyError(f"kernel not defined at {self.base.points[i]}")
+                where = self.base.points[i] if 0 <= i < len(self.base) else f"index {i}"
+                raise KeyError(f"kernel not defined at {where}")
             row = self._rows[i] = self.row_fn(i)
         return row
 
@@ -404,39 +393,31 @@ def pou_kernel(cover, p, exact=False):
     space = cover.space
     mem = cover.membership()
     psi = cover_weights(cover)
-    if exact:
-        set_norm = [Fraction(sum(vals.values())) for vals in psi]
-    else:
-        norm_p = [float(p_norm(vals.values(), p)) ** p for vals in psi]
-        # per set, float(w) ** p in the set's weight order
-        powers = [array("d", (float(w) ** p for w in vals.values())) for vals in psi]
+    num = Fraction if exact else float
+    # per set, num(w) ** p in the set's weight order, and the p-th power of
+    # the set's norm
+    powers = [[num(w) ** p for w in vals.values()] for vals in psi]
+    norm_p = [sum(ws) if exact else p_norm(vals.values(), p) ** p
+              for ws, vals in zip(powers, psi)]
 
     def row_fn(i):
         owners = mem[i]
         if not owners:
             raise ContractViolation(f"point {space.points[i]} uncovered")
-        if exact:
-            total = Fraction(sum(psi[sid][i] for sid in owners))
-            out = {}
-            for sid in owners:
-                phi = Fraction(psi[sid][i]) / total
-                for z, w in psi[sid].items():
-                    out[z] = out.get(z, Fraction(0)) + phi * Fraction(w) / set_norm[sid]
-            return out
-        weights = [float(psi[sid][i]) for sid in owners]
-        total_p = sum(w ** p for w in weights)
+        weights = [num(psi[sid][i]) ** p for sid in owners]
+        total_p = sum(weights)
         out = {}
-        for sid, w in zip(owners, weights):
-            coef = (w ** p) / total_p
+        for sid, w_p in zip(owners, weights):
+            coef = w_p / total_p
             set_norm_p = norm_p[sid]
             for z, wz_p in zip(psi[sid], powers[sid]):
-                out[z] = out.get(z, 0.0) + coef * wz_p / set_norm_p
+                out[z] = out.get(z, 0) + coef * wz_p / set_norm_p
         if p == 1:
             return out
         return {z: v ** (1.0 / p) for z, v in out.items()}
 
     return Kernel(space, p, row_fn, name=f"pou({cover.name}, p={p})",
-                  exact=exact, radii=cover._radii, plans=cover._plans)
+                  radii=cover._radii, plans=cover._plans)
 
 
 def pou_lipschitz_bound(stats, p=1):
@@ -455,55 +436,46 @@ def tent_profile(S):
     return [S + 2 - abs(S - 2 * d) for d in range(S + 1)]
 
 
+def _ray_kernel(tree, p, values, name):
+    """Kernel whose row at a node puts values[d] on the ray point at
+    distance d, defined on the sub-window of nodes whose ray of length
+    len(values) - 1 stays inside."""
+    from .spaces import ray_point
+
+    length = len(values) - 1
+    domain = tree.ray_domain(length)
+    if not domain:
+        raise ValueError(f"window too shallow for rays of length {length}")
+    space = tree.space
+
+    def row_fn(i):
+        label = space.points[i]
+        return {space.index[ray_point(label, d)]: v for d, v in enumerate(values)}
+
+    return Kernel(space, p, row_fn, name=name, domain_indices=domain)
+
+
 def tree_kernel_tent(tree, S, p):
     """Tent-profile kernel: supported on the first S+1 ray points.
 
     Defined on the sub-window of nodes whose ray of length S stays inside.
     The unnormalized profile has p-norm exceeding (S^(p+1)/(p+1))^(1/p),
     and adjacent rows differ in p-norm by exactly (2^p (2 floor(S/2) + 2))^(1/p).
+    Every row shares one list of normalized profile values.
     """
-    from .spaces import ray_point
-
     if S < 1:
         raise ValueError("S must be >= 1")
-    domain = tree.ray_domain(S)
-    if not domain:
-        raise ValueError(f"window too shallow for rays of length {S}")
-    space = tree.space
     profile = tent_profile(S)
     norm = p_norm(profile, p)
-    values = [v / norm for v in profile]    # shared by every row
-
-    def row_fn(i):
-        label = space.points[i]
-        out = {}
-        for d, v in enumerate(values):
-            out[space.index[ray_point(label, d)]] = v
-        return out
-
-    return Kernel(space, p, row_fn, name=f"tent S={S} p={p}",
-                  domain_indices=domain)
+    return _ray_kernel(tree, p, [v / norm for v in profile], f"tent S={S} p={p}")
 
 
 def tree_kernel_flat(tree, S, p):
     """Flat-profile kernel: mass S^(-1/p) on the S ray points starting at
     the node itself (distances 0 .. S-1), giving exact unit norm."""
-    from .spaces import ray_point
-
     if S < 1:
         raise ValueError("S must be >= 1")
-    domain = tree.ray_domain(S - 1)
-    if not domain:
-        raise ValueError(f"window too shallow for rays of length {S - 1}")
-    space = tree.space
-    value = S ** (-1.0 / p)
-
-    def row_fn(i):
-        label = space.points[i]
-        return {space.index[ray_point(label, d)]: value for d in range(S)}
-
-    return Kernel(space, p, row_fn, name=f"flat S={S} p={p}",
-                  domain_indices=domain)
+    return _ray_kernel(tree, p, [S ** (-1.0 / p)] * S, f"flat S={S} p={p}")
 
 
 def tent_norm_floor(S, p):
@@ -575,8 +547,6 @@ def pullback_kernel(f, domain, kernel):
         else:
             a = coords[j]
             retract[j] = min(image_ids, key=lambda i: dist(a, coords[i]))
-    exact = kernel.exact
-
     domain_of_anchor = {target.index[y]: domain.index[x] for y, x in image.items()}
 
     def row_fn(i):
@@ -586,7 +556,7 @@ def pullback_kernel(f, domain, kernel):
         for j, v in base_row.items():
             anchor = retract[j]
             mass = abs(v) if p == 1 else abs(float(v)) ** p
-            acc[anchor] = acc.get(anchor, Fraction(0) if exact else 0.0) + mass
+            acc[anchor] = acc.get(anchor, 0) + mass
         out = {}
         for anchor, mass in acc.items():
             if mass != 0:
@@ -594,7 +564,7 @@ def pullback_kernel(f, domain, kernel):
                 out[w_idx] = mass if p == 1 else float(mass) ** (1.0 / p)
         return out
 
-    return Kernel(domain, p, row_fn, name=f"pullback({kernel.name})", exact=exact)
+    return Kernel(domain, p, row_fn, name=f"pullback({kernel.name})")
 
 
 # ---------------------------------------------------------------------------

@@ -1,80 +1,52 @@
 """The restricted wreath product of the integers with themselves.
 
-Elements are a finitely supported Z -> Z lamp configuration plus a cursor
-position.  Generators are the cursor moves t, t^-1 and the lamp increments
-a, a^-1 acting at the cursor.  Word length has a closed form: total lamp
-mass plus the shortest walk on the line that starts at 0, visits every lit
-lamp and ends at the cursor; label_dist computes it between any two
-labels, and word_length is label_dist from the identity.  A BFS oracle
-over the generators certifies the closed form on every enumerated ball.
+An element is its label (lamps, cursor): a sorted tuple of (position,
+nonzero value) pairs, the finitely supported Z -> Z lamp configuration,
+and the cursor position.  ``mul`` is the group law on labels.  Generators
+are the cursor moves t, t^-1 and the lamp increments a, a^-1 acting at
+the cursor.  Word length has a closed form: total lamp mass plus the
+shortest walk on the line that starts at 0, visits every lit lamp and ends
+at the cursor; label_dist computes it between any two labels, and
+word_length is label_dist from the identity.  A BFS oracle over the
+generators certifies the closed form on every enumerated ball.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
+from bisect import bisect_left
 
 from .errors import guard_cap
 from .spaces import FiniteMetricSpace
 
-_IDENTITY_BALL_CACHE = {}
+IDENTITY = ((), 0)
+# the identity's shells by word length, each in generator-BFS order
+_IDENTITY_SHELLS = [[IDENTITY]]
 # largest radius whose ambient shells translated_shell enumerates
 SHELL_CAP = 12
 
 
-@dataclass(frozen=True)
-class LamplighterElement:
-    """lamps: sorted tuple of (position, nonzero value); cursor: int."""
-    lamps: tuple
-    cursor: int
-
-    def __post_init__(self):
-        assert all(v != 0 for _, v in self.lamps)
-        assert list(self.lamps) == sorted(self.lamps)
-
-    @staticmethod
-    def identity():
-        return LamplighterElement((), 0)
-
-    @staticmethod
-    def from_dict(lamps, cursor=0):
-        items = tuple(sorted((p, v) for p, v in lamps.items() if v != 0))
-        return LamplighterElement(items, cursor)
-
-    def lamp_dict(self):
-        return dict(self.lamps)
-
-    def mul(self, other):
-        lamps = self.lamp_dict()
-        for p, v in other.lamps:
-            q = p + self.cursor
-            w = lamps.get(q, 0) + v
-            if w == 0:
-                lamps.pop(q, None)
-            else:
-                lamps[q] = w
-        return LamplighterElement.from_dict(lamps, self.cursor + other.cursor)
-
-    def inv(self):
-        lamps = {p - self.cursor: -v for p, v in self.lamps}
-        return LamplighterElement.from_dict(lamps, -self.cursor)
-
-    def label(self):
-        return (self.lamps, self.cursor)
-
-    @staticmethod
-    def from_label(label):
-        return LamplighterElement(tuple(tuple(x) for x in label[0]), label[1])
+def mul(a, b):
+    """The group law: b's lamps, shifted by a's cursor, added to a's lamps;
+    the cursors add."""
+    (lamps_a, ca), (lamps_b, cb) = a, b
+    lamps = dict(lamps_a)
+    for p, v in lamps_b:
+        w = lamps.get(p + ca, 0) + v
+        if w:
+            lamps[p + ca] = w
+        else:
+            del lamps[p + ca]
+    return tuple(sorted(lamps.items())), ca + cb
 
 
 def word_length(g):
     """Lamp mass plus the shortest 0 -> cursor walk visiting every lit lamp:
     the distance from the identity."""
-    return label_dist(((), 0), g.label())
+    return label_dist(IDENTITY, g)
 
 
 def label_dist(a, b):
-    """Word distance between two labels, without building elements.
+    """Word distance between two labels.
 
     The difference configuration lives at absolute positions; its mass
     plus the shortest walk from cursor a to cursor b visiting its support
@@ -101,39 +73,57 @@ def label_dist(a, b):
 
 
 def generator_moves(g):
-    """The four one-letter right multiplications."""
-    yield LamplighterElement(g.lamps, g.cursor + 1)
-    yield LamplighterElement(g.lamps, g.cursor - 1)
-    lamps = g.lamp_dict()
-    for dv in (1, -1):
-        w = lamps.get(g.cursor, 0) + dv
-        d = dict(lamps)
-        if w == 0:
-            d.pop(g.cursor, None)
-        else:
-            d[g.cursor] = w
-        yield LamplighterElement.from_dict(d, g.cursor)
+    """The four one-letter right multiplications, in the order t, t^-1, a,
+    a^-1."""
+    lamps, c = g
+    yield lamps, c + 1
+    yield lamps, c - 1
+    k = bisect_left(lamps, (c,))
+    head, tail = lamps[:k], lamps[k:]
+    v = 0
+    if tail and tail[0][0] == c:
+        v, tail = tail[0][1], tail[1:]
+    for w in (v + 1, v - 1):
+        yield (head + ((c, w),) + tail if w else head + tail), c
+
+
+def identity_shells(radius):
+    """The identity's shells 0..radius (at least), each a list of labels in
+    generator-BFS order.
+
+    One cache grows to the largest radius asked for: BFS order of the
+    elements of length <= r does not depend on how far the search goes.
+    The next shell is the frontier's moves that lie in neither the frontier
+    nor the shell before it (a move changes the length by at most one), in
+    the order the frontier finds them.
+    """
+    shells = _IDENTITY_SHELLS
+    while len(shells) <= radius:
+        frontier = shells[-1]
+        seen = set(frontier)
+        if len(shells) > 1:
+            seen.update(shells[-2])
+        size = sum(map(len, shells))
+        grown = []
+        for g in frontier:
+            for h in generator_moves(g):
+                if h not in seen:
+                    seen.add(h)
+                    grown.append(h)
+                    guard_cap(size + len(grown), f"lamplighter ball radius {radius}")
+        shells.append(grown)
+    return shells
 
 
 def bfs_ball(radius, certify=True):
-    """All elements of word length <= radius, with their BFS depths.
+    """All elements of word length <= radius, with their BFS depths, in
+    BFS order.
 
     With certify=True every BFS depth is compared against the closed-form
     length; a mismatch is a hard error.
     """
-    origin = LamplighterElement.identity()
-    depth = {origin: 0}
-    queue = deque([origin])
-    while queue:
-        g = queue.popleft()
-        d = depth[g]
-        if d == radius:
-            continue
-        for h in generator_moves(g):
-            if h not in depth:
-                depth[h] = d + 1
-                queue.append(h)
-                guard_cap(len(depth), f"lamplighter ball radius {radius}")
+    shells = identity_shells(radius)
+    depth = {g: d for d in range(radius + 1) for g in shells[d]}
     if certify:
         for g, d in depth.items():
             f = word_length(g)
@@ -144,36 +134,22 @@ def bfs_ball(radius, certify=True):
 
 
 def lamplighter_ball(radius, certify=True):
-    """Word-metric ball as a FiniteMetricSpace (labels are element tuples)."""
+    """Word-metric ball as a FiniteMetricSpace, its labels sorted by
+    (length, label)."""
     depth = bfs_ball(radius, certify=certify)
-    elements = sorted(depth, key=lambda g: (depth[g], g.label()))
-    labels = [g.label() for g in elements]
-
-    radii = [radius - depth[g] for g in elements]
+    labels = sorted(depth, key=lambda g: (depth[g], g))
+    radii = [radius - depth[g] for g in labels]
     return FiniteMetricSpace(
         labels, label_dist, f"Z wr Z ball, radius={radius}",
         radii, geodesic=False, kind="lamplighter")
 
 
-def identity_ball_labels(radius):
-    """Cached elements of word length <= radius, grouped by length (for
-    translated shells)."""
-    if radius not in _IDENTITY_BALL_CACHE:
-        depth = bfs_ball(radius, certify=False)
-        by_r = {}
-        for g, d in depth.items():
-            by_r.setdefault(d, []).append(g)
-        _IDENTITY_BALL_CACHE[radius] = by_r
-    return _IDENTITY_BALL_CACHE[radius]
-
-
 def translated_shell(label, r):
-    """Ambient shell around an element, via left translation of the identity shell."""
+    """Ambient shell around an element: the left translate of the identity
+    shell."""
     if r > SHELL_CAP:
         raise ValueError(f"lamplighter shell radius {r} beyond cap {SHELL_CAP}")
-    g = LamplighterElement.from_label(label)
-    by_r = identity_ball_labels(r)
-    return [g.mul(u).label() for u in by_r.get(r, ())]
+    return [mul(label, u) for u in identity_shells(r)[r]]
 
 
 # ---------------------------------------------------------------------------

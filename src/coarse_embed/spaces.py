@@ -150,8 +150,8 @@ class FiniteMetricSpace:
         if self.kind == "grid":
             return len(_grid_shell_offsets(len(self.points[0]), r))
         if self.kind == "lamplighter":
-            from .lamplighter import SHELL_CAP, identity_ball_labels
-            return len(identity_ball_labels(r).get(r, ())) if r <= SHELL_CAP else None
+            from .lamplighter import SHELL_CAP, identity_shells
+            return len(identity_shells(r)[r]) if r <= SHELL_CAP else None
         return len(self) if self.integer_metric else None
 
     def closed_ball(self, label, r):

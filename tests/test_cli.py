@@ -140,8 +140,7 @@ def broken(experiment, settings, target, fake, check=None, **sizes):
 def halved(f, domain, kernel):
     """The pulled-back kernel with every row at half its mass."""
     sigma = pullback_kernel(f, domain, kernel)
-    return Kernel(domain, 1, lambda i: {j: v / 2 for j, v in sigma.row(i).items()},
-                  exact=True)
+    return Kernel(domain, 1, lambda i: {j: v / 2 for j, v in sigma.row(i).items()})
 
 
 BROKEN = [
@@ -177,8 +176,7 @@ BROKEN = [
     broken("pullback-check", "", "pullback_kernel", halved, check="norm",
            PULLBACK_HALF_WIDTH=3),
     broken("pullback-check", "", "pullback_kernel",
-           lambda f, domain, kernel: Kernel(domain, 1, lambda i: {i: Fraction(1)},
-                                            exact=True),
+           lambda f, domain, kernel: Kernel(domain, 1, lambda i: {i: Fraction(1)}),
            check="contraction", PULLBACK_HALF_WIDTH=3),
     broken("pullback-check", "", "PULLBACK_PAIR_DRAWS", 0, check="support",
            PULLBACK_HALF_WIDTH=3),

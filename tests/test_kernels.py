@@ -59,6 +59,8 @@ def test_interval_cover_kernel_values_p1(line_window):
     d = sum(abs(kern.row(x).get(k, Fraction(0)) - kern.row(y).get(k, Fraction(0)))
             for k in set(kern.row(x)) | set(kern.row(y)))
     assert d == Fraction(3, 4)
+    exact = diff_norm(kern.row(x), kern.row(y), 1)
+    assert exact == d and isinstance(exact, Fraction)
     assert sum(kern.row(x).values()) == 1
 
 
@@ -190,7 +192,7 @@ def restricted(kern, keep, seed):
     rng = random.Random(seed)
     domain = [i for i in kern.domain_indices if rng.random() < keep]
     return Kernel(kern.base, kern.p, kern.row, name=f"{kern.name} restricted",
-                  exact=kern.exact, domain_indices=domain)
+                  domain_indices=domain)
 
 
 @st.composite
@@ -501,6 +503,18 @@ def test_tent_row_raises_outside_its_ray_domain():
         with pytest.raises(KeyError):
             kern.row(i)
     assert all(kern.row(i) for i in domain)
+
+
+@pytest.mark.parametrize("domain", [None, [1, 2]], ids=["full", "restricted"])
+def test_row_rejects_indices_outside_the_window(domain):
+    kern = Kernel(grid_space(1, 1), 1, lambda i: {i: 1.0}, domain_indices=domain)
+    for i in (-1, -3, 3, 7):
+        with pytest.raises(KeyError, match=f"index {i}"):
+            kern.row(i)
+    if domain:
+        with pytest.raises(KeyError, match=r"\(-1,\)"):
+            kern.row(0)
+    assert kern.row(2) == {2: 1.0}
 
 
 @pytest.mark.parametrize("build", [

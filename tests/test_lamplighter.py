@@ -5,19 +5,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coarse_embed.lamplighter import (LamplighterElement, bfs_ball,
-                                      block_window, coset_key, block_part,
+from coarse_embed.lamplighter import (IDENTITY, bfs_ball, block_window,
+                                      coset_key, block_part, generator_moves,
                                       lamp_coordinates, lamp_parts_window,
-                                      lamplighter_ball, label_dist,
+                                      lamplighter_ball, label_dist, mul,
                                       word_length)
+
+# the generators t, t^-1, a, a^-1, in generator_moves order
+GENERATORS = [((), 1), ((), -1), (((0, 1),), 0), (((0, -1),), 0)]
 
 
 def elem(lamps, cursor=0):
-    return LamplighterElement.from_dict(lamps, cursor)
+    """The label of a lamp dict position -> value and a cursor."""
+    return tuple(sorted((p, v) for p, v in lamps.items() if v)), cursor
+
+
+def inv(g):
+    """The inverse label: lamps negated and moved back by the cursor."""
+    lamps, cursor = g
+    return elem({p - cursor: -v for p, v in lamps}, -cursor)
 
 
 def test_identity_length_zero():
-    assert word_length(LamplighterElement.identity()) == 0
+    assert word_length(IDENTITY) == 0
 
 
 def test_single_lamp_at_cursor():
@@ -37,11 +47,24 @@ def test_length_formula_against_bfs_small():
 def test_group_operations():
     a = elem({0: 1})
     t = elem({}, 1)
-    w = t.mul(a).mul(t).mul(a)     # lamps at 1 and 2, cursor 2
-    assert w.lamp_dict() == {1: 1, 2: 1}
-    assert w.cursor == 2
-    assert w.mul(w.inv()) == LamplighterElement.identity()
+    w = mul(mul(mul(t, a), t), a)     # lamps at 1 and 2, cursor 2
+    assert w == (((1, 1), (2, 1)), 2)
+    assert mul(w, inv(w)) == IDENTITY
     assert word_length(w) == 4
+
+
+def test_right_multiplication_by_a_generator_is_a_move():
+    for g in lamplighter_ball(5).points:
+        assert [mul(g, s) for s in GENERATORS] == list(generator_moves(g))
+
+
+def test_group_law_associative_with_inverses():
+    ball = lamplighter_ball(4).points
+    rng = random.Random(11)
+    for _ in range(500):
+        a, b, c = (rng.choice(ball) for _ in range(3))
+        assert mul(mul(a, b), c) == mul(a, mul(b, c))
+        assert mul(a, inv(a)) == IDENTITY == mul(inv(a), a)
 
 
 def test_ball_radius_one():
@@ -62,9 +85,7 @@ def test_ball_distance_is_word_metric():
     rng = random.Random(0)
     for _ in range(200):
         a, b = rng.choice(ball.points), rng.choice(ball.points)
-        ga = LamplighterElement.from_label(a)
-        gb = LamplighterElement.from_label(b)
-        assert ball.dist(a, b) == word_length(ga.inv().mul(gb))
+        assert ball.dist(a, b) == word_length(mul(inv(a), b))
 
 
 def test_interior_radius_tracks_depth():
@@ -96,16 +117,26 @@ def test_label_dist_matches_bfs_depth(data):
     ball5 = list(bfs_depths(5))
     a = data.draw(st.sampled_from(ball5))
     b = data.draw(st.sampled_from(ball5))
-    assert label_dist(a.label(), b.label()) == bfs_depths(10)[a.inv().mul(b)]
+    assert label_dist(a, b) == bfs_depths(10)[mul(inv(a), b)]
+
+
+def test_window_shells_are_the_distance_shells():
+    ball = lamplighter_ball(6)
+    for x in ball.points:
+        by_distance = {}
+        for q in ball.points:
+            by_distance.setdefault(label_dist(x, q), set()).add(q)
+        for r in range(4):
+            assert set(ball.shell(x, r)) == by_distance.get(r, set())
 
 
 def test_block_coordinates_round_trip_and_bounds():
     g = elem({-1: 3, 1: -2})
-    assert lamp_coordinates(g.label(), 2) == (3, 0, -2)
+    assert lamp_coordinates(g, 2) == (3, 0, -2)
     with pytest.raises(ValueError):
-        lamp_coordinates(elem({2: 1}).label(), 2)
+        lamp_coordinates(elem({2: 1}), 2)
     with pytest.raises(ValueError):
-        lamp_coordinates(elem({0: 1}, 1).label(), 2)
+        lamp_coordinates(elem({0: 1}, 1), 2)
 
 
 def test_coordinate_sandwich_example():
@@ -113,7 +144,7 @@ def test_coordinate_sandwich_example():
     x = elem({1: 1})
     d_k = word_length(x)
     assert d_k == 3
-    v = lamp_coordinates(x.label(), 2)
+    v = lamp_coordinates(x, 2)
     l1 = sum(abs(c) for c in v)
     assert l1 == 1
     assert d_k - 4 * (2 - 1) <= l1 <= d_k
@@ -140,10 +171,8 @@ def test_cosets_partition_and_representatives(ball8):
     assert () in keys and len(keys) > 1
     for p in parts.points[:200]:
         key = coset_key(p, m)
-        rep = LamplighterElement(key, 0)     # the outside lamps, cursor 0
-        inner = block_part(p, m)
-        rebuilt = rep.mul(LamplighterElement.from_label(inner))
-        assert rebuilt.label() == p
+        rep = (key, 0)     # the outside lamps, cursor 0
+        assert mul(rep, block_part(p, m)) == p
 
 
 def test_distinct_cosets_far_apart(ball8):
