@@ -384,12 +384,12 @@ def pullback_cover(f, domain, cover, name=""):
                          tag=cover.tags.__getitem__)
 
 
-def check_pullback_inequalities(f, domain, cover, pulled, pairs):
-    """Measured form of the dilation/compression relations of an induced
-    cover: rho_plus(L(f*U)) >= L(U) and rho_minus(S(f*U)) <= S(U).  The
-    second fails when no pair lies at distance S(f*U) or more."""
-    env = Envelopes((domain.dist(a, b), cover.space.dist(f(a), f(b)))
-                    for a, b in pairs)
+def check_pullback_inequalities(env, cover, pulled):
+    """Measured form of the dilation/compression relations of the cover
+    pulled = f*U induced from cover = U: rho_plus(L(f*U)) >= L(U) and
+    rho_minus(S(f*U)) <= S(U), read from the ``Envelopes`` env of f over
+    the measured pairs.  The second fails when no pair lies at distance
+    S(f*U) or more."""
     st_pull = cover_stats(pulled)
     st_orig = cover_stats(cover)
     lhs_plus = env.plus(st_pull.lebesgue)

@@ -23,18 +23,17 @@ from .covers import (Envelopes, balls_cover, check_pullback_inequalities,
                      interval_cover, pullback_cover)
 from .embeddings import (KernelField, build_embedding, compression_report,
                          overlog_shape, shape_condition, weight_from_type)
-from .errors import ConfigError, ContractViolation, CoverageError
-from .kernels import (diff_norm, epsilon_profile_upper, kernel_stats,
-                      mazur_pairs_check, p_norm, pou_kernel, pou_lipschitz_bound,
-                      pullback_kernel, tent_norm_floor, tent_profile,
-                      tree_kernel_tent)
+from .errors import ConfigError, ContractViolation, CoverageError, guard_cap
+from .kernels import (diff_norm, kernel_stats, mazur_pairs_check, p_norm,
+                      pou_kernel, pou_lipschitz_bound, pullback_kernel,
+                      tent_norm_floor, tent_profile, tree_kernel_tent)
 from .lamplighter import (bfs_ball, block_window, lamp_coordinates,
                           lamplighter_ball, word_length)
 from .lattice import (BoxCoverSpec, LatticeCoverSpec, cell_contains,
                       cell_contains_bruteforce, embed_grid_point,
                       in_family_separation_bound, membership,
                       membership_or_fail, zk_cover)
-from .spaces import grid_space, rational_window, tree_ball
+from .spaces import grid_space, rational_window, ray_domain, tree_ball
 from .wreath import wreath_cover
 
 
@@ -173,12 +172,23 @@ def run_voronoi_check(c):
     """Sampled zero-sum points against the permutohedron cell and the
     lattice cover, and the separation of lattice translates in a box
     (criterion 3).  n is even and at most 12, the limit of the brute-force
-    cell oracle; box defaults to 6, 2, 1 for n = 2, 4, 6."""
+    cell oracle; box defaults to 6, 2, 1 for n = 2, 4, 6 and to 1 above.
+    The translates and their pairs count against the size cap: at box 1,
+    n = 10 (40,073,628 pairs) and n = 12 need COARSE_EMBED_CAP raised."""
     n, samples = c["n"], c["samples"]
     if n % 2:
         raise ConfigError(f"n must be even, got {n}")
     if n > 12:
         raise ConfigError(f"n must be at most 12 (brute-force oracle), got {n}")
+    # the translate scan, sized before anything is sampled: the
+    # enumerated combinations, then the pairs of the kept translates
+    box = c["box"] or {2: 6, 4: 2, 6: 1}.get(n, 1)
+    guard_cap((2 * box + 1) ** (n - 1), f"voronoi-check translates (n={n}, box={box})")
+    pts = [combo + (-sum(combo),)
+           for combo in product(range(-box, box + 1), repeat=n - 1)
+           if abs(sum(combo)) <= box]
+    n_pairs = guard_cap(len(pts) * (len(pts) - 1) // 2,
+                        f"voronoi-check translate pairs (n={n}, box={box})")
     rng = random.Random(c["seed"])
     spec = LatticeCoverSpec.standard(n)
     mismatched, uncovered, crowded = [], [], []     # offending samples
@@ -195,10 +205,6 @@ def run_voronoi_check(c):
         if len(found) > n:
             crowded.append(x)
         max_mult = max(max_mult, len(found))
-    box = c["box"] or {2: 6, 4: 2, 6: 1}.get(n, 1)
-    pts = [combo + (-sum(combo),)
-           for combo in product(range(-box, box + 1), repeat=n - 1)
-           if abs(sum(combo)) <= box]
     deltas = (tuple(x - y for x, y in zip(a, b))
               for i, a in enumerate(pts) for b in pts[i + 1:])
     worst_sep, worst_delta = min(
@@ -209,7 +215,7 @@ def run_voronoi_check(c):
         "prefix_vs_bruteforce_mismatches": len(mismatched),
         "uncovered": len(uncovered), "max_multiplicity": max_mult,
         "separation_lower_bound": worst_sep, "separation_target": target,
-        "translate_pairs": len(pts) * (len(pts) - 1) // 2,
+        "translate_pairs": n_pairs,
     }]
     checks = []
     _check(checks, "prefix vs bruteforce mismatches", len(mismatched), 0,
@@ -375,7 +381,7 @@ def run_profile(c):
     def grid_stats(L):      # each level's kernel measured once
         return kernel_stats(pou_kernel(grid_cover(L)[0], p))
 
-    def grid_builder(S):
+    def grid_kernel_stats(S):   # the largest level of mesh at most S
         for L in range(max(1, int(S) // 2), 0, -1):
             built = grid_cover(L)
             if built is not None and built[1].mesh <= S:
@@ -384,23 +390,33 @@ def run_profile(c):
 
     tree = tree_ball(3, c["tree_depth"])
 
-    def tree_builder(S):
-        if S < 1 or not tree.ray_domain(int(S)):
+    def tree_kernel_stats(S):
+        if S < 1 or not ray_domain(tree, int(S)):
             return None
         return kernel_stats(tree_kernel_tent(tree, int(S), p))
 
-    for name, builder, S_list, mazur_ref in (
-            ("grid2", grid_builder, c["grid_S_list"], None),
-            ("tree", tree_builder, c["tree_S_list"],
-             (0.0, lambda S: 8.0 / S))):
-        try:
-            prof = epsilon_profile_upper(S_list, p, builder,
-                                         mazur_reference=mazur_ref)
-        except ContractViolation as exc:
-            _check(checks, f"{name} profile", str(exc), "a kernel at every S",
-                   False, lambda: exc.witness)
-            continue
-        rows.extend({"space": name, **row} for row in prof)
+    # each curve's measured constant per S, its running minimum (a larger
+    # support budget can reuse a smaller kernel), and on the tree the
+    # interpolation bound (8 / S) log(S) / p for S >= e^p; a curve with
+    # no kernel of support radius at most S at some S reports no rows
+    for name, stats_at, S_list in (("grid2", grid_kernel_stats, c["grid_S_list"]),
+                                   ("tree", tree_kernel_stats, c["tree_S_list"])):
+        curve, running = [], None
+        for S in sorted(S_list):
+            ks = stats_at(S)
+            if ks is None or ks.support_radius > S:
+                _check(checks, f"{name} profile",
+                       f"no kernel construction available at S={S}",
+                       "a kernel at every S", False, lambda: S)
+                curve = []
+                break
+            running = ks.lipschitz if running is None else min(running, ks.lipschitz)
+            row = {"space": name, "S": S, "eps_upper": running,
+                   "eps_measured": ks.lipschitz}
+            if name == "tree" and S >= math.exp(p):
+                row["mazur_bound"] = (1.0 / p) * (8.0 / S) * math.log(S)
+            curve.append(row)
+        rows.extend(curve)
 
     ball = lamplighter_ball(c["wreath_radius"], certify=False)
     wreath_rows = []
@@ -573,10 +589,9 @@ def run_pullback_check(c):
     stretched = [pair for margin, pair in margins if margin > 0]
     margin = max([0] + [m for m, _ in margins])
     s_sigma, s_xi = sigma.support_radius()[0], xi.support_radius()[0]
-    rho = Envelopes((grid.dist(a, b), target.dist(f(a), f(b)))
-                    for a, b in pairs).minus(s_sigma)
-    pulled = check_pullback_inequalities(f, grid, cover,
-                                         pullback_cover(f, grid, cover), pairs)
+    env = Envelopes((grid.dist(a, b), target.dist(f(a), f(b))) for a, b in pairs)
+    rho = env.minus(s_sigma)
+    pulled = check_pullback_inequalities(env, cover, pullback_cover(f, grid, cover))
     rows = [{"target_points": len(target), "sets": len(cover), "pairs": len(pairs),
              "off_norm_rows": len(off_norm), "norm_error": max(g for g, _ in gaps),
              "contraction_margin": margin, "support_radius_sigma": s_sigma,

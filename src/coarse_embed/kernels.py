@@ -17,6 +17,10 @@ exceed 2(1 + e)/d: a pair whose bound falls below the running maximum is
 counted as bounded instead of evaluated, and a scan stops at the first
 distance whose bound does.
 
+Tree kernels put a profile on the ray toward the marked end and are
+defined on the window's ray domain (``spaces.ray_domain``); the
+``profile`` experiment measures their epsilon profile.
+
 Work that does not depend on p is done once and shared:
 
 - the policy's pairs and their distances form a ``PairPlan``, keyed on
@@ -437,22 +441,22 @@ def tent_profile(S):
 
 
 def _ray_kernel(tree, p, values, name):
-    """Kernel whose row at a node puts values[d] on the ray point at
-    distance d, defined on the sub-window of nodes whose ray of length
-    len(values) - 1 stays inside."""
-    from .spaces import ray_point
+    """Kernel on a ``tree_ball`` window whose row at a node puts values[d]
+    on the ray point at distance d, defined on the sub-window of nodes
+    whose ray of length len(values) - 1 stays inside."""
+    from .spaces import ray_domain, ray_point
 
     length = len(values) - 1
-    domain = tree.ray_domain(length)
+    domain = ray_domain(tree, length)
     if not domain:
         raise ValueError(f"window too shallow for rays of length {length}")
-    space = tree.space
+    index = tree.index
 
     def row_fn(i):
-        label = space.points[i]
-        return {space.index[ray_point(label, d)]: v for d, v in enumerate(values)}
+        label = tree.points[i]
+        return {index[ray_point(label, d)]: v for d, v in enumerate(values)}
 
-    return Kernel(space, p, row_fn, name=name, domain_indices=domain)
+    return Kernel(tree, p, row_fn, name=name, domain_indices=domain)
 
 
 def tree_kernel_tent(tree, S, p):
@@ -565,37 +569,3 @@ def pullback_kernel(f, domain, kernel):
         return out
 
     return Kernel(domain, p, row_fn, name=f"pullback({kernel.name})")
-
-
-# ---------------------------------------------------------------------------
-# Profile reporting
-
-
-def epsilon_profile_upper(S_list, p, build, mazur_reference=None):
-    """Upper bounds on the best kernel Lipschitz constant per support level.
-
-    build: callable S -> the built kernel's KernelStats or None.  For each
-    S the measured constant of the built kernel is reported when its support
-    radius is at most S; the final column is made non-increasing in S (a
-    larger support budget can always reuse a smaller kernel).  When
-    mazur_reference = (alpha, phi) is given, the interpolation bound
-    (e^alpha / p) * phi(S) * log S is reported alongside for S >= e^p.
-    """
-    import math
-
-    rows = []
-    running = None
-    for S in sorted(S_list):
-        built = build(S)
-        if built is None or built.support_radius > S:
-            raise ContractViolation(f"no kernel construction available at S={S}",
-                                    witness=S)
-        measured = built.lipschitz
-        running = measured if running is None else min(running, measured)
-        row = {"S": S, "eps_upper": running, "eps_measured": measured}
-        if mazur_reference is not None:
-            alpha, phi = mazur_reference
-            if S >= math.exp(p):
-                row["mazur_bound"] = (math.exp(alpha) / p) * phi(S) * math.log(S)
-        rows.append(row)
-    return rows

@@ -7,6 +7,9 @@ ball, a rational point set in a zero-sum hyperplane).  Each point carries an
 around the point lies entirely inside the window.  Downstream statistics
 (Lebesgue numbers, kernel Lipschitz constants) restrict themselves to
 sufficiently interior points so that window truncation never fakes a result.
+Every constructor returns its ``FiniteMetricSpace``; on a ``tree_ball``
+window, the points whose ray toward the marked end stays inside for a
+given length (``ray_domain``) are read from the labels.
 
 A ``rational_window`` keeps its labels cleared to integer numerators over
 one denominator, so the scans over a whole window (``scan_view``) compare
@@ -429,40 +432,29 @@ def ray_point(label, t):
     return -(t - len(label))
 
 
-class TreeBall:
-    """Truncated (valence)-regular tree plus a spine toward the marked end."""
-
-    def __init__(self, valence, depth, spine_len, space):
-        self.valence = valence
-        self.depth = depth
-        self.spine_len = spine_len
-        self.space = space
-
-    def ray_available(self, label):
-        """How many steps toward infinity stay inside the window."""
-        if isinstance(label, int):
-            return self.spine_len + label
-        return len(label) + self.spine_len
-
-    def ray_domain(self, length):
-        """Indices of nodes whose ray of the given length stays inside:
-        all tree nodes plus a spine prefix."""
-        return [i for i, p in enumerate(self.space.points)
-                if self.ray_available(p) >= length]
+def ray_domain(space, length):
+    """Indices of the tree window's points whose ray toward the marked end
+    stays inside for the given length: every tree node and the spine
+    points at least length below the spine's top."""
+    return [i for i, p in enumerate(space.points)
+            if ray_point(p, length) in space.index]
 
 
-def tree_ball(valence, depth, spine_len=None):
-    """Rooted (valence)-regular tree truncated at depth, plus a spine.
+def tree_ball(valence, depth):
+    """Rooted (valence)-regular tree truncated at depth, plus a spine of
+    2 * depth points toward the marked end.
 
     Every internal vertex has full valence in the ambient tree; the window
     keeps the root's subtree to the given depth and the spine path, so the
     only ambient neighbors missing are the deep descendants and the side
-    subtrees hanging off the spine.
+    subtrees hanging off the spine.  The ray from a node toward the marked
+    end stays inside for its own depth plus the spine's 2 * depth steps:
+    the root's 2 * depth and a leaf's 3 * depth are the support limits of
+    the ``embed`` and ``tree-embed`` experiments.
     """
     if valence < 3 or depth < 1:
         raise ValueError("need valence >= 3 and depth >= 1")
-    if spine_len is None:
-        spine_len = 2 * depth
+    spine_len = 2 * depth
     branching = valence - 1
     count = sum(branching ** d for d in range(depth + 1)) + spine_len
     guard_cap(count, f"tree_ball(valence={valence}, depth={depth})")
@@ -499,11 +491,10 @@ def tree_ball(valence, depth, spine_len=None):
             radii.append(0)  # side subtrees of the spine are not in the window
         else:
             radii.append(min(depth - len(p), len(p) + 1))
-    space = FiniteMetricSpace(
+    return FiniteMetricSpace(
         points, tree_dist,
         f"{valence}-regular tree ball, depth={depth}, spine={spine_len}",
         radii, geodesic=True, neighbors=neighbors, kind="tree")
-    return TreeBall(valence, depth, spine_len, space)
 
 
 def bfs_distances(space, source):

@@ -112,6 +112,16 @@ def test_cap_exceeded_exits_three(tmp_path, monkeypatch):
     assert code == 3
 
 
+@pytest.mark.parametrize("settings", ["n=12 samples=1", "n=2 box=10000000 samples=1"],
+                         ids=["pairs", "translates"])
+def test_voronoi_translate_scan_past_the_cap_exits_three(tmp_path, settings):
+    # n=12 at box 1 keeps 73,789 translates, 2,722,371,366 pairs; the huge
+    # box is refused before its translates are enumerated
+    code = main(["voronoi-check", *sets(settings), "--out", str(tmp_path / "r")])
+    assert code == 3
+    assert not list(tmp_path.iterdir())
+
+
 def test_contract_failure_exits_one_with_witness(tmp_path):
     code, out = run(tmp_path, "zk-cover", "--set", "k=1", "--set", "L=2",
                     "--set", "half_width=20")

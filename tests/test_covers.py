@@ -114,7 +114,7 @@ def diameter_window(name):
     """Windows on which set_diameter runs its pivot-pruned scan."""
     rng = random.Random(3)
     if name == "tree":
-        return tree_ball(3, 5).space
+        return tree_ball(3, 5)
     if name == "lamplighter":
         return lamplighter_ball(4)
     if name == "rational":
@@ -162,7 +162,7 @@ def test_lamplighter_cover_mesh_is_exact():
 
 @functools.cache
 def scan_window(name):
-    return {"grid": lambda: grid_space(2, 3), "tree": lambda: tree_ball(3, 4).space,
+    return {"grid": lambda: grid_space(2, 3), "tree": lambda: tree_ball(3, 4),
             "lamplighter": lambda: lamplighter_ball(3)}[name]()
 
 
@@ -288,14 +288,19 @@ def test_envelope_reads_match_their_definitions(rows, den):
         assert env.minus(10) is None
 
 
+def envelopes(f, domain, target, pairs):
+    """The envelopes of f: domain -> target over the given pairs."""
+    return Envelopes((domain.dist(a, b), target.dist(f(a), f(b))) for a, b in pairs)
+
+
 def test_pullback_minus_reads_pairs_at_or_above_the_mesh():
     # the pulled mesh is 2 and the pairs sit at distances 1 and 5: the
     # compression envelope at 2 is backed by the pair at 5 only
     line = grid_space(1, 6)
     cover = interval_cover(line)
     pulled = pullback_cover(lambda p: p, line, cover)
-    rho = check_pullback_inequalities(lambda p: p, line, cover, pulled,
-                                      [((0,), (1,)), ((0,), (5,))])
+    env = envelopes(lambda p: p, line, line, [((0,), (1,)), ((0,), (5,))])
+    rho = check_pullback_inequalities(env, cover, pulled)
     assert cover_stats(pulled).mesh == rho["orig_mesh"] == 2
     assert rho["rho_minus_at_pulled_mesh"] == 5
     assert not rho["minus_ok"]
@@ -313,10 +318,11 @@ def test_pullback_through_grid_embedding_matches_direct(small_grid):
     # the pullback machinery reproduces the direct lattice cover when fed
     # the membership listing as an abstract cover of the image points
     direct, stats, spec = zk_cover(small_grid, 2, 1)
+    pairs = [(a, b) for a in small_grid.points[:40] for b in small_grid.points[:40]
+             if a != b]
     rho = check_pullback_inequalities(
-        lambda p: p, small_grid, direct,
-        pullback_cover(lambda p: p, small_grid, direct),
-        [(a, b) for a in small_grid.points[:40] for b in small_grid.points[:40] if a != b])
+        envelopes(lambda p: p, small_grid, small_grid, pairs), direct,
+        pullback_cover(lambda p: p, small_grid, direct))
     assert rho["plus_ok"] and rho["minus_ok"]
 
 
@@ -338,8 +344,8 @@ def test_pullback_through_block_coordinates(ball10):
     assert st.lebesgue >= 2 * m or st.lebesgue_truncated
     # every pair, so that pairs at the pulled mesh back rho_minus there
     pairs = list(itertools.combinations(block.points, 2))
-    rho = check_pullback_inequalities(lambda p: coords[p], block, cover_z,
-                                      pulled, pairs)
+    env = envelopes(lambda p: coords[p], block, grid, pairs)
+    rho = check_pullback_inequalities(env, cover_z, pulled)
     assert rho["plus_ok"] and rho["minus_ok"]
 
 

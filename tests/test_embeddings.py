@@ -105,7 +105,7 @@ def test_embedding_single_level_reduces_to_kernel_difference():
     weight = WeightFunction([2, 4], [0.0, 1.0])
     theta = build_embedding(field, weight, x0=(), p=2)
     from coarse_embed.kernels import diff_norm
-    i, j = tree.space.index[(0,)], tree.space.index[(1, 1)]
+    i, j = tree.index[(0,)], tree.index[(1, 1)]
     expected = diff_norm(kern.row(i), kern.row(j), 2)
     assert theta.distance((0,), (1, 1)) == pytest.approx(expected, rel=1e-12)
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from coarse_embed import kernels
 from coarse_embed.covers import Cover, balls_cover, cover_stats, interval_cover
+from coarse_embed.experiments import run_profile
 from coarse_embed.kernels import (Kernel, diff_norm, kernel_stats,
                                   mazur_map, mazur_pairs_check, p_norm,
                                   pou_kernel, pou_lipschitz_bound,
@@ -156,7 +157,7 @@ def random_covers(draw, windows=("line", "plane")):
     reached (so points in it alone share one support), and sometimes the
     whole window (so every row shares one support)."""
     name = draw(st.sampled_from(windows))
-    g = quotient_window(name).space if name == "tree" else quotient_window(name)
+    g = quotient_window(name)
     n = len(g)
     sets = [[g.index[q] for q in g.closed_ball(g.points[c], r)]
             for c, r in draw(st.lists(st.tuples(st.integers(0, n - 1),
@@ -471,7 +472,7 @@ def test_tent_support_radius_one():
 
 
 def test_tree_kernels_reject_shallow_windows():
-    tree = tree_ball(3, 2, spine_len=4)
+    tree = tree_ball(3, 2)
     with pytest.raises(ValueError):
         tree_kernel_tent(tree, 16, 2)
     with pytest.raises(ValueError):
@@ -480,9 +481,8 @@ def test_tree_kernels_reject_shallow_windows():
 
 @pytest.mark.parametrize("S,p", [(4, 1), (4, 2), (8, 2)])
 def test_tent_neighbor_difference_identity(S, p):
-    tree = tree_ball(3, 4, spine_len=S + 10)
-    kern = tree_kernel_tent(tree, S, p)
-    sp = tree.space
+    sp = tree_ball(3, 4)
+    kern = tree_kernel_tent(sp, S, p)
     raw = [v for v in tent_profile(S)]
     norm = p_norm(raw, p)
     i, j = sp.index[(0, 1)], sp.index[(0,)]
@@ -492,9 +492,8 @@ def test_tent_neighbor_difference_identity(S, p):
 
 
 def test_tent_row_raises_outside_its_ray_domain():
-    tree = tree_ball(3, 2, spine_len=4)
-    kern = tree_kernel_tent(tree, 4, 1)
-    sp = tree.space
+    sp = tree_ball(3, 2)
+    kern = tree_kernel_tent(sp, 4, 1)
     domain = set(kern.domain_indices)
     outside = [i for i, x in enumerate(sp.points)
                if isinstance(x, int) and i not in domain]
@@ -564,11 +563,11 @@ def test_tent_lipschitz_bound(S):
 def test_flat_kernel_examples():
     tree = tree_ball(3, 4)
     kern1 = tree_kernel_flat(tree, 1, 1)
-    row = kern1.row(tree.space.index[(0, 0)])
-    assert row == {tree.space.index[(0, 0)]: 1.0}
+    row = kern1.row(tree.index[(0, 0)])
+    assert row == {tree.index[(0, 0)]: 1.0}
     for p in (1, 2):
         kern = tree_kernel_flat(tree, 8, p)
-        i, j = tree.space.index[()], tree.space.index[-1]
+        i, j = tree.index[()], tree.index[-1]
         assert diff_norm(kern.row(i), kern.row(j), p) == pytest.approx(
             (2 / 8) ** (1 / p), abs=1e-12)
         assert kern.norm_error([i, j])[0] < 1e-12
@@ -635,19 +634,33 @@ def test_pullback_kernel_identity_map(small_grid):
     assert all(sigma.row(i) == kern.row(i) for i in range(len(small_grid)))
 
 
-def test_epsilon_profile_monotone_with_interpolation_column():
-    from coarse_embed.kernels import epsilon_profile_upper
-    tree = tree_ball(3, 7)
+def tree_profile(**cfg):
+    """run_profile with its grid, wreath and Mazur parts kept small."""
+    result = run_profile({"grid_S_list": [], "wreath_L_list": [], "mazur_dim": 2,
+                          "mazur_pairs": 1, **cfg})
+    return [r for r in result.rows if r["space"] == "tree"], result.checks
 
-    def builder(S):
-        return kernel_stats(tree_kernel_tent(tree, int(S), 2))
 
-    rows = epsilon_profile_upper([2, 4, 8, 16], 2, builder,
-                                 mazur_reference=(0.0, lambda S: 8.0 / S))
+def test_tree_profile_is_a_running_minimum_with_interpolation_column():
+    rows, checks = tree_profile(tree_depth=7, tree_S_list=[16, 2, 8, 4])
+    assert all(c.ok for c in checks)
+    assert [r["S"] for r in rows] == [2, 4, 8, 16]
     uppers = [r["eps_upper"] for r in rows]
     assert uppers == sorted(uppers, reverse=True)
+    measured = [r["eps_measured"] for r in rows]
+    assert uppers == [min(measured[:k + 1]) for k in range(len(rows))]
     assert "mazur_bound" in rows[-1]      # 16 >= e^2
     assert "mazur_bound" not in rows[0]   # 2 < e^2
+
+
+def test_tree_profile_past_the_window_fails_with_its_level():
+    # depth 1: the longest ray is 3, so S = 2 has a kernel and S = 4 none;
+    # the curve then reports no rows at all
+    rows, checks = tree_profile(tree_depth=1, tree_S_list=[2, 4, 8, 16, 32])
+    failed = [c for c in checks if not c.ok]
+    assert [(c.name, c.witness) for c in failed] == [("tree profile", 4)]
+    assert failed[0].value == "no kernel construction available at S=4"
+    assert rows == []
 
 
 def test_pullback_kernel_rejects_non_injective():

@@ -12,8 +12,8 @@ from coarse_embed.errors import CapExceeded
 from coarse_embed.kernels import boundary_distance
 from coarse_embed.spaces import (JSON_TAGS, FiniteMetricSpace, bfs_distances,
                                  grid_space, l1_dist, lattice_window,
-                                 rational_window, ray_point, space_from_json,
-                                 tree_ball, tree_dist)
+                                 rational_window, ray_domain, ray_point,
+                                 space_from_json, tree_ball, tree_dist)
 
 
 def test_grid_line_basics():
@@ -69,19 +69,17 @@ def test_metric_checker_accepts_grid():
 
 
 def test_tree_small_examples():
-    tb = tree_ball(3, 1)
-    sp = tb.space
+    sp = tree_ball(3, 1)
     assert sp.dist((), (0,)) == 1
     assert sp.dist((), -1) == 1
-    tb3 = tree_ball(3, 3)
-    leaves = [p for p in tb3.space.points if not isinstance(p, int) and len(p) == 3]
+    sp3 = tree_ball(3, 3)
+    leaves = [p for p in sp3.points if not isinstance(p, int) and len(p) == 3]
     assert leaves
-    assert all(tb3.space.dist(a, b) <= 6 for a in leaves for b in leaves)
+    assert all(sp3.dist(a, b) <= 6 for a in leaves for b in leaves)
 
 
 def test_tree_metric_equals_bfs():
-    tb = tree_ball(3, 6)
-    sp = tb.space
+    sp = tree_ball(3, 6)
     rng = random.Random(3)
     for _ in range(12):
         src = rng.choice(sp.points)
@@ -92,8 +90,7 @@ def test_tree_metric_equals_bfs():
 
 
 def test_tree_deep_metric_spotcheck_bfs():
-    tb = tree_ball(3, 12)
-    sp = tb.space
+    sp = tree_ball(3, 12)
     oracle = bfs_distances(sp, ())
     rng = random.Random(5)
     for q in rng.sample(sp.points, 300):
@@ -101,7 +98,6 @@ def test_tree_deep_metric_spotcheck_bfs():
 
 
 def test_ray_points_walk_to_infinity():
-    tb = tree_ball(3, 4)
     label = (0, 1, 0)
     walk = [ray_point(label, t) for t in range(8)]
     assert walk[0] == label
@@ -110,6 +106,20 @@ def test_ray_points_walk_to_infinity():
     for a, b in zip(walk, walk[1:]):
         assert tree_dist(a, b) == 1
     assert tree_dist(label, walk[7]) == 7
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3, 4])
+def test_ray_domain_is_the_closed_form(depth):
+    # a ray of length l stays inside from a tree node while
+    # l <= len(label) + 2 depth, and from spine point -j while
+    # l <= 2 depth - j; the lengths run one past the longest ray
+    tree = tree_ball(3, depth)
+    room = [len(p) + 2 * depth if isinstance(p, tuple) else 2 * depth + p
+            for p in tree.points]
+    for length in range(3 * depth + 2):
+        expected = [i for i, r in enumerate(room) if r >= length]
+        assert ray_domain(tree, length) == expected, length
+    assert ray_domain(tree, 3 * depth + 1) == []
 
 
 SPINE = 8
@@ -161,8 +171,7 @@ def test_tree_dist_is_the_common_prefix_distance(pair):
 
 
 def test_tree_interior_radius_reflects_missing_neighbors():
-    tb = tree_ball(3, 4)
-    sp = tb.space
+    sp = tree_ball(3, 4)
     assert sp.radius_of(()) == 1          # spine side subtrees are absent
     assert sp.radius_of((0,)) == 2
     assert sp.radius_of((0, 0, 0, 0)) == 0
@@ -172,11 +181,11 @@ def test_tree_interior_radius_reflects_missing_neighbors():
 def test_tree_subspace_shells_follow_the_metric():
     # two leaves 6 apart with no window edge between them: a walk along
     # edges would find nothing around either
-    sub = tree_ball(3, 3).space.subspace([(0, 0, 0), (1, 1, 1)])
+    sub = tree_ball(3, 3).subspace([(0, 0, 0), (1, 1, 1)])
     assert sub.closed_ball((0, 0, 0), 6) == [(0, 0, 0), (1, 1, 1)]
     assert sub.shell((1, 1, 1), 6) == [(0, 0, 0)]
     assert sub.closed_ball((0, 0, 0), 5) == [(0, 0, 0)]
-    sp = tree_ball(3, 4).space
+    sp = tree_ball(3, 4)
     rng = random.Random(4)
     for _ in range(20):
         sub = sp.subspace(rng.sample(sp.points, 12))
@@ -235,17 +244,17 @@ def test_space_json_round_trip_lamplighter():
 
 
 def test_space_json_round_trip_tree_and_matrix():
-    tb = tree_ball(3, 3)
-    doc = json.loads(json.dumps(tb.space.to_json()))
+    tree = tree_ball(3, 3)
+    doc = json.loads(json.dumps(tree.to_json()))
     back = space_from_json(doc)
-    assert back.dist((0, 1), -2) == tb.space.dist((0, 1), -2)
+    assert back.dist((0, 1), -2) == tree.dist((0, 1), -2)
     # explicit matrix fallback: the same points and metric, of no kind
-    plain = FiniteMetricSpace(tb.space.points, tb.space.dist, "untagged tree",
-                              tb.space.interior_radius)
+    plain = FiniteMetricSpace(tree.points, tree.dist, "untagged tree",
+                              tree.interior_radius)
     doc2 = json.loads(json.dumps(plain.to_json()))
     back2 = space_from_json(doc2)
-    a, b = tb.space.points[3], tb.space.points[7]
-    assert back2.dist(a, b) == tb.space.dist(a, b)
+    a, b = tree.points[3], tree.points[7]
+    assert back2.dist(a, b) == tree.dist(a, b)
 
 
 def test_space_json_round_trip_every_kind():
@@ -255,7 +264,7 @@ def test_space_json_round_trip_every_kind():
     ball = lamplighter_ball(2)
     rational = rational_window([(Fraction(1, 2), 0), (1, Fraction(-1, 3)), (2, 2)],
                                [0, 1, 0], "rational")
-    tree = tree_ball(3, 2).space
+    tree = tree_ball(3, 2)
     windows = [grid_space(2, 2), lattice_window([(0, 0), (0, 1), (5, 5)], 2, "sparse"),
                rational, rational.subspace(rational.points[:2], "rational pair"),
                tree, ball, lamp_parts_window(ball),
