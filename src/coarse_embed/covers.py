@@ -207,11 +207,11 @@ def lebesgue_condition(cover, r):
         if space.interior_radius[i] < r - 1:
             continue
         if integer:
-            ball_ids = [space.index[q] for q in space.closed_ball(p, r - 1)]
+            ball_ids = space.closed_ball(i, r - 1)
         else:
             a = coords[i]
             ball_ids = [j for j, q in enumerate(coords) if dist(a, q) < limit]
-        if not any(all(q in cover.frozen[sid] for q in ball_ids) for sid in mem[i]):
+        if not any(cover.frozen[sid].issuperset(ball_ids) for sid in mem[i]):
             return p
     return None
 
@@ -278,9 +278,8 @@ def balls_cover(space, r):
     rad = math.floor(r) if space.integer_metric else r
     sets = []
     tags = []
-    for p in space.points:
-        ball = space.closed_ball(p, rad)
-        sets.append([space.index[q] for q in ball])
+    for i, p in enumerate(space.points):
+        sets.append(space.closed_ball(i, rad))
         tags.append(p)
     return Cover(space, sets, tags=tags, name=f"balls r={r}")
 

@@ -41,7 +41,9 @@ def point_cap():
 
 
 def guard_cap(count, what):
+    """Raise CapExceeded when count passes the cap; what names the things
+    counted, unit included ("... points", "... pairs")."""
     cap = point_cap()
     if count > cap:
-        raise CapExceeded(f"{what}: {count} points exceeds cap {cap} (set {ENV_CAP} to raise)")
+        raise CapExceeded(f"{what}: {count} exceeds cap {cap} (set {ENV_CAP} to raise)")
     return count

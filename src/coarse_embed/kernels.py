@@ -225,8 +225,8 @@ class PairPlan:
                 self.policy, self.size, self.top = "edges", edges, 1
                 return
         # shells up to the largest radius r at which they still cost less,
-        # around each of the n points, than sweeping the others: the labels
-        # space.shell looks at for radii 1..r number fewer than n
+        # around each of the n points, than sweeping the others: the shell
+        # work (space.shell_work) for radii 1..r adds up to fewer than n
         top = work = 0
         while n > 1 and (w := space.shell_work(top + 1)) is not None and work + w < n:
             work += w
@@ -236,10 +236,10 @@ class PairPlan:
 
     def _shell(self, r):
         """(first, second): the pairs of eligible points at distance r."""
-        space, eligible, index = self.space, self._eligible, self.space.index
+        space, eligible = self.space, self._eligible
         first, second = array("i"), array("i")
         for i in self.key:
-            for j in sorted(index[q] for q in space.shell(space.points[i], r)):
+            for j in sorted(space.shell(i, r)):
                 if j > i and j in eligible:
                     first.append(i)
                     second.append(j)
@@ -341,17 +341,16 @@ def kernel_stats(kernel, min_interior=0, *, seed=None, sample_pairs=None):
 def boundary_distance(space, i, members, cap):
     """min(cap, window distance from point i to the complement of the set).
 
-    Integer metrics scan shells outward (shells up to the interior radius
+    Integer metrics scan shells outward, testing each whole shell of
+    indices against the frozen set (shells up to the interior radius
     coincide with ambient shells, and the cap is interior_radius + 1);
     any other takes the minimum over the complement directly, on the
     space's scan_view (integer numerators on rational windows).
     """
     if space.integer_metric:
-        p = space.points[i]
         for r in range(1, cap):
-            for q in space.shell(p, r):
-                if space.index[q] not in members:
-                    return r
+            if not members.issuperset(space.shell(i, r)):
+                return r
         return cap
     coords, dist, D = space.scan_view()
     a = coords[i]

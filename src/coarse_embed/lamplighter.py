@@ -110,7 +110,7 @@ def identity_shells(radius):
                 if h not in seen:
                     seen.add(h)
                     grown.append(h)
-                    guard_cap(size + len(grown), f"lamplighter ball radius {radius}")
+                    guard_cap(size + len(grown), f"lamplighter ball radius {radius} elements")
         shells.append(grown)
     return shells
 

@@ -11,6 +11,11 @@ Every constructor returns its ``FiniteMetricSpace``; on a ``tree_ball``
 window, the points whose ray toward the marked end stays inside for a
 given length (``ray_domain``) are read from the labels.
 
+Shells and closed balls take a point's index and return indices.  A
+``grid_space`` box records the index stride of each coordinate, so the
+shell of radius r around a point of interior radius at least r is that
+index plus fixed steps; every other shell looks its ambient labels up.
+
 A ``rational_window`` keeps its labels cleared to integer numerators over
 one denominator, so the scans over a whole window (``scan_view``) compare
 integers; every other window scans its labels with its metric.
@@ -50,6 +55,8 @@ class FiniteMetricSpace:
                       (tree windows), walked for shells and BFS
     kind              grid, rational, tree, lamplighter or None (any other
                       metric): picks shells, pair policy and ``JSON_TAGS``
+    strides           on a ``grid_space`` box, the index step of a unit move
+                      along each coordinate; None on every other window
     """
 
     def __init__(self, points, dist, window_tag, interior_radius,
@@ -64,6 +71,8 @@ class FiniteMetricSpace:
         self.geodesic = geodesic
         self.neighbors = neighbors
         self.kind = kind
+        self.strides = None
+        self._deltas = {}
 
     def __len__(self):
         return len(self.points)
@@ -106,50 +115,69 @@ class FiniteMetricSpace:
         radii = self.interior_radius
         return self.points[max(range(len(radii)), key=radii.__getitem__)]
 
-    def shell(self, label, r):
-        """Window points at distance exactly r from label.
+    def shell(self, i, r):
+        """Indices of the window points at distance exactly r from point i.
 
-        Grid and lamplighter windows intersect the true ambient shell with
-        the window (correct on any subset of points); geodesic tree windows
-        walk their unit edges, which every geodesic between their points
-        follows; anything else, tree subspaces included, scans the window.
+        A grid box answers a point whose interior radius is at least r by
+        index arithmetic (``deltas``): its whole ambient shell lies in the
+        box.  Other grid and lamplighter windows intersect the ambient
+        shell with the window, one index lookup per ambient label (correct
+        on any subset of points); geodesic tree windows walk their unit
+        edges, which every geodesic between their points follows; anything
+        else, tree subspaces included, scans the window.  Grid shells come
+        in ``_grid_shell_offsets`` order on both paths.
         """
         if r == 0:
-            return [label]
+            return [i]
+        if self.strides is not None and self.interior_radius[i] >= r:
+            return [i + d for d in self.deltas(r)]
+        label = self.points[i]
+        get = self.index.get
         if self.kind == "grid":
-            k = len(label)
-            offs = _grid_shell_offsets(k, r)
-            out = []
-            for off in offs:
-                q = tuple(a + b for a, b in zip(label, off))
-                if q in self.index:
-                    out.append(q)
-            return out
-        if self.kind == "lamplighter":
+            found = map(get, (tuple(map(operator.add, label, off))
+                              for off in _grid_shell_offsets(len(label), r)))
+        elif self.kind == "lamplighter":
             from .lamplighter import translated_shell
-            return [q for q in translated_shell(label, r) if q in self.index]
-        if self.geodesic and self.kind == "tree" and self.neighbors is not None:
-            return self._bfs_shell(label, r)
-        return [q for q in self.points if self.dist(label, q) == r]
+            found = map(get, translated_shell(label, r))
+        elif self.geodesic and self.kind == "tree" and self.neighbors is not None:
+            return self._bfs_shell(i, r)
+        else:
+            dist = self.dist
+            return [j for j, q in enumerate(self.points) if dist(label, q) == r]
+        return [j for j in found if j is not None]
 
-    def _bfs_shell(self, label, r):
-        seen = {label}
-        frontier = [label]
+    def deltas(self, r):
+        """Index steps of a grid box's ambient shell of radius r, one per
+        offset of ``_grid_shell_offsets``, in its order (cached)."""
+        steps = self._deltas.get(r)
+        if steps is None:
+            strides = self.strides
+            steps = self._deltas[r] = [
+                sum(map(operator.mul, off, strides))
+                for off in _grid_shell_offsets(len(strides), r)]
+        return steps
+
+    def _bfs_shell(self, i, r):
+        points, get = self.points, self.index.get
+        seen = {i}
+        frontier = [i]
         for _ in range(r):
             nxt = []
-            for p in frontier:
-                for q in self.neighbors(p):
-                    if q in self.index and q not in seen:
-                        seen.add(q)
-                        nxt.append(q)
+            for a in frontier:
+                for q in self.neighbors(points[a]):
+                    j = get(q)
+                    if j is not None and j not in seen:
+                        seen.add(j)
+                        nxt.append(j)
             frontier = nxt
         return frontier
 
     def shell_work(self, r):
-        """How many labels one ``shell(label, r)`` looks at: the ambient
-        sphere on grid and lamplighter windows, at most the window on trees;
-        None past the radius the lamplighter enumerates and off integer
-        metrics."""
+        """How many ambient labels one ``shell(i, r)`` accounts for: the
+        ambient sphere on grid and lamplighter windows (the index steps of
+        a box's interior points, the lookups elsewhere), at most the window
+        on trees; None past the radius the lamplighter enumerates and off
+        integer metrics."""
         if self.kind == "grid":
             return len(_grid_shell_offsets(len(self.points[0]), r))
         if self.kind == "lamplighter":
@@ -157,14 +185,15 @@ class FiniteMetricSpace:
             return len(identity_shells(r)[r]) if r <= SHELL_CAP else None
         return len(self) if self.integer_metric else None
 
-    def closed_ball(self, label, r):
-        """Window points at distance at most r from label: shells 0..r on
-        integer metrics, a scan of the window on any other."""
+    def closed_ball(self, i, r):
+        """Indices of the window points at distance at most r from point i:
+        shells 0..r on integer metrics, a scan of the window on any other."""
         if not self.integer_metric:
-            return [q for q in self.points if self.dist(label, q) <= r]
+            label, dist = self.points[i], self.dist
+            return [j for j, q in enumerate(self.points) if dist(label, q) <= r]
         out = []
         for s in range(r + 1):
-            out.extend(self.shell(label, s))
+            out.extend(self.shell(i, s))
         return out
 
     def subspace(self, labels, window_tag=None, interior_radius=None):
@@ -321,14 +350,17 @@ def grid_space(k, half_width):
     if k < 1 or half_width < 1:
         raise ValueError("need k >= 1 and half_width >= 1")
     side = 2 * half_width + 1
-    guard_cap(side ** k, f"grid_space(k={k}, half_width={half_width})")
+    guard_cap(side ** k, f"grid_space(k={k}, half_width={half_width}) points")
     points = [tuple(p) for p in itertools.product(range(-half_width, half_width + 1), repeat=k)]
 
     radii = [half_width - max(abs(c) for c in p) for p in points]
-    return FiniteMetricSpace(
+    box = FiniteMetricSpace(
         points, l1_dist,
         f"Z^{k} box, half_width={half_width}",
         radii, geodesic=True, kind="grid")
+    # product order: the last coordinate steps fastest
+    box.strides = tuple(side ** (k - 1 - m) for m in range(k))
+    return box
 
 
 def lattice_window(points, k, tag):
@@ -457,7 +489,7 @@ def tree_ball(valence, depth):
     spine_len = 2 * depth
     branching = valence - 1
     count = sum(branching ** d for d in range(depth + 1)) + spine_len
-    guard_cap(count, f"tree_ball(valence={valence}, depth={depth})")
+    guard_cap(count, f"tree_ball(valence={valence}, depth={depth}) points")
 
     points = [-j for j in range(spine_len, 0, -1)]
     level = [()]

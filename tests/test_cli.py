@@ -122,6 +122,14 @@ def test_voronoi_translate_scan_past_the_cap_exits_three(tmp_path, settings):
     assert not list(tmp_path.iterdir())
 
 
+def test_cap_message_names_what_it_counted(tmp_path, capsys):
+    code = main(["voronoi-check", *sets("n=12 samples=1"), "--out", str(tmp_path / "r")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "translate pairs (n=12, box=1): 2722371366 exceeds cap" in err
+    assert "points" not in err
+
+
 def test_contract_failure_exits_one_with_witness(tmp_path):
     code, out = run(tmp_path, "zk-cover", "--set", "k=1", "--set", "L=2",
                     "--set", "half_width=20")

@@ -234,7 +234,7 @@ def test_rational_window_lebesgue_uses_the_open_ball():
     assert lebesgue_condition(cover, 1) == (0,)
     assert lebesgue_condition(cover, 2) == (0,)
     assert certified_lebesgue(cover) == (0, (0,))
-    assert sorted(line.closed_ball((0,), 1)) == [
+    assert sorted(line.points[j] for j in line.closed_ball(line.index[(0,)], 1)) == [
         (Fraction(k, 2),) for k in range(-2, 3)]
     assert len(balls_cover(line, Fraction(1, 2)).sets[8]) == 3
 

@@ -159,7 +159,7 @@ def random_covers(draw, windows=("line", "plane")):
     name = draw(st.sampled_from(windows))
     g = quotient_window(name)
     n = len(g)
-    sets = [[g.index[q] for q in g.closed_ball(g.points[c], r)]
+    sets = [g.closed_ball(c, r)
             for c, r in draw(st.lists(st.tuples(st.integers(0, n - 1),
                                                 st.integers(0, 3)), max_size=8))]
     reached = {i for s in sets for i in s}

@@ -127,7 +127,8 @@ def test_window_shells_are_the_distance_shells():
         for q in ball.points:
             by_distance.setdefault(label_dist(x, q), set()).add(q)
         for r in range(4):
-            assert set(ball.shell(x, r)) == by_distance.get(r, set())
+            shell = {ball.points[j] for j in ball.shell(ball.index[x], r)}
+            assert shell == by_distance.get(r, set())
 
 
 def test_block_coordinates_round_trip_and_bounds():

@@ -1,3 +1,4 @@
+import functools
 import json
 import random
 from fractions import Fraction
@@ -10,10 +11,12 @@ from hypothesis import strategies as st
 from coarse_embed.covers import Cover, lebesgue_condition, set_diameter
 from coarse_embed.errors import CapExceeded
 from coarse_embed.kernels import boundary_distance
-from coarse_embed.spaces import (JSON_TAGS, FiniteMetricSpace, bfs_distances,
-                                 grid_space, l1_dist, lattice_window,
-                                 rational_window, ray_domain, ray_point,
-                                 space_from_json, tree_ball, tree_dist)
+from coarse_embed.lamplighter import lamplighter_ball
+from coarse_embed.spaces import (JSON_TAGS, FiniteMetricSpace, _grid_shell_offsets,
+                                 bfs_distances, grid_space, l1_dist,
+                                 lattice_window, rational_window, ray_domain,
+                                 ray_point, space_from_json, tree_ball,
+                                 tree_dist)
 
 
 def test_grid_line_basics():
@@ -54,14 +57,72 @@ def test_grid_cap_guard():
         grid_space(6, 40)
 
 
+def labels(space, ids):
+    return [space.points[j] for j in ids]
+
+
 def test_grid_shells_partition_ball():
     g = grid_space(2, 6)
+    c = g.index[(1, -2)]
     seen = set()
     for r in range(4):
-        for q in g.shell((1, -2), r):
+        for q in labels(g, g.shell(c, r)):
             assert g.dist((1, -2), q) == r
             seen.add(q)
-    assert seen == set(g.closed_ball((1, -2), 3))
+    assert seen == set(labels(g, g.closed_ball(c, 3)))
+
+
+@functools.cache
+def shell_window(name):
+    """Windows of every shell path: grid boxes (index strides), a sparse
+    lattice window, a box subspace and a JSON round-tripped box (lookups),
+    a tree (edge walk), a tree subspace (scan) and a lamplighter ball
+    (translated shells)."""
+    rng = random.Random(5)
+    boxes = {"box1": (1, 5), "box2": (2, 3), "box3": (3, 2)}
+    if name in boxes:
+        return grid_space(*boxes[name])
+    if name == "lattice":
+        box = grid_space(2, 4).points
+        return lattice_window([p for p in box if rng.random() < 0.8], 2, "sparse")
+    if name == "box-subspace":
+        box = grid_space(2, 3)
+        return box.subspace(rng.sample(box.points, 30))
+    if name == "box-json":
+        return space_from_json(json.loads(json.dumps(grid_space(2, 3).to_json())))
+    if name == "tree":
+        return tree_ball(3, 3)
+    if name == "tree-subspace":
+        tree = tree_ball(3, 3)
+        return tree.subspace(rng.sample(tree.points, 15))
+    return lamplighter_ball(3, certify=False)
+
+
+SHELL_WINDOWS = ("box1", "box2", "box3", "lattice", "box-subspace", "box-json",
+                 "tree", "tree-subspace", "lamplighter")
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.data())
+def test_index_shells_match_the_distance_scan(data):
+    space = shell_window(data.draw(st.sampled_from(SHELL_WINDOWS)))
+    radii = space.interior_radius
+    boundary = data.draw(st.booleans())
+    pool = [i for i in range(len(space)) if (radii[i] == 0) == boundary]
+    i = data.draw(st.sampled_from(pool or range(len(space))))
+    r = max(0, radii[i] + data.draw(st.integers(-2, 2)))
+    shell, ball = space.shell(i, r), space.closed_ball(i, r)
+    assert len(set(shell)) == len(shell) and len(set(ball)) == len(ball)
+    dists = [space.dist_i(i, j) for j in range(len(space))]
+    assert set(shell) == {j for j, d in enumerate(dists) if d == r}
+    assert set(ball) == {j for j, d in enumerate(dists) if d <= r}
+    if space.kind == "grid":
+        # both grid paths list a shell in the order of its ambient offsets
+        p = space.points[i]
+        order = {off: n for n, off in enumerate(_grid_shell_offsets(len(p), r))}
+        steps = [order[tuple(a - b for a, b in zip(space.points[j], p))]
+                 for j in shell]
+        assert steps == sorted(steps)
 
 
 def test_metric_checker_accepts_grid():
@@ -182,16 +243,17 @@ def test_tree_subspace_shells_follow_the_metric():
     # two leaves 6 apart with no window edge between them: a walk along
     # edges would find nothing around either
     sub = tree_ball(3, 3).subspace([(0, 0, 0), (1, 1, 1)])
-    assert sub.closed_ball((0, 0, 0), 6) == [(0, 0, 0), (1, 1, 1)]
-    assert sub.shell((1, 1, 1), 6) == [(0, 0, 0)]
-    assert sub.closed_ball((0, 0, 0), 5) == [(0, 0, 0)]
+    a, b = sub.index[(0, 0, 0)], sub.index[(1, 1, 1)]
+    assert labels(sub, sub.closed_ball(a, 6)) == [(0, 0, 0), (1, 1, 1)]
+    assert labels(sub, sub.shell(b, 6)) == [(0, 0, 0)]
+    assert labels(sub, sub.closed_ball(a, 5)) == [(0, 0, 0)]
     sp = tree_ball(3, 4)
     rng = random.Random(4)
     for _ in range(20):
         sub = sp.subspace(rng.sample(sp.points, 12))
         x = rng.choice(sub.points)
         for r in range(10):
-            assert sorted(sub.shell(x, r), key=str) == sorted(
+            assert sorted(labels(sub, sub.shell(sub.index[x], r)), key=str) == sorted(
                 (q for q in sub.points if tree_dist(x, q) == r), key=str)
 
 
