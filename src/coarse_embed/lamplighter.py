@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 
-from .errors import guard_cap
+from .errors import guard_cap, point_cap
 from .spaces import FiniteMetricSpace
 
 IDENTITY = ((), 0)
@@ -95,7 +95,9 @@ def identity_shells(radius):
     elements of length <= r does not depend on how far the search goes.
     The next shell is the frontier's moves that lie in neither the frontier
     nor the shell before it (a move changes the length by at most one), in
-    the order the frontier finds them.
+    the order the frontier finds them.  The size cap is read once per
+    shell and raises at the first element past it; a shell enters the
+    cache only when complete.
     """
     shells = _IDENTITY_SHELLS
     while len(shells) <= radius:
@@ -104,13 +106,16 @@ def identity_shells(radius):
         if len(shells) > 1:
             seen.update(shells[-2])
         size = sum(map(len, shells))
+        room = point_cap() - size
         grown = []
         for g in frontier:
             for h in generator_moves(g):
                 if h not in seen:
                     seen.add(h)
                     grown.append(h)
-                    guard_cap(size + len(grown), f"lamplighter ball radius {radius} elements")
+                    if len(grown) > room:
+                        guard_cap(size + len(grown),
+                                  f"lamplighter ball radius {radius} elements")
         shells.append(grown)
     return shells
 

@@ -73,6 +73,7 @@ BAD_CONFIGS = [
     ("embed", "", "samples=30", "depth=0"),
     ("cp-check", "", "T=5", "subdivisions=0"),
     ("pullback-check", "", "half_width=3", "seed=1.5"),   # sizes are constants
+    ("mazur", "", "mazur_pairs=100", "seed=1.5"),          # sizes are constants
 ]
 
 
@@ -175,6 +176,7 @@ BROKEN = [
     broken("profile", "grid_S_list=[] tree_depth=2 tree_S_list=[] wreath_radius=1 "
            "wreath_L_list=[] mazur_pairs=1", "mazur_pairs_check",
            lambda *args, **kw: (3.0, 0)),
+    broken("mazur", "", "mazur_pairs_check", lambda *args, **kw: (3.0, 0)),
     # the witnesses the statistics keep: the norm-error point, the support
     # point, the multiplicity point, the mesh set and pair, and the point
     # that limits the Lebesgue level
@@ -310,6 +312,7 @@ GOLDEN_CONFIGS = [
     ("embed", "depth=8 S_levels=[2,4,8] sample_points=20"),
     ("cp-check", ""),
     ("pullback-check", ""),
+    ("mazur", ""),
 ]
 
 

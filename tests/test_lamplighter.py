@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coarse_embed import lamplighter
+from coarse_embed.errors import CapExceeded
 from coarse_embed.lamplighter import (IDENTITY, bfs_ball, block_window,
                                       coset_key, block_part, generator_moves,
-                                      lamp_coordinates, lamp_parts_window,
-                                      lamplighter_ball, label_dist, mul,
-                                      word_length)
+                                      identity_shells, lamp_coordinates,
+                                      lamp_parts_window, lamplighter_ball,
+                                      label_dist, mul, word_length)
 
 # the generators t, t^-1, a, a^-1, in generator_moves order
 GENERATORS = [((), 1), ((), -1), (((0, 1),), 0), (((0, -1),), 0)]
@@ -78,6 +80,34 @@ def test_ball_radius_one():
 def test_small_ball_counts_frozen():
     # counts certified against the generator BFS once, then frozen
     assert {r: len(bfs_ball(r)) for r in (1, 2, 3)} == {1: 5, 2: 17, 3: 53}
+
+
+def test_identity_shells_stop_at_the_cap(monkeypatch):
+    # radius 3 holds 53 elements; the 101st, in shell 4, passes a cap of 100
+    monkeypatch.setattr(lamplighter, "_IDENTITY_SHELLS", [[IDENTITY]])
+    monkeypatch.setenv("COARSE_EMBED_CAP", "100")
+    with pytest.raises(CapExceeded, match="^lamplighter ball radius 5 elements: "
+                                          "101 exceeds cap 100"):
+        identity_shells(5)
+    monkeypatch.delenv("COARSE_EMBED_CAP")
+    # only complete shells were cached, and growing on from them agrees
+    # with a BFS from scratch
+    assert lamplighter._IDENTITY_SHELLS == bfs_shells(3)
+    assert identity_shells(5) == bfs_shells(5)
+
+
+def bfs_shells(radius):
+    """Shells of a plain BFS from the identity with one visited set."""
+    shells, seen = [[IDENTITY]], {IDENTITY}
+    for _ in range(radius):
+        grown = []
+        for g in shells[-1]:
+            for h in generator_moves(g):
+                if h not in seen:
+                    seen.add(h)
+                    grown.append(h)
+        shells.append(grown)
+    return shells
 
 
 def test_ball_distance_is_word_metric():
