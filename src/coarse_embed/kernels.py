@@ -18,8 +18,10 @@ counted as bounded instead of evaluated, and a scan stops at the first
 distance whose bound does.
 
 Tree kernels put a profile on the ray toward the marked end and are
-defined on the window's ray domain (``spaces.ray_domain``); the
-``profile`` experiment measures their epsilon profile.
+defined on the window's ray domain (``spaces.ray_domain``).  A row zips
+the ray's indices (``spaces.ray``) with the profile; its support radius
+is measured, not read from the construction, so support checks test the
+walk.  The ``profile`` experiment measures their epsilon profile.
 
 Work that does not depend on p is done once and shared:
 
@@ -440,20 +442,18 @@ def tent_profile(S):
 
 
 def _ray_kernel(tree, p, values, name):
-    """Kernel on a ``tree_ball`` window whose row at a node puts values[d]
-    on the ray point at distance d, defined on the sub-window of nodes
-    whose ray of length len(values) - 1 stays inside."""
-    from .spaces import ray_domain, ray_point
+    """Kernel on a tree window whose row at a node puts values[d] on the
+    ray point at distance d, defined on the sub-window of nodes whose ray
+    of length len(values) - 1 stays inside."""
+    from .spaces import ray, ray_domain
 
     length = len(values) - 1
     domain = ray_domain(tree, length)
     if not domain:
         raise ValueError(f"window too shallow for rays of length {length}")
-    index = tree.index
 
     def row_fn(i):
-        label = tree.points[i]
-        return {index[ray_point(label, d)]: v for d, v in enumerate(values)}
+        return dict(zip(ray(tree, i, length), values))
 
     return Kernel(tree, p, row_fn, name=name, domain_indices=domain)
 

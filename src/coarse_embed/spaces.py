@@ -7,9 +7,10 @@ ball, a rational point set in a zero-sum hyperplane).  Each point carries an
 around the point lies entirely inside the window.  Downstream statistics
 (Lebesgue numbers, kernel Lipschitz constants) restrict themselves to
 sufficiently interior points so that window truncation never fakes a result.
-Every constructor returns its ``FiniteMetricSpace``; on a ``tree_ball``
-window, the points whose ray toward the marked end stays inside for a
-given length (``ray_domain``) are read from the labels.
+Every constructor returns its ``FiniteMetricSpace``.  A tree window
+derives one index array from its labels, ``up``: each point's first step
+toward the marked end.  Rays (``ray``), ray domains (``ray_domain``) and
+the shells of geodesic trees all walk it.
 
 Shells and closed balls take a point's index and return indices.  A
 ``grid_space`` box records the index stride of each coordinate, so the
@@ -27,7 +28,7 @@ import itertools
 import math
 import operator
 import random
-from collections import deque
+from array import array
 from fractions import Fraction
 from functools import cached_property
 
@@ -51,16 +52,17 @@ class FiniteMetricSpace:
     interior_radius   list, aligned with points
     geodesic          True if any two window points are joined by a geodesic
                       running inside the window (grids, truncated trees)
-    neighbors         optional callable label -> adjacent window labels
-                      (tree windows), walked for shells and BFS
     kind              grid, rational, tree, lamplighter or None (any other
                       metric): picks shells, pair policy and ``JSON_TAGS``
     strides           on a ``grid_space`` box, the index step of a unit move
                       along each coordinate; None on every other window
+    up                on a tree window, the index of each point's first step
+                      toward the marked end (``tree_up``), None where it
+                      leaves the window; derived from the labels when read
     """
 
     def __init__(self, points, dist, window_tag, interior_radius,
-                 geodesic=False, neighbors=None, kind=None):
+                 geodesic=False, kind=None):
         self.points = list(points)
         self.index = {p: i for i, p in enumerate(self.points)}
         if len(self.index) != len(self.points):
@@ -69,7 +71,6 @@ class FiniteMetricSpace:
         self.window_tag = window_tag
         self.interior_radius = list(interior_radius)
         self.geodesic = geodesic
-        self.neighbors = neighbors
         self.kind = kind
         self.strides = None
         self._deltas = {}
@@ -123,9 +124,10 @@ class FiniteMetricSpace:
         box.  Other grid and lamplighter windows intersect the ambient
         shell with the window, one index lookup per ambient label (correct
         on any subset of points); geodesic tree windows walk their unit
-        edges, which every geodesic between their points follows; anything
-        else, tree subspaces included, scans the window.  Grid shells come
-        in ``_grid_shell_offsets`` order on both paths.
+        edges (``up`` steps and children), which every geodesic between
+        their points follows; anything else, tree subspaces included,
+        scans the window.  Grid shells come in ``_grid_shell_offsets``
+        order on both paths.
         """
         if r == 0:
             return [i]
@@ -139,8 +141,8 @@ class FiniteMetricSpace:
         elif self.kind == "lamplighter":
             from .lamplighter import translated_shell
             found = map(get, translated_shell(label, r))
-        elif self.geodesic and self.kind == "tree" and self.neighbors is not None:
-            return self._bfs_shell(i, r)
+        elif self.geodesic and self.kind == "tree":
+            return self._edge_shell(i, r)
         else:
             dist = self.dist
             return [j for j, q in enumerate(self.points) if dist(label, q) == r]
@@ -157,20 +159,37 @@ class FiniteMetricSpace:
                 for off in _grid_shell_offsets(len(strides), r)]
         return steps
 
-    def _bfs_shell(self, i, r):
-        points, get = self.points, self.index.get
+    def _edge_shell(self, i, r):
+        up = self.up
+        starts, kids = self._children
         seen = {i}
         frontier = [i]
         for _ in range(r):
             nxt = []
             for a in frontier:
-                for q in self.neighbors(points[a]):
-                    j = get(q)
+                for j in itertools.chain((up[a],), kids[starts[a]:starts[a + 1]]):
                     if j is not None and j not in seen:
                         seen.add(j)
                         nxt.append(j)
             frontier = nxt
         return frontier
+
+    @cached_property
+    def up(self):
+        get = self.index.get
+        return [get(tree_up(p)) for p in self.points]
+
+    @cached_property
+    def _children(self):
+        """(starts, kids): the points whose ``up`` step is a are
+        kids[starts[a]:starts[a + 1]], ascending."""
+        up = self.up
+        kids = array("i", sorted((j for j, b in enumerate(up) if b is not None),
+                                 key=up.__getitem__))
+        counts = [0] * (len(up) + 1)
+        for j in kids:
+            counts[up[j] + 1] += 1
+        return array("i", itertools.accumulate(counts)), kids
 
     def shell_work(self, r):
         """How many ambient labels one ``shell(i, r)`` accounts for: the
@@ -205,7 +224,7 @@ class FiniteMetricSpace:
             labels, self.dist,
             window_tag or f"{self.window_tag}|subspace",
             interior_radius,
-            geodesic=False, neighbors=self.neighbors, kind=self.kind)
+            geodesic=False, kind=self.kind)
 
     def check_metric(self):
         """Verify the metric axioms, exhaustively when affordable.
@@ -453,23 +472,31 @@ def tree_dist(a, b):
     return n + m - 2 * common
 
 
-def ray_point(label, t):
-    """The point t steps from label along the direction to infinity."""
-    if t == 0:
-        return label
+def tree_up(label):
+    """The label one step from label toward the marked end."""
     if isinstance(label, int):
-        return label - t
-    if t <= len(label):
-        return label[:len(label) - t]
-    return -(t - len(label))
+        return label - 1
+    return label[:-1] if label else -1
+
+
+def ray(space, i, length):
+    """Indices of the tree window's points 0, 1, ..., length steps from
+    point i toward the marked end, or None if the ray leaves the window."""
+    up = space.up
+    out = [i]
+    for _ in range(length):
+        i = up[i]
+        if i is None:
+            return None
+        out.append(i)
+    return out
 
 
 def ray_domain(space, length):
     """Indices of the tree window's points whose ray toward the marked end
-    stays inside for the given length: every tree node and the spine
-    points at least length below the spine's top."""
-    return [i for i, p in enumerate(space.points)
-            if ray_point(p, length) in space.index]
+    stays inside for the given length."""
+    # the index's values: the point indices in order, as existing int objects
+    return [i for i in space.index.values() if ray(space, i, length) is not None]
 
 
 def tree_ball(valence, depth):
@@ -503,20 +530,6 @@ def tree_ball(valence, depth):
         points.extend(nxt)
         level = nxt
 
-    def neighbors(p, _b=branching, _d=depth, _s=spine_len):
-        if isinstance(p, int):
-            if p > -_s:
-                yield p - 1
-            yield p + 1 if p < -1 else ()
-        else:
-            if p == ():
-                yield -1
-            else:
-                yield p[:-1]
-            if len(p) < _d:
-                for c in range(_b):
-                    yield p + (c,)
-
     radii = []
     for p in points:
         if isinstance(p, int):
@@ -526,19 +539,4 @@ def tree_ball(valence, depth):
     return FiniteMetricSpace(
         points, tree_dist,
         f"{valence}-regular tree ball, depth={depth}, spine={spine_len}",
-        radii, geodesic=True, neighbors=neighbors, kind="tree")
-
-
-def bfs_distances(space, source):
-    """Graph-metric oracle: BFS over the window's unit edges."""
-    if space.neighbors is None:
-        raise ValueError("space exposes no adjacency")
-    dist = {source: 0}
-    queue = deque([source])
-    while queue:
-        p = queue.popleft()
-        for q in space.neighbors(p):
-            if q in space.index and q not in dist:
-                dist[q] = dist[p] + 1
-                queue.append(q)
-    return dist
+        radii, geodesic=True, kind="tree")

@@ -360,7 +360,7 @@ def permuted_window(space, seed):
     return FiniteMetricSpace(
         [space.points[k] for k in order], space.dist, space.window_tag + " shuffled",
         [space.interior_radius[k] for k in order], geodesic=space.geodesic,
-        neighbors=space.neighbors, kind=space.kind)
+        kind=space.kind)
 
 
 def moved_cover(cover, space):

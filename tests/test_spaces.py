@@ -1,6 +1,7 @@
 import functools
 import json
 import random
+from collections import deque
 from fractions import Fraction
 from itertools import combinations
 
@@ -10,13 +11,12 @@ from hypothesis import strategies as st
 
 from coarse_embed.covers import Cover, lebesgue_condition, set_diameter
 from coarse_embed.errors import CapExceeded
-from coarse_embed.kernels import boundary_distance
+from coarse_embed.kernels import boundary_distance, kernel_stats, tree_kernel_tent
 from coarse_embed.lamplighter import lamplighter_ball
 from coarse_embed.spaces import (JSON_TAGS, FiniteMetricSpace, _grid_shell_offsets,
-                                 bfs_distances, grid_space, l1_dist,
-                                 lattice_window, rational_window, ray_domain,
-                                 ray_point, space_from_json, tree_ball,
-                                 tree_dist)
+                                 grid_space, l1_dist, lattice_window,
+                                 rational_window, ray, ray_domain,
+                                 space_from_json, tree_ball, tree_dist)
 
 
 def test_grid_line_basics():
@@ -72,12 +72,26 @@ def test_grid_shells_partition_ball():
     assert seen == set(labels(g, g.closed_ball(c, 3)))
 
 
+def json_round_trip(space):
+    return space_from_json(json.loads(json.dumps(space.to_json())))
+
+
+def shuffled(space, rng):
+    """The same points, radii and metric in a shuffled order."""
+    order = list(range(len(space)))
+    rng.shuffle(order)
+    return FiniteMetricSpace(
+        [space.points[k] for k in order], space.dist, space.window_tag + " shuffled",
+        [space.interior_radius[k] for k in order], geodesic=space.geodesic,
+        kind=space.kind)
+
+
 @functools.cache
 def shell_window(name):
     """Windows of every shell path: grid boxes (index strides), a sparse
     lattice window, a box subspace and a JSON round-tripped box (lookups),
-    a tree (edge walk), a tree subspace (scan) and a lamplighter ball
-    (translated shells)."""
+    a tree, a JSON round-tripped tree and a shuffled tree (edge walk), a
+    tree subspace (scan) and a lamplighter ball (translated shells)."""
     rng = random.Random(5)
     boxes = {"box1": (1, 5), "box2": (2, 3), "box3": (3, 2)}
     if name in boxes:
@@ -89,9 +103,13 @@ def shell_window(name):
         box = grid_space(2, 3)
         return box.subspace(rng.sample(box.points, 30))
     if name == "box-json":
-        return space_from_json(json.loads(json.dumps(grid_space(2, 3).to_json())))
+        return json_round_trip(grid_space(2, 3))
     if name == "tree":
         return tree_ball(3, 3)
+    if name == "tree-json":
+        return json_round_trip(tree_ball(3, 3))
+    if name == "tree-shuffled":
+        return shuffled(tree_ball(3, 3), rng)
     if name == "tree-subspace":
         tree = tree_ball(3, 3)
         return tree.subspace(rng.sample(tree.points, 15))
@@ -99,7 +117,7 @@ def shell_window(name):
 
 
 SHELL_WINDOWS = ("box1", "box2", "box3", "lattice", "box-subspace", "box-json",
-                 "tree", "tree-subspace", "lamplighter")
+                 "tree", "tree-json", "tree-shuffled", "tree-subspace", "lamplighter")
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
@@ -139,6 +157,29 @@ def test_tree_small_examples():
     assert all(sp3.dist(a, b) <= 6 for a in leaves for b in leaves)
 
 
+def tree_ball_neighbors(p, branching=2):
+    """The ambient labels adjacent to a ``tree_ball`` label: a spine point
+    and the points above and below it, or a node, its parent (-1 for the
+    root) and its children."""
+    if isinstance(p, int):
+        return [p - 1, p + 1 if p < -1 else ()]
+    return [p[:-1] if p else -1] + [p + (c,) for c in range(branching)]
+
+
+def bfs_distances(space, source):
+    """Graph-metric oracle: BFS over the unit edges of a ``tree_ball``
+    window, walked on the labels."""
+    dist = {source: 0}
+    queue = deque([source])
+    while queue:
+        p = queue.popleft()
+        for q in tree_ball_neighbors(p):
+            if q in space.index and q not in dist:
+                dist[q] = dist[p] + 1
+                queue.append(q)
+    return dist
+
+
 def test_tree_metric_equals_bfs():
     sp = tree_ball(3, 6)
     rng = random.Random(3)
@@ -158,6 +199,18 @@ def test_tree_deep_metric_spotcheck_bfs():
         assert oracle[q] == sp.dist((), q)
 
 
+def ray_point(label, t):
+    """Label oracle: the point t steps from label along the direction to
+    infinity, by arithmetic on the label."""
+    if t == 0:
+        return label
+    if isinstance(label, int):
+        return label - t
+    if t <= len(label):
+        return label[:len(label) - t]
+    return -(t - len(label))
+
+
 def test_ray_points_walk_to_infinity():
     label = (0, 1, 0)
     walk = [ray_point(label, t) for t in range(8)]
@@ -167,6 +220,30 @@ def test_ray_points_walk_to_infinity():
     for a, b in zip(walk, walk[1:]):
         assert tree_dist(a, b) == 1
     assert tree_dist(label, walk[7]) == 7
+
+
+def ray_windows():
+    """(depth, window): tree_ball(3, depth) for depth = 1..4 and seeded
+    subspaces of it, some in shuffled order."""
+    rng = random.Random(9)
+    for depth in (1, 2, 3, 4):
+        tree = tree_ball(3, depth)
+        yield depth, tree
+        for _ in range(4):
+            keep = rng.sample(tree.points, rng.randrange(1, len(tree) + 1))
+            yield depth, tree.subspace(keep)
+            yield depth, shuffled(tree.subspace(keep), rng)
+
+
+def test_up_walk_matches_the_label_oracle():
+    # t runs one past the longest ray, a leaf's 3 * depth
+    for depth, space in ray_windows():
+        for i, label in enumerate(space.points):
+            for t in range(3 * depth + 2):
+                steps = [ray_point(label, s) for s in range(t + 1)]
+                want = ([space.index[q] for q in steps]
+                        if all(q in space.index for q in steps) else None)
+                assert ray(space, i, t) == want, (space.window_tag, label, t)
 
 
 @pytest.mark.parametrize("depth", [1, 2, 3, 4])
@@ -181,6 +258,23 @@ def test_ray_domain_is_the_closed_form(depth):
         expected = [i for i, r in enumerate(room) if r >= length]
         assert ray_domain(tree, length) == expected, length
     assert ray_domain(tree, 3 * depth + 1) == []
+
+
+def test_ray_domain_rejects_rays_with_a_gap():
+    # the rays of length 4 from (0, 0) and (0,) end at -2 and -3, inside,
+    # but pass the missing root
+    sub = tree_ball(3, 3).subspace([(0, 0), (0,), -2, -1, -3])
+    assert ray_domain(sub, 4) == []
+    with pytest.raises(ValueError, match="window too shallow"):
+        tree_kernel_tent(sub, 4, 1)
+
+
+def test_json_round_tripped_tree_gives_the_same_kernel_stats():
+    tree = tree_ball(3, 8)
+    back = json_round_trip(tree)
+    assert back.geodesic and back.kind == "tree"
+    assert kernel_stats(tree_kernel_tent(back, 4, 2)) == kernel_stats(
+        tree_kernel_tent(tree, 4, 2))
 
 
 SPINE = 8
@@ -289,7 +383,7 @@ def test_space_json_round_trip_grid():
     sparse = lattice_window([(0, 0), (0, 1), (5, 5)], 2, "sparse")
     split = g.subspace([p for p in g.points if p[0] != 0], "box split at x=0")
     for space in (sparse, split):
-        back = space_from_json(json.loads(json.dumps(space.to_json())))
+        back = json_round_trip(space)
         assert back.points == space.points
         assert back.kind == "grid" and not back.geodesic
 
@@ -397,7 +491,7 @@ def same(a, b):
 @given(rational_cases())
 def test_rational_window_distances_match_labels(case):
     space, _ = case
-    back = space_from_json(json.loads(json.dumps(space.to_json())))
+    back = json_round_trip(space)
     assert back.points == space.points and back.kind == "rational"
     for w in (space, back):
         for i, a in enumerate(w.points):
