@@ -10,8 +10,7 @@ from .covers import (Cover, CoverStats, balls_cover, cover_stats,
 from .lattice import (LatticeCoverSpec, cell_contains, membership,
                       split_average_gap, zk_cover)
 from .kernels import (Kernel, KernelStats, kernel_stats, mazur_map,
-                      pou_kernel, pullback_kernel, tree_kernel_flat,
-                      tree_kernel_tent)
+                      pou_kernel, pullback_kernel, tree_kernel_tent)
 from .embeddings import (CompressionEmbedding, KernelField, StepFunction,
                          WeightFunction, build_embedding, compression_report,
                          generalized_inverse, shape_condition, weight_from_type)

@@ -23,7 +23,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
-from .errors import CoverageError, ContractViolation
+from .errors import CoverageError
 
 class Cover:
     """A finite family of point sets over a FiniteMetricSpace.
@@ -41,9 +41,8 @@ class Cover:
         if any(not s for s in self.sets):
             raise ValueError("empty cover set")
         self._membership = None
-        self._weights = None        # kernels.cover_weights fills it
-        self._radii = {}            # row support radii of its pou kernels
-        self._plans = {}            # the last pair plan of its pou kernels
+        self._weights = None        # set weights, shared by every p
+        self._radii = {}            # row radii shared by its pou kernels
 
     def __len__(self):
         return len(self.sets)
@@ -431,17 +430,3 @@ def extend_by_cosets(cover, m, window):
     return grouped_cover(window, keys_of, f"{cover.name}|cosets m={m}",
                          tag=lambda key: (key[0], cover.tags[key[1]]))
 
-
-def type_function_upper(builder, L_list):
-    """Measured mesh of the construction at each Lebesgue target, made
-    non-decreasing: the rho_plus of the (L, mesh) rows, in L order.
-    builder(L) -> (cover, stats) or None when no construction is
-    available at that L."""
-    rows = []
-    for L in L_list:
-        built = builder(L)
-        if built is None:
-            raise ContractViolation(f"no construction available at L={L}")
-        _, stats = built
-        rows.append((L, stats.mesh))
-    return Envelopes(rows).rho_plus

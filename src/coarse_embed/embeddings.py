@@ -169,16 +169,6 @@ class CompressionEmbedding:
         f = self.weight
         return 2.0 * f(d / 2.0) - 2.0 * f(f.cutoff)
 
-    def disjoint_level_check(self, x, y):
-        """Levels with doubled support radius below d must differ with
-        p-th power exactly 2 (disjoint unit vectors), up to 1e-9."""
-        d = self.domain.dist(x, y)
-        powers = self.level_difference_powers(x, y)
-        for (S, kern, _), dp in zip(self.field.levels, powers):
-            if 2 * kern.support_radius()[0] < d and abs(dp - 2.0) > 1e-9:
-                return (S, dp)
-        return None
-
 
 def build_embedding(field, weight, x0, p):
     return CompressionEmbedding(field, weight, x0, p)

@@ -25,11 +25,6 @@ walk.  The ``profile`` experiment measures their epsilon profile.
 
 Work that does not depend on p is done once and shared:
 
-- the policy's pairs and their distances form a ``PairPlan``, keyed on
-  the eligible points; the partition-of-unity kernels of one cover keep
-  their last plan on the cover, so p = 1, 2, 3 scanned back to back
-  measure each distance once, and any other kernel builds a plan per
-  scan;
 - the partition-of-unity kernels of one cover share one cache of row
   support radii, because their rows have the same supports for every p;
 - each cover's weights (``cover_weights``) are computed once per cover,
@@ -97,13 +92,11 @@ class Kernel:
     miss, by bisecting the sorted indices.
     Each row's support radius is measured once and cached in radii, a dict
     point-index -> radius that kernels whose rows share their supports may
-    share (None: a cache of this kernel's own).  plans, a dict holding at
-    most one PairPlan, is shared by kernels scanned on the same pairs
-    (None: kernel_stats builds a plan per scan).
+    share (None: a cache of this kernel's own).
     """
 
     def __init__(self, base, p, row_fn, name="", domain_indices=None,
-                 radii=None, plans=None):
+                 radii=None):
         self.base = base
         self.p = p
         self.row_fn = row_fn
@@ -112,7 +105,6 @@ class Kernel:
                                else sorted(domain_indices))
         self._rows = {}
         self._radii = {} if radii is None else radii
-        self._plans = plans
 
     def row(self, i):
         row = self._rows.get(i)
@@ -198,15 +190,17 @@ def _convex(space, eligible, edges):
 class PairPlan:
     """The pairs of the window's pair policy, in visiting order, with their
     distances; key is the tuple of eligible point indices, ascending.
+    kernel_stats builds one plan per scan.
 
     - "edges" where ``_convex`` holds: the unit edges between eligible
       points, whose largest quotient is the supremum;
     - "shells" on any other integer metric whose shells cost less than a
       sweep: the pairs at distance r = 1, 2, ..., top from ``space.shell``,
-      each once, a radius collected when a scan first reaches it and kept
-      for the next; then the pairs farther apart, swept as in "all-pairs";
+      each once, a radius collected when the scan reaches it; then the
+      pairs farther apart, swept as in "all-pairs";
     - "all-pairs" elsewhere: every pair, in ``combinations`` order, with
-      its distance as the float the quotient divides by, measured once.
+      its distance as the float the quotient divides by, measured as the
+      sweep reaches it.
 
     Within a radius pairs come in index order (i, j), i < j; len() counts
     the pairs the policy accounts for (the edges, or every pair).
@@ -218,13 +212,14 @@ class PairPlan:
         n = len(key)
         self.size = n * (n - 1) // 2
         self._eligible = set(key)
-        self._shells = [None]
-        self._dist = None
+        self._edges = None          # shell 1, collected to test _convex
+        self.top = 0
         if space.integer_metric and space.geodesic:
-            self._shells.append(self._shell(1))
-            edges = len(self._shells[1][0])
+            self._edges = self._shell(1)
+            self.top = 1
+            edges = len(self._edges[0])
             if _convex(space, key, edges):
-                self.policy, self.size, self.top = "edges", edges, 1
+                self.policy, self.size = "edges", edges
                 return
         # shells up to the largest radius r at which they still cost less,
         # around each of the n points, than sweeping the others: the shell
@@ -233,7 +228,7 @@ class PairPlan:
         while n > 1 and (w := space.shell_work(top + 1)) is not None and work + w < n:
             work += w
             top += 1
-        self.top = max(top, len(self._shells) - 1)
+        self.top = max(top, self.top)
         self.policy = "shells" if self.top else "all-pairs"
 
     def _shell(self, r):
@@ -254,35 +249,19 @@ class PairPlan:
         """((i, j), distance) in visiting order: radius by radius up to top,
         then the farther pairs.  The scan stops before the first distance r
         with reach(r) false, or once len() pairs have been visited."""
-        shells, visited, r = self._shells, 0, 1
+        visited, r = 0, 1
         while r <= self.top and visited < self.size and reach(r):
-            if r == len(shells):
-                shells.append(self._shell(r))
-            first, second = shells[r]
+            first, second = (self._edges if r == 1 and self._edges is not None
+                             else self._shell(r))
             visited += len(first)
             yield from zip(zip(first, second), repeat(r))
             r += 1
         if visited < self.size and reach(r):
-            if self._dist is None:
-                self._dist = array("d", starmap(self.space.dist_i,
-                                                combinations(self.key, 2)))
-            top = self.top
-            for pair, d in zip(combinations(self.key, 2), self._dist):
+            top, key = self.top, self.key
+            dists = map(float, starmap(self.space.dist_i, combinations(key, 2)))
+            for pair, d in zip(combinations(key, 2), dists):
                 if d > top:
                     yield pair, d
-
-
-def pair_plan(kernel, eligible):
-    """The kernel's plan on these eligible points: the one kept in its
-    shared plans when the key matches, else a new one that replaces it."""
-    key = tuple(eligible)
-    plans = kernel._plans
-    if plans is None:
-        return PairPlan(kernel.base, key)
-    if key not in plans:
-        plans.clear()               # never hold two plans
-        plans[key] = PairPlan(kernel.base, key)
-    return plans[key]
 
 
 def kernel_stats(kernel, min_interior=0, *, seed=None, sample_pairs=None):
@@ -307,7 +286,7 @@ def kernel_stats(kernel, min_interior=0, *, seed=None, sample_pairs=None):
         sup_radius, sup_at = kernel.support_radius(eligible)
         norm_error, err_at = kernel.norm_error(eligible)
         cap = 2.0 * (1.0 + norm_error)
-        plan = pair_plan(kernel, eligible)
+        plan = PairPlan(space, tuple(eligible))
 
         # the strict > keeps the first maximum, so a pair whose bound falls
         # below floor cannot change lipschitz or argmax_pair
@@ -389,8 +368,7 @@ def pou_kernel(cover, p, exact=False):
     never inflates a weight (``cover_weights``, shared by every p).  Rows
     are exactly unit norm by construction; a row is supported on z exactly
     when some set contains both points, whatever p and exact are, so every
-    pou kernel of the cover shares the cover's support-radius cache, and
-    its last pair plan.
+    pou kernel of the cover shares the cover's support-radius cache.
     With exact=True (p = 1 only) all values are rationals.
     """
     if exact and p != 1:
@@ -422,7 +400,7 @@ def pou_kernel(cover, p, exact=False):
         return {z: v ** (1.0 / p) for z, v in out.items()}
 
     return Kernel(space, p, row_fn, name=f"pou({cover.name}, p={p})",
-                  radii=cover._radii, plans=cover._plans)
+                  radii=cover._radii)
 
 
 def pou_lipschitz_bound(stats, p=1):
@@ -471,14 +449,6 @@ def tree_kernel_tent(tree, S, p):
     profile = tent_profile(S)
     norm = p_norm(profile, p)
     return _ray_kernel(tree, p, [v / norm for v in profile], f"tent S={S} p={p}")
-
-
-def tree_kernel_flat(tree, S, p):
-    """Flat-profile kernel: mass S^(-1/p) on the S ray points starting at
-    the node itself (distances 0 .. S-1), giving exact unit norm."""
-    if S < 1:
-        raise ValueError("S must be >= 1")
-    return _ray_kernel(tree, p, [S ** (-1.0 / p)] * S, f"flat S={S} p={p}")
 
 
 def tent_norm_floor(S, p):

@@ -14,9 +14,8 @@ from coarse_embed.covers import (Cover, Envelopes, balls_cover,
                                  delta_consistency_report, extend_by_cosets,
                                  grouped_cover, interval_cover,
                                  lebesgue_condition, mesh, multiplicity,
-                                 pullback_cover, set_diameter,
-                                 type_function_upper)
-from coarse_embed.errors import ContractViolation, CoverageError
+                                 pullback_cover, set_diameter)
+from coarse_embed.errors import CoverageError
 from coarse_embed.lamplighter import (lamp_coordinates, block_window,
                                       lamplighter_ball)
 from coarse_embed.lattice import canonical_spec, zk_cover
@@ -373,30 +372,10 @@ def test_extend_by_cosets_preserves_mesh_and_multiplicity(ball8):
     assert st_out.lebesgue <= min(st_in.lebesgue, 2 * m + 1)
 
 
-def test_type_function_upper_monotone():
+def test_zk_cover_mesh_at_each_lebesgue_target():
     window = grid_space(2, 15)
-
-    def builder(L):
-        try:
-            cover, stats, _ = zk_cover(window, 2, L, strict=False)
-        except ContractViolation:
-            return None
-        return cover, stats
-
-    rows = type_function_upper(builder, [1, 2, 3])
-    meshes = [s for _, s in rows]
-    assert meshes == sorted(meshes)
-
-
-def test_type_function_single_point_space():
-    g = grid_space(1, 1).subspace([(0,)], "point", interior_radius=[0])
-
-    def builder(L):
-        cover = Cover(g, [[0]])
-        return cover, cover_stats(cover)
-
-    rows = type_function_upper(builder, [1, 2, 5])
-    assert all(s == 0 for _, s in rows)
+    meshes = [zk_cover(window, 2, L, strict=False)[1].mesh for L in (1, 2, 3)]
+    assert meshes == [0, 10, 10]
 
 
 def test_delta_consistency_rows():

@@ -138,13 +138,17 @@ def test_embedding_compression_floor(small_embedding):
 
 
 def test_disjoint_levels_contribute_two(small_embedding):
+    """At a distance above twice a level's support radius the two rows are
+    disjoint unit vectors: their difference has p-th power exactly 2."""
     theta = small_embedding
     dom = theta.domain
+    radii = [kern.support_radius()[0] for _, kern, _ in theta.field.levels]
+    assert 2 * max(radii) <= 8
     far = [(x, y) for x in dom.points for y in dom.points
            if dom.dist(x, y) > 8][:20]
     assert far
     for x, y in far:
-        assert theta.disjoint_level_check(x, y) is None
+        assert all(abs(dp - 2.0) <= 1e-9 for dp in theta.level_difference_powers(x, y))
 
 
 def test_compression_report_identity_map():

@@ -15,7 +15,7 @@ from coarse_embed.kernels import (Kernel, diff_norm, kernel_stats,
                                   mazur_map, mazur_pairs_check, p_norm,
                                   pou_kernel, pou_lipschitz_bound,
                                   pullback_kernel, tent_norm_floor, tent_profile,
-                                  tree_kernel_flat, tree_kernel_tent)
+                                  tree_kernel_tent)
 from coarse_embed.lamplighter import lamplighter_ball
 from coarse_embed.lattice import zk_cover
 from coarse_embed.spaces import (FiniteMetricSpace, grid_space, rational_window,
@@ -171,6 +171,12 @@ def random_covers(draw, windows=("line", "plane")):
     return Cover(g, sets, name="random")
 
 
+def tree_kernel_flat(tree, S, p):
+    """Flat-profile kernel: mass S^(-1/p) on the S ray points starting at
+    the node itself (distances 0 .. S-1), giving exact unit norm."""
+    return kernels._ray_kernel(tree, p, [S ** (-1.0 / p)] * S, f"flat S={S} p={p}")
+
+
 def signed_kernel(p, seed, spread):
     """Rows of one to four signed entries on the line, each scaled to an
     l^p norm within spread of 1."""
@@ -272,9 +278,13 @@ def assert_stats_match_oracle(kern, min_interior):
         order = [k for k in order if dist[k] == 1]
     assert ks.pairs_evaluated + ks.pairs_bounded == len(order)
     # a stable sort keeps index order within a distance
-    top = kernels.PairPlan(space, tuple(ids)).top
+    plan = kernels.PairPlan(space, tuple(ids))
+    visiting = sorted(order, key=lambda k: dist[k] if dist[k] <= plan.top else plan.top + 1)
+    # a scan that nothing prunes visits each of the policy's pairs once
+    assert list(plan.scan(lambda r: True)) == [
+        (tuple(ids[c] for c in pairs[k]), float(dist[k])) for k in visiting]
     first, arg = 0.0, None
-    for k in sorted(order, key=lambda k: min(dist[k], top + 1)):
+    for k in visiting:
         if quotient[k] > first:
             first, arg = quotient[k], tuple(space.points[ids[c]] for c in pairs[k])
     assert first == best and ks.argmax_pair == arg
@@ -373,8 +383,8 @@ def moved_cover(cover, space):
 @given(random_covers(WINDOWS), st.integers(0, 2), st.integers(0, 2),
        st.integers(0, 3), st.integers(0, 2 ** 16))
 def test_back_to_back_scans_match_unshared_oracle(cover, m1, m2, seed, shuffle):
-    """Kernels scanned one after another share pair plans and support
-    radii; each result still equals its own unshared oracle."""
+    """Kernels scanned one after another share support radii; each result
+    still equals its own unshared oracle."""
     for p, exact in ((1, False), (2, False), (3, False), (1, True)):
         assert_stats_match_oracle(pou_kernel(cover, p, exact=exact), m1)
     kern = pou_kernel(cover, 2)
@@ -383,8 +393,7 @@ def test_back_to_back_scans_match_unshared_oracle(cover, m1, m2, seed, shuffle):
     n, half = len(cover.space), len(cover.space) // 2
     rng = random.Random(seed)
     for domain in (range(half), range(n - half, n), rng.sample(range(n), half)):
-        assert_stats_match_oracle(Kernel(cover.space, 2, kern.row, domain_indices=domain,
-                                         plans=cover._plans), 0)
+        assert_stats_match_oracle(Kernel(cover.space, 2, kern.row, domain_indices=domain), 0)
     # every point of this window, then of one of the same size and kind
     assert_stats_match_oracle(kern, 0)
     other = moved_cover(cover, permuted_window(cover.space, shuffle))
