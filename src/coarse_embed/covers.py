@@ -10,9 +10,12 @@ condition holds at every level 1..r (a higher level constrains fewer
 points, so it can hold where a lower one fails), capped at 1 + max
 interior radius; when the cap binds the value is flagged as
 window-truncated.  On other metrics the open r-ball is every window point
-at distance less than r, so level 1 asks more than coverage there.
+at distance less than r, so level 1 asks more than coverage there.  The
+open r-ball lies in a set when the point is at distance at least r from
+its complement: ``boundary_distance`` reads that distance for the
+Lebesgue scan and for the partition-of-unity weights of ``kernels``.
 
-Every derived cover is built by ``grouped_cover``: one set per key.  The
+Every cover is built by ``grouped_cover``: one set per key.  The
 compression and dilation envelopes of a map, rho_minus and rho_plus, are
 built from measured pairs and read by ``Envelopes``.
 """
@@ -183,35 +186,58 @@ def mesh(cover):
     return value, True, witness
 
 
+def boundary_distance(space, i, sets, cap):
+    """min(cap, the largest r such that one of sets (frozensets) holds
+    every window point closer than r to point i), 0 without sets.  For one
+    set holding i this is the distance from i to the set's complement.
+
+    Integer metrics walk the shells 0, 1, 2, ... of i (shell 0 is i), each
+    built once for all sets: a set reaches r when it holds shells 0 to r-1.
+    Any other metric takes each set's complement distance on the space's
+    scan_view (integer numerators on rational windows).  Both return cap
+    as soon as one set reaches it.
+    """
+    if space.integer_metric:
+        shells, reach = [(i,)], 0
+        for s in sets:
+            if i not in s:
+                continue
+            r = 1
+            while r < cap:
+                if r == len(shells):
+                    shells.append(space.shell(i, r))
+                if not s.issuperset(shells[r]):
+                    break
+                r += 1
+            if r >= cap:
+                return cap
+            reach = max(reach, r)
+        return reach
+    coords, dist, D = space.scan_view()
+    a = coords[i]
+    limit = cap * D
+    best = 0
+    for s in sets:
+        near = min((dist(a, q) for j, q in enumerate(coords) if j not in s),
+                   default=limit)
+        if near >= limit:
+            return cap
+        best = max(best, near)
+    return space.unscale(best)
+
+
 def lebesgue_condition(cover, r):
     """Witness point violating the level-r condition, or None.
 
     Condition: every point with interior radius >= r-1 has the open r-ball
-    around it inside some cover set.  On integer metrics the open r-ball
-    is the closed (r-1)-ball; on any other it is every window point at
-    distance less than r, found by a scan of the space's scan_view.
+    around it inside some cover set, that is, its owner sets reach r
+    (``boundary_distance``).
     """
-    if r <= 0:
-        return None
     space = cover.space
-    mem = cover.membership()
-    integer = space.integer_metric
-    if integer and r == 1:
-        # every closed 0-ball is its own point: the condition is coverage
-        return next((p for p, owners in zip(space.points, mem) if not owners), None)
-    if not integer:
-        coords, dist, D = space.scan_view()
-        limit = r * D
-    for i, p in enumerate(space.points):
-        if space.interior_radius[i] < r - 1:
-            continue
-        if integer:
-            ball_ids = space.closed_ball(i, r - 1)
-        else:
-            a = coords[i]
-            ball_ids = [j for j, q in enumerate(coords) if dist(a, q) < limit]
-        if not any(cover.frozen[sid].issuperset(ball_ids) for sid in mem[i]):
-            return p
+    radii, frozen = space.interior_radius, cover.frozen.__getitem__
+    for i, owners in enumerate(cover.membership()):
+        if radii[i] >= r - 1 and boundary_distance(space, i, map(frozen, owners), r) < r:
+            return space.points[i]
     return None
 
 
@@ -271,39 +297,29 @@ def balls_cover(space, r):
     """One set per point: all window points within distance r of it.
 
     On integer metrics the closed r-ball equals the closed floor(r)-ball.
+    The metric is symmetric, so the ball of c is the set of points whose
+    own ball holds c.
     """
     if r <= 0:
         raise ValueError("radius must be positive")
     rad = math.floor(r) if space.integer_metric else r
-    sets = []
-    tags = []
-    for i, p in enumerate(space.points):
-        sets.append(space.closed_ball(i, rad))
-        tags.append(p)
-    return Cover(space, sets, tags=tags, name=f"balls r={r}")
+    return grouped_cover(space, lambda i: space.closed_ball(i, rad),
+                         f"balls r={r}", tag=space.points.__getitem__)
 
 
 def interval_cover(space, length=3, step=2, anchor=-1):
-    """Cover of a 1-dimensional grid window by integer intervals starting
-    at anchor + step * Z.
+    """Cover of a 1-dimensional grid window by integer intervals
+    [c, c + length) with c in anchor + step * Z, tagged c.
 
     Default (length 3, step 2, anchor -1) is the classic multiplicity-2
     cover of the line by the sets {2c-1, 2c, 2c+1}.
     """
-    xs = sorted(p[0] for p in space.points)
-    lo, hi = xs[0], xs[-1]
-    sets = []
-    tags = []
-    start = lo - (length - 1)
-    c = anchor + ((start - anchor) // step) * step
-    while c <= hi:
-        pts = [(x,) for x in range(c, c + length) if lo <= x <= hi]
-        ids = [space.index[p] for p in pts if p in space.index]
-        if ids:
-            sets.append(ids)
-            tags.append(c)
-        c += step
-    return Cover(space, sets, tags=tags, name=f"intervals len={length} step={step}")
+    def starts(i):
+        x = space.points[i][0]
+        first = x - length + 1
+        return range(first + (anchor - first) % step, x + 1, step)
+
+    return grouped_cover(space, starts, f"intervals len={length} step={step}")
 
 
 class Envelopes:
@@ -355,7 +371,7 @@ def grouped_cover(space, keys_of, name, tag=None):
     """Cover of space with one set per key: point i joins the set of every
     key in keys_of(i).  Sets come in sorted key order and hold their
     points in window order; the set of key carries tag(key) (the key
-    itself without tag).  Every derived cover is built here."""
+    itself without tag).  Every cover is built here."""
     groups = {}
     for i in range(len(space)):
         for key in keys_of(i):

@@ -27,8 +27,10 @@ Work that does not depend on p is done once and shared:
 
 - the partition-of-unity kernels of one cover share one cache of row
   support radii, because their rows have the same supports for every p;
-- each cover's weights (``cover_weights``) are computed once per cover,
-  and their p-th powers once per kernel, that is per (cover, p);
+- each cover's weights (``cover_weights``: complement distances read by
+  ``covers.boundary_distance``, the walk of the Lebesgue scan) are
+  computed once per cover, and their p-th powers once per kernel, that is
+  per (cover, p);
 - the rows of a tent kernel share one list of normalized profile values.
 
 Rows are kept only while something reads them: ``kernel_stats`` measures
@@ -47,6 +49,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, repeat, starmap
 
+from .covers import boundary_distance
 from .errors import ContractViolation
 
 NORM_TOL = 1e-9
@@ -319,31 +322,6 @@ def kernel_stats(kernel, min_interior=0, *, seed=None, sample_pairs=None):
 # Partition-of-unity kernels from covers
 
 
-def boundary_distance(space, i, members, cap):
-    """min(cap, window distance from point i to the complement of the set).
-
-    Integer metrics scan shells outward, testing each whole shell of
-    indices against the frozen set (shells up to the interior radius
-    coincide with ambient shells, and the cap is interior_radius + 1);
-    any other takes the minimum over the complement directly, on the
-    space's scan_view (integer numerators on rational windows).
-    """
-    if space.integer_metric:
-        for r in range(1, cap):
-            if not members.issuperset(space.shell(i, r)):
-                return r
-        return cap
-    coords, dist, D = space.scan_view()
-    a = coords[i]
-    best = limit = cap * D
-    for j, q in enumerate(coords):
-        if j not in members:
-            d = dist(a, q)
-            if d < best:
-                best = d
-    return cap if best == limit else space.unscale(best)
-
-
 def cover_weights(cover):
     """Per set: dict i -> distance-to-complement weight, capped by the
     ambient window margin (interior radius + 1).
@@ -354,7 +332,7 @@ def cover_weights(cover):
     if cover._weights is None:
         space = cover.space
         cover._weights = [
-            {i: boundary_distance(space, i, cover.frozen[sid],
+            {i: boundary_distance(space, i, (cover.frozen[sid],),
                                   space.interior_radius[i] + 1) for i in s}
             for sid, s in enumerate(cover.sets)]
     return cover._weights

@@ -101,7 +101,7 @@ class FiniteMetricSpace:
     def unscale(self, v):
         return v
 
-    @property
+    @cached_property
     def integer_metric(self):
         """True on grid, tree and lamplighter windows: integer distances."""
         return self.kind in INTEGER_KINDS

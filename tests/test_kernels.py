@@ -5,7 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+# derandomized tests also pin @seed, so an edit does not change their examples
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from coarse_embed import kernels
@@ -316,6 +317,7 @@ GAP_ROWS = {0: {0: 1.0}, 1: {0: 0.65, 1: 0.35}, 3: {3: 1.0}, 9: {3: 1.0},
 
 
 @settings(max_examples=250, deadline=None, derandomize=True)
+@seed(37200218572909827959875511421917371290370318034754927795344287509200146695095026487915406669419422319364332289661188)
 @given(quotient_kernels(), st.integers(0, 2))
 @example(hand_built_kernel(1, SIGNED_ROWS), 0)
 @example(hand_built_kernel(2, SIGNED_ROWS), 0)
@@ -380,6 +382,7 @@ def moved_cover(cover, space):
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)
+@seed(35623491084918351429518263939641485189377536895264794455220690064052759934693464874323399935023957960524680431627080)
 @given(random_covers(WINDOWS), st.integers(0, 2), st.integers(0, 2),
        st.integers(0, 3), st.integers(0, 2 ** 16))
 def test_back_to_back_scans_match_unshared_oracle(cover, m1, m2, seed, shuffle):
@@ -402,6 +405,7 @@ def test_back_to_back_scans_match_unshared_oracle(cover, m1, m2, seed, shuffle):
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
+@seed(3041612997539915796701689109450652641114743446235853803838747797274269774900300811779108067613853897754572210970582)
 @given(random_covers(("line", "plane", "rational")),
        st.permutations([(1, False), (2, False), (3, False), (1, True)]))
 def test_shared_support_radii_match_each_row(cover, order):
@@ -435,6 +439,7 @@ def reference_pou_row(cover, p, i):
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
+@seed(33242518317343640281265837817250599290106428882079589428732615318014682950187633228688691849104071916377894487728435)
 @given(random_covers(("line", "plane", "rational")),
        st.sampled_from([1, 2, 3, 2.0, 1.5, 2.7]))
 def test_pou_rows_equal_reference_builder(cover, p):

@@ -4,7 +4,8 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+# derandomized tests also pin @seed, so an edit does not change their examples
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from coarse_embed.covers import cover_stats, lebesgue_condition
@@ -169,6 +170,7 @@ def decode_cases(draw, dims=(2, 4, 6, 8)):
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
+@seed(37051746016523086677310926861712196703418920271682378763606651613011847218131937231032227164182666103810304547856545)
 @given(decode_cases())
 def test_membership_equals_reference_property(case):
     spec, x = case
@@ -176,6 +178,7 @@ def test_membership_equals_reference_property(case):
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
+@seed(34247126374938585646027061361118370189715612672279285729191235010719733829637410115127742552454932038680614801200413)
 @given(decode_cases())
 def test_membership_agrees_with_bruteforce_cells(case):
     # every zero-sum rounding of every shifted point is a lattice point
@@ -220,6 +223,7 @@ def integer_image(z):
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)
+@seed(18623292475072450390822132393693397331535878932544244950899487005091448615887119861377397431354323527038599023292820)
 @given(st.integers(1, 4).flatmap(
     lambda k: st.lists(st.integers(-60, 60), min_size=k, max_size=k)),
     st.integers(1, 3))

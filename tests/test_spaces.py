@@ -6,12 +6,14 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+# derandomized tests also pin @seed, so an edit does not change their examples
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from coarse_embed.covers import Cover, lebesgue_condition, set_diameter
+from coarse_embed.covers import (Cover, boundary_distance, lebesgue_condition,
+                                 set_diameter)
 from coarse_embed.errors import CapExceeded
-from coarse_embed.kernels import boundary_distance, kernel_stats, tree_kernel_tent
+from coarse_embed.kernels import kernel_stats, tree_kernel_tent
 from coarse_embed.lamplighter import lamplighter_ball
 from coarse_embed.spaces import (JSON_TAGS, FiniteMetricSpace, _grid_shell_offsets,
                                  grid_space, l1_dist, lattice_window,
@@ -45,6 +47,7 @@ def test_grid_point_count_and_triangles():
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
+@seed(31299682214653078980435024461172334826641039627022400427430499449646966504610544017189126480177117734522798426348700)
 @given(st.lists(st.tuples(st.integers(-10 ** 20, 10 ** 20),
                           st.integers(-10 ** 20, 10 ** 20)), min_size=1, max_size=8))
 def test_l1_dist_matches_generator_sum(coords):
@@ -121,6 +124,7 @@ SHELL_WINDOWS = ("box1", "box2", "box3", "lattice", "box-subspace", "box-json",
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
+@seed(37747282860707661634993169643700915714927236991799131404573357167845544168599035430979532249411979505134445467634079)
 @given(st.data())
 def test_index_shells_match_the_distance_scan(data):
     space = shell_window(data.draw(st.sampled_from(SHELL_WINDOWS)))
@@ -319,6 +323,7 @@ def tree_label_pairs(draw):
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
+@seed(27836369245789848149869466635129233006370275409738341543355526928982373464100009020982591309049177828446633307011151)
 @given(tree_label_pairs())
 def test_tree_dist_is_the_common_prefix_distance(pair):
     a, b = pair
@@ -488,6 +493,7 @@ def same(a, b):
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
+@seed(28067833031905860796743985289269557989720595456306750258960184885184431837312346213480716616442220442020439191712732)
 @given(rational_cases())
 def test_rational_window_distances_match_labels(case):
     space, _ = case
@@ -500,6 +506,7 @@ def test_rational_window_distances_match_labels(case):
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
+@seed(22547109607229901900374175658314625613160420987543493690821905280053656425431293254004595293188381293807471273907975)
 @given(rational_cases())
 def test_rational_window_scans_match_label_oracles(case):
     space, sets = case
@@ -507,13 +514,19 @@ def test_rational_window_scans_match_label_oracles(case):
         members = frozenset(ids)
         for i in ids:
             cap = space.interior_radius[i] + 1
-            assert same(boundary_distance(space, i, members, cap),
+            assert same(boundary_distance(space, i, (members,), cap),
                         label_boundary_distance(space, i, members, cap))
         diameter, (a, b) = set_diameter(space, sorted(ids))
         labels = [space.points[i] for i in ids]
         want = max((l1_dist(x, y) for x, y in combinations(labels, 2)), default=0)
         assert same(diameter, want)
         assert a in labels and b in labels and l1_dist(a, b) == diameter
+    # several sets reach as far as the farthest-reaching one
+    frozen = [frozenset(ids) for ids in sets]
+    for i in range(len(space)):
+        cap = space.interior_radius[i] + 1
+        assert same(boundary_distance(space, i, frozen, cap),
+                    max(label_boundary_distance(space, i, m, cap) for m in frozen))
     cover = Cover(space, sets)
     for r in (1, 2, 3):
         assert lebesgue_condition(cover, r) == label_lebesgue_condition(cover, r)
