@@ -9,6 +9,13 @@ across the level.  Levels whose doubled support radius stays below the
 pair's distance contribute disjoint supports, which floors the distance
 in terms of the weight at half the distance; levels above contribute at
 most their measured Lipschitz constant, which caps it.
+
+When every level is a ray kernel (``Kernel.ray_length`` set), each
+level's row difference is a function of the steps (a, b) from the two
+points to the first point their rays share (``spaces.ray_meet``; see
+``kernels``), and rays that do not meet within the longest level's length
+are apart at every level.  So ``distance`` computes each (a, b), or None
+for apart, once and returns the same float for every pair that shares it.
 """
 
 from __future__ import annotations
@@ -19,6 +26,7 @@ import math
 from .covers import Envelopes
 from .errors import ContractViolation
 from .kernels import diff_norm
+from .spaces import ray_meet
 
 
 class StepFunction:
@@ -127,11 +135,16 @@ class KernelField:
 
 
 class CompressionEmbedding:
-    """The reference-point-centered embedding built from a field and weight."""
+    """The reference-point-centered embedding built from a field and weight,
+    whose levels' kernels must all have its p."""
 
     def __init__(self, field, weight, x0, p):
         if field.breakpoints() != weight.breakpoints:
             raise ContractViolation("field and weight breakpoints differ")
+        for S, kern, _ in field.levels:
+            if kern.p != p:
+                raise ContractViolation(
+                    f"kernel at level {S} has p={kern.p}, the embedding p={p}")
         self.field = field
         self.weight = weight
         self.p = p
@@ -152,6 +165,10 @@ class CompressionEmbedding:
             f"{base.window_tag}|embedding domain")
         if x0 not in self.domain.index:
             raise ContractViolation("reference point outside the shared domain")
+        self._shared = shared
+        lengths = [kern.ray_length for _, kern, _ in field.levels]
+        self._reach = None if None in lengths else max(lengths)
+        self._memo = {}
 
     def level_difference_powers(self, x, y):
         """Per-level p-th powers of the kernel row differences."""
@@ -160,9 +177,24 @@ class CompressionEmbedding:
         return [diff_norm(kern.row(i), kern.row(j), p) ** p
                 for _, kern, _ in self.field.levels]
 
-    def distance(self, x, y):
+    def direct_distance(self, x, y):
+        """The embedded distance from the rows themselves, with no memo."""
         powers = self.level_difference_powers(x, y)
         return sum(w * dp for w, dp in zip(self.level_weights, powers)) ** (1.0 / self.p)
+
+    def distance(self, x, y):
+        """``direct_distance``, computed once per ray meeting when every
+        level is a ray kernel; a point outside the domain raises KeyError
+        from its row, as without the memo."""
+        i, j = self.base.index[x], self.base.index[y]
+        shared = self._shared
+        if self._reach is None or i not in shared or j not in shared:
+            return self.direct_distance(x, y)
+        key = ray_meet(self.base, i, j, self._reach)
+        value = self._memo.get(key)
+        if value is None:
+            value = self._memo[key] = self.direct_distance(x, y)
+        return value
 
     def floor(self, d):
         """2 f(d/2) - 2 f(cutoff): the disjoint-support compression floor."""

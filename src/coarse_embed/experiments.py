@@ -477,7 +477,7 @@ def run_profile(c):
 @experiment("embed", depth=integer(14, lo=1), p=number(2, lo=1), a=number(1.0),
             S_levels=listing([2, 4, 8, 16, 32], int, lo=2, min_len=2,
                              increasing=True),
-            sample_points=integer(120, lo=1))
+            sample_points=integer(120, lo=2))
 def run_embed(c):
     """The tree's compression embedding from tent kernels at S_levels: its
     Lipschitz certificate and floor on a seeded sample (criterion 7)."""
@@ -505,6 +505,8 @@ def run_embed(c):
     report = compression_report(domain.dist, theta.distance, pairs,
                                 theoretical_C=C)
     checks = []
+    _check(checks, "distinct sampled pairs", len(pairs), 1, bool(pairs),
+           lambda: sample[0])
     _check(checks, "Lipschitz estimate", report.lipschitz_estimate, C,
            report.lipschitz_estimate <= C * (1 + 1e-9),
            lambda: report.lipschitz_pair)

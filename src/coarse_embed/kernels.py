@@ -21,7 +21,11 @@ Tree kernels put a profile on the ray toward the marked end and are
 defined on the window's ray domain (``spaces.ray_domain``).  A row zips
 the ray's indices (``spaces.ray``) with the profile; its support radius
 is measured, not read from the construction, so support checks test the
-walk.  The ``profile`` experiment measures their epsilon profile.
+walk.  The ``profile`` experiment measures their epsilon profile.  Two
+rays coincide from their first shared point on, reached in (a, b) steps
+from i and j (``spaces.ray_meet``), and every row holds the same values,
+so ``diff_norm`` of the rows at i and j is a function of (a, b): entry d
+of one row meets entry d - a + b of the other, in the same order.
 
 Work that does not depend on p is done once and shared:
 
@@ -47,7 +51,7 @@ from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, repeat, starmap
+from itertools import combinations, compress, repeat, starmap
 
 from .covers import boundary_distance
 from .errors import ContractViolation
@@ -96,7 +100,11 @@ class Kernel:
     Each row's support radius is measured once and cached in radii, a dict
     point-index -> radius that kernels whose rows share their supports may
     share (None: a cache of this kernel's own).
+    ray_length is set on a ray kernel (``_ray_kernel``), whose row at i
+    zips ``spaces.ray(base, i, ray_length)`` with one value list.
     """
+
+    ray_length = None
 
     def __init__(self, base, p, row_fn, name="", domain_indices=None,
                  radii=None):
@@ -205,8 +213,10 @@ class PairPlan:
       its distance as the float the quotient divides by, measured as the
       sweep reaches it.
 
-    Within a radius pairs come in index order (i, j), i < j; len() counts
-    the pairs the policy accounts for (the edges, or every pair).
+    Within a radius pairs come in index order (i, j), i < j; radius 1 is
+    the window's ``unit_edges`` (collected once per window) between
+    eligible points.  len() counts the pairs the policy accounts for (the
+    edges, or every pair).
     """
 
     def __init__(self, space, key):
@@ -215,7 +225,7 @@ class PairPlan:
         n = len(key)
         self.size = n * (n - 1) // 2
         self._eligible = set(key)
-        self._edges = None          # shell 1, collected to test _convex
+        self._edges = None          # shell 1, filtered to test _convex
         self.top = 0
         if space.integer_metric and space.geodesic:
             self._edges = self._shell(1)
@@ -235,8 +245,13 @@ class PairPlan:
         self.policy = "shells" if self.top else "all-pairs"
 
     def _shell(self, r):
-        """(first, second): the pairs of eligible points at distance r."""
+        """(first, second): the pairs of eligible points at distance r; at
+        r = 1 the window's ``unit_edges`` between eligible points."""
         space, eligible = self.space, self._eligible
+        if r == 1:
+            first, second = space.unit_edges
+            keep = [i in eligible and j in eligible for i, j in zip(first, second)]
+            return array("i", compress(first, keep)), array("i", compress(second, keep))
         first, second = array("i"), array("i")
         for i in self.key:
             for j in sorted(space.shell(i, r)):
@@ -411,7 +426,9 @@ def _ray_kernel(tree, p, values, name):
     def row_fn(i):
         return dict(zip(ray(tree, i, length), values))
 
-    return Kernel(tree, p, row_fn, name=name, domain_indices=domain)
+    kernel = Kernel(tree, p, row_fn, name=name, domain_indices=domain)
+    kernel.ray_length = length
+    return kernel
 
 
 def tree_kernel_tent(tree, S, p):

@@ -9,8 +9,14 @@ around the point lies entirely inside the window.  Downstream statistics
 sufficiently interior points so that window truncation never fakes a result.
 Every constructor returns its ``FiniteMetricSpace``.  A tree window
 derives one index array from its labels, ``up``: each point's first step
-toward the marked end.  Rays (``ray``), ray domains (``ray_domain``) and
-the shells of geodesic trees all walk it.
+toward the marked end.  Rays (``ray``), ray domains (``ray_domain``), ray
+meetings (``ray_meet``) and the shells of geodesic trees all walk it.
+
+Two rays toward the marked end coincide from their first shared point on,
+so everything a ray kernel's rows at i and j have in common is fixed by the
+steps (a, b) that i and j take to that point; ``ray_meet`` finds them by
+walking up from whichever point has the greater label height (``height``,
+which ``tree_up`` lowers by exactly 1).
 
 Shells and closed balls take a point's index and return indices.  A
 ``grid_space`` box records the index stride of each coordinate, so the
@@ -59,6 +65,11 @@ class FiniteMetricSpace:
     up                on a tree window, the index of each point's first step
                       toward the marked end (``tree_up``), None where it
                       leaves the window; derived from the labels when read
+    height            on a tree window, each label's height: len(label) for
+                      a node, the int itself for a spine point; derived
+                      from the labels when read
+    unit_edges        (first, second): the pairs i < j at distance 1, in
+                      index order, collected from ``shell(i, 1)`` when read
     """
 
     def __init__(self, points, dist, window_tag, interior_radius,
@@ -178,6 +189,20 @@ class FiniteMetricSpace:
     def up(self):
         get = self.index.get
         return [get(tree_up(p)) for p in self.points]
+
+    @cached_property
+    def height(self):
+        return [p if isinstance(p, int) else len(p) for p in self.points]
+
+    @cached_property
+    def unit_edges(self):
+        first, second = array("i"), array("i")
+        for i in range(len(self.points)):
+            for j in sorted(self.shell(i, 1)):
+                if j > i:
+                    first.append(i)
+                    second.append(j)
+        return first, second
 
     @cached_property
     def _children(self):
@@ -490,6 +515,26 @@ def ray(space, i, length):
             return None
         out.append(i)
     return out
+
+
+def ray_meet(space, i, j, length):
+    """(a, b): the steps from points i and j of a tree window toward the
+    marked end to the first point their rays share, or None once either
+    count passes length or a ray leaves the window first.  Each step walks
+    ``up`` from the point of greater ``height`` (i on ties), since the
+    shared point's height is at most both."""
+    up, height = space.up, space.height
+    a = b = 0
+    while i != j:
+        if height[i] >= height[j]:
+            if a == length or (i := up[i]) is None:
+                return None
+            a += 1
+        else:
+            if b == length or (j := up[j]) is None:
+                return None
+            b += 1
+    return a, b
 
 
 def ray_domain(space, length):

@@ -71,6 +71,7 @@ BAD_CONFIGS = [
     ("profile", "", "grid_halfwidth=5", "wreath_L_list=[0]"),
     ("profile", "", "wreath_pairs=3000", "mazur_dim=0"),   # no kernel samples
     ("embed", "", "samples=30", "depth=0"),
+    ("embed", "", "samples=30", "sample_points=1"),     # no pair to measure
     ("cp-check", "", "T=5", "subdivisions=0"),
     ("pullback-check", "", "half_width=3", "seed=1.5"),   # sizes are constants
     ("mazur", "", "mazur_pairs=100", "seed=1.5"),          # sizes are constants
@@ -235,6 +236,16 @@ def test_embed_report_columns(tmp_path):
     assert code == 0
     text = open(out + ".csv").read()
     assert text.splitlines()[0].startswith("d,rho_minus,rho_plus,floor_2f")
+
+
+def test_embed_without_a_distinct_pair_fails_with_a_witness(tmp_path):
+    # the depth-1 tree's domain is (), (0,) and (1,); seed 0 draws (0,) twice
+    code, out = run(tmp_path, "embed", *sets("depth=1 S_levels=[2,4] sample_points=2"),
+                    "--seed", "0")
+    assert code == 1
+    failed = [r for r in read_csv_rows(out + ".csv") if r.get("check") == "FAILED"]
+    assert [(r["detail"], r["witness"]) for r in failed] == [
+        ("distinct sampled pairs: 0 (bound 1)", "(0,)")]
 
 
 @pytest.mark.parametrize("levels", ["[4,2]", "[2,2]", "[8]", "[1,4]", "[2.5,4]"])

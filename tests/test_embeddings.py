@@ -10,8 +10,8 @@ from coarse_embed.embeddings import (KernelField,
                                      shape_condition, shape_integral_rows,
                                      weight_from_type)
 from coarse_embed.errors import ContractViolation
-from coarse_embed.kernels import kernel_stats, tree_kernel_tent
-from coarse_embed.spaces import tree_ball
+from coarse_embed.kernels import Kernel, kernel_stats, tree_kernel_tent
+from coarse_embed.spaces import FiniteMetricSpace, ray_meet, tree_ball
 
 
 def test_step_function_left_continuous_evaluation():
@@ -149,6 +149,89 @@ def test_disjoint_levels_contribute_two(small_embedding):
     assert far
     for x, y in far:
         assert all(abs(dp - 2.0) <= 1e-9 for dp in theta.level_difference_powers(x, y))
+
+
+def tent_embedding(tree, levels, p, top):
+    """The embedding of tent kernels at levels (eps read as 1) under the
+    weight 1, 2, 3, ... on the breakpoints levels + [top]."""
+    field = KernelField([(S, tree_kernel_tent(tree, S, p), 1.0) for S in levels],
+                        top=top)
+    weight = WeightFunction([*levels, top], [1.0 + k for k in range(len(levels) + 1)])
+    return build_embedding(field, weight, x0=(), p=p)
+
+
+def shuffled_tree(depth, seed):
+    tree = tree_ball(3, depth)
+    order = list(range(len(tree)))
+    random.Random(seed).shuffle(order)
+    return FiniteMetricSpace([tree.points[k] for k in order], tree.dist,
+                             tree.window_tag + " shuffled",
+                             [tree.interior_radius[k] for k in order],
+                             geodesic=True, kind="tree")
+
+
+@pytest.mark.parametrize("tree,levels,p", [
+    (tree_ball(3, 5), (2, 3, 4), 2),
+    (tree_ball(3, 4), (2, 3), 1),
+    (shuffled_tree(4, 1), (2, 5), 3),
+    (tree_ball(3, 3), (4,), 1.5),
+], ids=["p2", "p1", "shuffled-p3", "one-level"])
+def test_memoized_distance_equals_the_formula(tree, levels, p):
+    """Every ordered pair of the domain, the same point included: the memo
+    returns exactly the float the formula gives, and keeps one entry per
+    ray meeting, None among them (apart at every level)."""
+    theta = tent_embedding(tree, list(levels), p, top=2 * max(levels))
+    points = theta.domain.points
+    for x in points:
+        for y in points:
+            assert theta.distance(x, y) == theta.direct_distance(x, y)
+    assert None in theta._memo
+    assert len(theta._memo) < len(points) ** 2 / 4
+
+
+def test_distance_without_ray_kernels_keeps_no_memo():
+    tree = tree_ball(3, 4)
+    tent = tree_kernel_tent(tree, 2, 2)
+    plain = Kernel(tree, 2, tent.row_fn, domain_indices=tent.domain_indices)
+    weight = weight_from_type(overlog_shape(1, 2), [(2.0, 2.0), (4.0, 4.0)], cutoff=2.0)
+    theta = build_embedding(KernelField([(2, plain, 1.0)], top=4), weight, x0=(), p=2)
+    rng = random.Random(6)
+    for _ in range(200):
+        x, y = rng.choice(theta.domain.points), rng.choice(theta.domain.points)
+        assert theta.distance(x, y) == theta.direct_distance(x, y)
+    assert theta._memo == {}
+
+
+def test_point_outside_the_domain_raises_after_its_key_is_memoized():
+    tree = tree_ball(3, 6)
+    theta = tent_embedding(tree, [2, 4], 2, top=8)
+    # spine point -9 has a ray of length 4 that leaves the window; -8 and -7
+    # meet as -9 and -8 do, one step up from the higher point
+    assert -9 not in theta.domain and -8 in theta.domain and -7 in theta.domain
+    at = tree.index.__getitem__
+    assert ray_meet(tree, at(-9), at(-8), 4) == ray_meet(tree, at(-8), at(-7), 4) == (0, 1)
+    theta.distance(-8, -7)
+    theta.distance(-7, -8)
+    assert (0, 1) in theta._memo and (1, 0) in theta._memo
+    for x, y in ((-9, -8), (-8, -9)):
+        with pytest.raises(KeyError, match="kernel not defined at -9"):
+            theta.distance(x, y)
+    with pytest.raises(KeyError):
+        theta.distance(-8, (9, 9))         # not a window point at all
+
+
+def test_embedding_rejects_kernels_of_another_p():
+    """Kernels at p = 1 under an embedding at p = 2 once built without
+    complaint; the first level whose p differs is named."""
+    tree = tree_ball(3, 5)
+    weight = weight_from_type(overlog_shape(1, 2), [(2.0, 2.0), (4.0, 4.0), (8.0, 8.0)],
+                              cutoff=2.0)
+    for ps, level in (((1, 1), 2), ((2, 1), 4)):
+        field = KernelField([(S, tree_kernel_tent(tree, S, kp), 1.0)
+                             for S, kp in zip((2, 4), ps)], top=8)
+        with pytest.raises(ContractViolation,
+                           match=f"kernel at level {level} has p=1, the embedding p=2"):
+            build_embedding(field, weight, x0=(), p=2)
 
 
 def test_compression_report_identity_map():

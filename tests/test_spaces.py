@@ -17,7 +17,7 @@ from coarse_embed.kernels import kernel_stats, tree_kernel_tent
 from coarse_embed.lamplighter import lamplighter_ball
 from coarse_embed.spaces import (JSON_TAGS, FiniteMetricSpace, _grid_shell_offsets,
                                  grid_space, l1_dist, lattice_window,
-                                 rational_window, ray, ray_domain,
+                                 rational_window, ray, ray_domain, ray_meet,
                                  space_from_json, tree_ball, tree_dist)
 
 
@@ -271,6 +271,67 @@ def test_ray_domain_rejects_rays_with_a_gap():
     assert ray_domain(sub, 4) == []
     with pytest.raises(ValueError, match="window too shallow"):
         tree_kernel_tent(sub, 4, 1)
+
+
+def ray_meet_oracle(space, i, j, length):
+    """The first index of i's ray that j's ray also holds, as (its step on
+    i's ray, its step on j's ray), each ray from ``ray`` as far as it stays
+    in the window, up to length; None when the two share no index."""
+    def longest(k):
+        t = length
+        while ray(space, k, t) is None:
+            t -= 1
+        return ray(space, k, t)
+
+    ri, rj = longest(i), longest(j)
+    a = next((a for a, k in enumerate(ri) if k in rj), None)
+    return None if a is None else (a, rj.index(ri[a]))
+
+
+# tree_ball windows, their JSON round trips, and seeded subspaces of them,
+# some shuffled (from ray_windows)
+MEET_WINDOWS = [(depth, space) for depth, tree in ray_windows()
+                for space in (tree, json_round_trip(tree))]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@seed(637177458097474706822615639056001940760957801563310476839670131508452687010196425579453062075717377162873410270010)
+@given(st.data())
+def test_ray_meet_matches_the_ray_oracle(data):
+    depth, space = data.draw(st.sampled_from(MEET_WINDOWS))
+    i = data.draw(st.integers(0, len(space) - 1))
+    j = data.draw(st.one_of(st.just(i), st.integers(0, len(space) - 1)))
+    # lengths run one past the longest ray, a leaf's 3 * depth
+    length = data.draw(st.integers(0, 3 * depth + 1))
+    want = ray_meet_oracle(space, i, j, length)
+    assert ray_meet(space, i, j, length) == want
+    assert ray_meet(space, j, i, length) == (None if want is None else want[::-1])
+
+
+def test_ray_meet_examples():
+    tree = tree_ball(3, 3)
+    at = tree.index.__getitem__
+    assert ray_meet(tree, at((0, 1)), at((0, 1)), 0) == (0, 0)
+    assert ray_meet(tree, at((0, 1, 0)), at((0, 0)), 3) == (2, 1)
+    assert ray_meet(tree, at((0, 1, 0)), at(-2), 5) == (5, 0)
+    # apart beyond the length: the meeting (5, 0) needs 5 steps from (0, 1, 0)
+    assert ray_meet(tree, at((0, 1, 0)), at(-2), 4) is None
+    assert ray_meet(tree, at(-2), at((0, 1, 0)), 4) is None
+    # the rays meet at the root, which the subspace lacks
+    sub = tree.subspace([(0,), (1,), -1])
+    assert ray_meet(sub, sub.index[(0,)], sub.index[(1,)], 5) is None
+    assert ray_meet(sub, sub.index[(0,)], sub.index[-1], 5) is None
+
+
+@pytest.mark.parametrize("name", SHELL_WINDOWS)
+def test_unit_edges_are_the_pairs_at_distance_one(name):
+    space = shell_window(name)
+    first, second = space.unit_edges
+    n = len(space)
+    scan = [(i, j) for i, j in combinations(range(n), 2) if space.dist_i(i, j) == 1]
+    from_shells = [(i, j) for i in range(n) for j in sorted(space.shell(i, 1)) if j > i]
+    assert list(zip(first, second)) == scan == from_shells
+    assert space.unit_edges is space.unit_edges      # collected once
 
 
 def test_json_round_tripped_tree_gives_the_same_kernel_stats():
