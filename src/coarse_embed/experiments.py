@@ -34,7 +34,7 @@ from .lattice import (BoxCoverSpec, LatticeCoverSpec, cell_contains,
                       cell_contains_bruteforce, embed_grid_point,
                       in_family_separation_bound, membership,
                       membership_or_fail, zk_cover)
-from .spaces import grid_space, rational_window, ray_domain, tree_ball
+from .spaces import grid_space, rational_window, tree_ball
 from .wreath import wreath_cover
 
 
@@ -393,6 +393,11 @@ def run_profile(c):
     """Epsilon profiles of the plane, tree and lamplighter group, and the
     Mazur map's q/p contraction on sampled unit pairs (criterion 12)."""
     p = c["p"]
+    # a tree kernel at S walks int(S) steps; the longest ray a window
+    # holds is a leaf's: tree_depth plus the spine's 2 * tree_depth
+    if max(map(int, c["tree_S_list"]), default=0) > 3 * c["tree_depth"]:
+        raise ConfigError(f"tree_S_list rounded down must stay at most "
+                          f"3 * tree_depth = {3 * c['tree_depth']}")
     rows, checks = [], []
     grid = grid_space(2, c["grid_half_width"])
 
@@ -417,7 +422,7 @@ def run_profile(c):
     tree = tree_ball(3, c["tree_depth"])
 
     def tree_kernel_stats(S):
-        if S < 1 or not ray_domain(tree, int(S)):
+        if S < 1:
             return None
         return kernel_stats(tree_kernel_tent(tree, int(S), p))
 
@@ -487,7 +492,21 @@ def run_embed(c):
                           f"2 * depth = {2 * c['depth']}")
     u = overlog_shape(c["a"], p)
     curve = [(float(S), float(S)) for S in levels]   # linear mesh growth
-    weight = weight_from_type(u, curve, cutoff=levels[0])
+    # the weight takes u(S) at each level, a closed form of a, p and the
+    # levels: one that falls, or rises nowhere (every level weighing 0),
+    # is the caller's config
+    try:
+        weight = weight_from_type(u, curve, cutoff=levels[0])
+    except ContractViolation as exc:
+        fall = exc.witness
+        raise ConfigError(f"S_levels: the composed weight falls from "
+                          f"{fall['from']} to {fall['to']} at S={fall['breakpoint']:g} "
+                          f"(a={c['a']}, p={p})") from None
+    if weight.values[-1] <= weight.values[0]:
+        raise ConfigError(f"S_levels: the composed weight is flat (a={c['a']}, "
+                          f"p={p}): u({levels[0]}) = {weight.values[0]} and "
+                          f"u({levels[-1]}) = {weight.values[-1]}, so every "
+                          f"level weighs 0")
     tree = tree_ball(3, c["depth"])
     field_levels = []
     for S in levels[:-1]:

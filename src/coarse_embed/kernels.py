@@ -31,6 +31,12 @@ Work that does not depend on p is done once and shared:
 
 - the partition-of-unity kernels of one cover share one cache of row
   support radii, because their rows have the same supports for every p;
+- the ray kernels of one length on one tree window share one cache of row
+  support radii (``space.ray_radii``), whatever their p or profile, and a
+  kernel at length L starts each radius from the one cached at the
+  longest shorter length, measuring only the ray points past it
+  (``Kernel.support_radius``); with lengths ascending each (point, ray
+  point) pair is measured once per window;
 - each cover's weights (``cover_weights``: complement distances read by
   ``covers.boundary_distance``, the walk of the Lebesgue scan) are
   computed once per cover, and their p-th powers once per kernel, that is
@@ -51,7 +57,7 @@ from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, compress, repeat, starmap
+from itertools import combinations, compress, islice, repeat, starmap
 
 from .covers import boundary_distance
 from .errors import ContractViolation
@@ -131,19 +137,45 @@ class Kernel:
     def support_radius(self, indices=None):
         """Largest distance from a point to its row's support, over indices
         (default: the domain), and the first point index attaining it
-        (None over no indices)."""
+        (None over no indices).
+
+        A ray kernel's row at i starts with the row at i of every shorter
+        ray kernel, so where the radius at the longest shorter length
+        measured so far holds i, only the row's entries past that length
+        are measured (``_prefix_radii``)."""
         radii, space = self._radii, self.base
         coords, dist, _ = space.scan_view()
+        start, prefix = self._prefix_radii()
         worst, at = 0, None
         for i in (indices if indices is not None else self.domain_indices):
             r = radii.get(i)
             if r is None:
-                r = radii[i] = space.unscale(max(
-                    map(dist, repeat(coords[i]), map(coords.__getitem__, self.row(i))),
+                row = self.row(i)
+                known = prefix.get(i)
+                if known is not None:
+                    row = islice(row, start, None)
+                r = space.unscale(max(
+                    map(dist, repeat(coords[i]), map(coords.__getitem__, row)),
                     default=0))
+                if known is not None and known > r:
+                    r = known
+                radii[i] = r
             if at is None or r > worst:
                 worst, at = r, i
         return worst, at
+
+    def _prefix_radii(self):
+        """(start, radii): on a ray kernel of length L, the window's radius
+        dict at the longest length L' < L that holds a radius, and L' + 1,
+        the first ray position past it; (0, {}) when there is none, and on
+        every other kernel."""
+        length = self.ray_length
+        if length is None:
+            return 0, {}
+        shared = self.base.ray_radii
+        shorter = max((k for k, radii in shared.items() if k < length and radii),
+                      default=None)
+        return (0, {}) if shorter is None else (shorter + 1, shared[shorter])
 
     def norm_error(self, indices=None):
         """Largest |row norm - 1| over indices (default: the domain), and
@@ -415,7 +447,9 @@ def tent_profile(S):
 def _ray_kernel(tree, p, values, name):
     """Kernel on a tree window whose row at a node puts values[d] on the
     ray point at distance d, defined on the sub-window of nodes whose ray
-    of length len(values) - 1 stays inside."""
+    of length len(values) - 1 stays inside.  Its support radii are the
+    window's radius dict at that length, shared by every ray kernel of the
+    length."""
     from .spaces import ray, ray_domain
 
     length = len(values) - 1
@@ -426,7 +460,8 @@ def _ray_kernel(tree, p, values, name):
     def row_fn(i):
         return dict(zip(ray(tree, i, length), values))
 
-    kernel = Kernel(tree, p, row_fn, name=name, domain_indices=domain)
+    kernel = Kernel(tree, p, row_fn, name=name, domain_indices=domain,
+                    radii=tree.ray_radii.setdefault(length, {}))
     kernel.ray_length = length
     return kernel
 

@@ -9,8 +9,10 @@ around the point lies entirely inside the window.  Downstream statistics
 sufficiently interior points so that window truncation never fakes a result.
 Every constructor returns its ``FiniteMetricSpace``.  A tree window
 derives one index array from its labels, ``up``: each point's first step
-toward the marked end.  Rays (``ray``), ray domains (``ray_domain``), ray
-meetings (``ray_meet``) and the shells of geodesic trees all walk it.
+toward the marked end.  Rays (``ray``), ray meetings (``ray_meet``) and the
+shells of geodesic trees walk it.  One more array, ``ray_reach``, counts
+the steps each point's ray stays inside (reach[i] = reach[up[i]] + 1), so
+a ray domain (``ray_domain``) filters it instead of walking every ray.
 
 Two rays toward the marked end coincide from their first shared point on,
 so everything a ray kernel's rows at i and j have in common is fixed by the
@@ -68,6 +70,12 @@ class FiniteMetricSpace:
     height            on a tree window, each label's height: len(label) for
                       a node, the int itself for a spine point; derived
                       from the labels when read
+    ray_reach         on a tree window, how many steps each point's ray
+                      toward the marked end stays inside: 0 where ``up`` is
+                      None, else one more than at ``up``; derived when read
+    ray_radii         on a tree window, one dict point-index -> support
+                      radius per ray length, shared by the ray kernels of
+                      that length (``kernels._ray_kernel``)
     unit_edges        (first, second): the pairs i < j at distance 1, in
                       index order, collected from ``shell(i, 1)`` when read
     """
@@ -84,6 +92,7 @@ class FiniteMetricSpace:
         self.geodesic = geodesic
         self.kind = kind
         self.strides = None
+        self.ray_radii = {}
         self._deltas = {}
 
     def __len__(self):
@@ -189,6 +198,23 @@ class FiniteMetricSpace:
     def up(self):
         get = self.index.get
         return [get(tree_up(p)) for p in self.points]
+
+    @cached_property
+    def ray_reach(self):
+        up = self.up
+        reach = array("i", [-1]) * len(up)
+        for i in range(len(up)):
+            # walk up to a point already counted (or off the window), then
+            # count back down the walk
+            walk = []
+            while i is not None and reach[i] < 0:
+                walk.append(i)
+                i = up[i]
+            r = -1 if i is None else reach[i]
+            for k in reversed(walk):
+                r += 1
+                reach[k] = r
+        return reach
 
     @cached_property
     def height(self):
@@ -539,9 +565,10 @@ def ray_meet(space, i, j, length):
 
 def ray_domain(space, length):
     """Indices of the tree window's points whose ray toward the marked end
-    stays inside for the given length."""
+    stays inside for the given length: those of ``ray_reach`` at least
+    length."""
     # the index's values: the point indices in order, as existing int objects
-    return [i for i in space.index.values() if ray(space, i, length) is not None]
+    return [i for i, r in zip(space.index.values(), space.ray_reach) if r >= length]
 
 
 def tree_ball(valence, depth):

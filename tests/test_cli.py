@@ -70,8 +70,14 @@ BAD_CONFIGS = [
     ("lamplighter-cover", "", "L_list=[1]", "L=0"),
     ("profile", "", "grid_halfwidth=5", "wreath_L_list=[0]"),
     ("profile", "", "wreath_pairs=3000", "mazur_dim=0"),   # no kernel samples
+    # S = 4 past the depth-1 tree's longest ray, 3
+    ("profile", "grid_half_width=1 wreath_radius=1", "grid_halfwidth=5", "tree_depth=1"),
     ("embed", "", "samples=30", "depth=0"),
     ("embed", "", "samples=30", "sample_points=1"),     # no pair to measure
+    # the weight u(S) = S / log S at a = 1, p = 2 is flat from 2 to 4 (the
+    # one level weighs 0) and falls from 2 to 3
+    ("embed", "depth=1", "samples=30", "S_levels=[2,4]"),
+    ("embed", "depth=2", "samples=30", "S_levels=[2,3,4]"),
     ("cp-check", "", "T=5", "subdivisions=0"),
     ("pullback-check", "", "half_width=3", "seed=1.5"),   # sizes are constants
     ("mazur", "", "mazur_pairs=100", "seed=1.5"),          # sizes are constants
@@ -240,7 +246,7 @@ def test_embed_report_columns(tmp_path):
 
 def test_embed_without_a_distinct_pair_fails_with_a_witness(tmp_path):
     # the depth-1 tree's domain is (), (0,) and (1,); seed 0 draws (0,) twice
-    code, out = run(tmp_path, "embed", *sets("depth=1 S_levels=[2,4] sample_points=2"),
+    code, out = run(tmp_path, "embed", *sets("depth=1 S_levels=[2,8] sample_points=2"),
                     "--seed", "0")
     assert code == 1
     failed = [r for r in read_csv_rows(out + ".csv") if r.get("check") == "FAILED"]

@@ -1,7 +1,9 @@
 import functools
 import itertools
+import json
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 
 from coarse_embed import kernels
 from coarse_embed.covers import Cover, balls_cover, cover_stats, interval_cover
+from coarse_embed.errors import ConfigError
 from coarse_embed.experiments import run_profile
 from coarse_embed.kernels import (Kernel, diff_norm, kernel_stats,
                                   mazur_map, mazur_pairs_check, p_norm,
@@ -20,7 +23,7 @@ from coarse_embed.kernels import (Kernel, diff_norm, kernel_stats,
 from coarse_embed.lamplighter import lamplighter_ball
 from coarse_embed.lattice import zk_cover
 from coarse_embed.spaces import (FiniteMetricSpace, grid_space, rational_window,
-                                 tree_ball)
+                                 ray, ray_domain, space_from_json, tree_ball)
 
 
 def test_constant_kernel_has_zero_lipschitz():
@@ -557,6 +560,95 @@ def test_kernel_stats_drops_the_rows_it_built(build):
         assert rebuilt == row and list(rebuilt) == list(row)
 
 
+def json_round_trip(space):
+    return space_from_json(json.loads(json.dumps(space.to_json())))
+
+
+@st.composite
+def fresh_tree_windows(draw):
+    """A tree window built for the example, so that its ray radii start
+    empty: tree_ball(3, depth), its JSON round trip, or a seeded subspace
+    of it in shuffled order (rays with gaps included)."""
+    tree = tree_ball(3, draw(st.integers(1, 4)))
+    kind = draw(st.sampled_from(["ball", "json", "subspace"]))
+    if kind == "json":
+        return json_round_trip(tree)
+    if kind == "subspace":
+        rng = random.Random(draw(st.integers(0, 2 ** 16)))
+        return tree.subspace(rng.sample(tree.points, rng.randrange(1, len(tree) + 1)))
+    return tree
+
+
+def ray_kernel(space, length, p, profile):
+    """A tent kernel of the given ray length, or a flat one (S = length + 1
+    ray points); None where the window holds no such ray."""
+    if profile == "tent" and length >= 1:
+        build = functools.partial(tree_kernel_tent, space, length)
+    else:
+        build = functools.partial(tree_kernel_flat, space, length + 1)
+    if not ray_domain(space, length):
+        with pytest.raises(ValueError, match="window too shallow"):
+            build(p)
+        return None
+    return build(p)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@seed(472746717221767076197141084909878157346250754582866458225686238662894062650726005571525996953953724962789421186346)
+@given(fresh_tree_windows(), st.data())
+def test_shared_ray_radii_match_each_row(space, data):
+    """Ray kernels of one window built in one order of lengths, p and
+    profiles and measured in another (S ascending, descending or
+    interleaved, a whole domain or one point per call): each reads the
+    largest distance from a point to its own row."""
+    specs = data.draw(st.lists(st.tuples(st.integers(0, 13), st.sampled_from([1, 2]),
+                                         st.sampled_from(["tent", "flat"])),
+                               min_size=1, max_size=6))
+    kerns = [k for k in (ray_kernel(space, *spec) for spec in specs) if k is not None]
+    for k in data.draw(st.permutations(range(len(kerns)))):
+        kern = kerns[k]
+        domain = kern.domain_indices
+        radii = [max(space.dist_i(i, j) for j in kern.row(i)) for i in domain]
+        if data.draw(st.booleans()):
+            assert kern.support_radius() == (max(radii), domain[radii.index(max(radii))])
+        else:
+            points = data.draw(st.permutations(range(len(domain))))
+            assert [kern.support_radius([domain[m]]) for m in points] == [
+                (radii[m], domain[m]) for m in points]
+        assert kernel_stats(kern).support_radius == max(radii)
+
+
+@pytest.mark.parametrize("window", ["ball", "json"])
+def test_each_ray_pair_is_measured_once(window):
+    """Ray kernels measured with lengths ascending, at p = 1 and 2 and with
+    a flat profile of the same length, measure each (point, ray point)
+    pair once, by tree_dist on labels: a point's ray up to the longest
+    length whose domain holds it."""
+    tree = tree_ball(3, 5)
+    if window == "json":
+        tree = json_round_trip(tree)
+    measured = []
+    bare = tree.dist
+
+    def counted(a, b):
+        measured.append((a, b))
+        return bare(a, b)
+
+    tree.dist = counted
+    lengths = [1, 2, 4, 8, 15]
+    for length in lengths:
+        for kern in (tree_kernel_tent(tree, length, 1), tree_kernel_flat(tree, length + 1, 2),
+                     tree_kernel_tent(tree, length, 2)):
+            assert kern.support_radius()[0] == length
+    want = Counter()
+    for i, label in enumerate(tree.points):
+        longest = max((L for L in lengths if tree.ray_reach[i] >= L), default=None)
+        if longest is not None:
+            want.update((label, tree.points[j]) for j in ray(tree, i, longest))
+    assert set(want.values()) == {1}
+    assert Counter(measured) == want
+
+
 def test_tent_norm_floor_every_node():
     tree = tree_ball(3, 5)
     for S in (2, 4, 8):
@@ -667,14 +759,13 @@ def test_tree_profile_is_a_running_minimum_with_interpolation_column():
     assert "mazur_bound" not in rows[0]   # 2 < e^2
 
 
-def test_tree_profile_past_the_window_fails_with_its_level():
-    # depth 1: the longest ray is 3, so S = 2 has a kernel and S = 4 none;
-    # the curve then reports no rows at all
-    rows, checks = tree_profile(tree_depth=1, tree_S_list=[2, 4, 8, 16, 32])
-    failed = [c for c in checks if not c.ok]
-    assert [(c.name, c.witness) for c in failed] == [("tree profile", 4)]
-    assert failed[0].value == "no kernel construction available at S=4"
-    assert rows == []
+def test_tree_profile_past_the_window_is_a_config_error():
+    # depth 1: the longest ray is 3, so S = 3.5 (a kernel at 3) is the last
+    # S it holds, and S = 4 is the caller's config
+    rows, checks = tree_profile(tree_depth=1, tree_S_list=[2, 3.5])
+    assert all(c.ok for c in checks) and [r["S"] for r in rows] == [2, 3.5]
+    with pytest.raises(ConfigError, match="3 \\* tree_depth = 3"):
+        tree_profile(tree_depth=1, tree_S_list=[2, 4, 8, 16, 32])
 
 
 def test_pullback_kernel_rejects_non_injective():

@@ -1,6 +1,7 @@
 import functools
 import json
 import random
+from array import array
 from collections import deque
 from fractions import Fraction
 from itertools import combinations
@@ -264,13 +265,36 @@ def test_ray_domain_is_the_closed_form(depth):
     assert ray_domain(tree, 3 * depth + 1) == []
 
 
+def gap_window():
+    """A tree subspace whose points (0, 0) and (0,) walk to the missing
+    root: their rays of length 4 end at -2 and -3, inside."""
+    return tree_ball(3, 3).subspace([(0, 0), (0,), -2, -1, -3])
+
+
 def test_ray_domain_rejects_rays_with_a_gap():
-    # the rays of length 4 from (0, 0) and (0,) end at -2 and -3, inside,
-    # but pass the missing root
-    sub = tree_ball(3, 3).subspace([(0, 0), (0,), -2, -1, -3])
+    sub = gap_window()
     assert ray_domain(sub, 4) == []
     with pytest.raises(ValueError, match="window too shallow"):
         tree_kernel_tent(sub, 4, 1)
+
+
+def test_ray_reach_matches_the_ray_walk():
+    # the label oracle walks each ray until its next point is missing
+    windows = [space for _, tree in ray_windows()
+               for space in (tree, json_round_trip(tree))]
+    for space in [*windows, gap_window()]:
+        reach = space.ray_reach
+        assert isinstance(reach, array) and reach.typecode == "i"
+        for i, label in enumerate(space.points):
+            t = 0
+            while ray_point(label, t + 1) in space.index:
+                t += 1
+            assert reach[i] == t, (space.window_tag, label)
+            assert ray(space, i, t) is not None and ray(space, i, t + 1) is None
+        for length in range(max(reach, default=0) + 2):
+            assert ray_domain(space, length) == [
+                i for i in range(len(space)) if reach[i] >= length]
+    assert list(gap_window().ray_reach) == [1, 0, 1, 2, 0]
 
 
 def ray_meet_oracle(space, i, j, length):
