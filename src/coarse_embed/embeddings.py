@@ -218,14 +218,9 @@ class CompressionReport(Envelopes):
         self.lipschitz_pair = lipschitz_pair
         self.theoretical_C = theoretical_C
 
-    def csv_rows(self, floor_fn=None):
-        out = []
-        for (d, lo), (_, hi) in zip(self.rho_minus, self.rho_plus):
-            row = {"d": d, "rho_minus": lo, "rho_plus": hi}
-            if floor_fn is not None:
-                row["floor_2f"] = floor_fn(d)
-            out.append(row)
-        return out
+    def csv_rows(self, floor_fn):
+        return [{"d": d, "rho_minus": lo, "rho_plus": hi, "floor_2f": floor_fn(d)}
+                for (d, lo), (_, hi) in zip(self.rho_minus, self.rho_plus)]
 
 
 def compression_report(dist_source, dist_embedded, pairs, theoretical_C=None):

@@ -366,10 +366,13 @@ MAZUR_PAIRS = 10_000
 def _mazur_check(checks, dim, n_pairs, seed):
     """The Mazur map from l^2 to l^1 on n_pairs seeded pairs of unit vectors
     of R^dim, checked against its q/p = 2 contraction.  Returns the worst
-    ratio, the draw that attains it and whether the check held."""
+    ratio, the draw that attains it and whether the check held; it fails
+    when no pair counted (every draw two equal vectors)."""
     worst, draw = mazur_pairs_check(dim, 2, 1, n_pairs, seed=seed)
-    ok = _check(checks, "mazur ratio q/p", worst, 2.0, worst <= 2.0,
-                lambda: f"draw {draw} of seed {seed}")
+    ok = _check(checks, "mazur ratio q/p", worst, 2.0,
+                draw is not None and worst <= 2.0,
+                lambda: f"draw {draw} of seed {seed}" if draw is not None else
+                f"no pair counted: dim {dim}, pairs {n_pairs}, seed {seed}")
     return worst, draw, ok
 
 
@@ -385,9 +388,10 @@ def run_mazur(c):
 
 @experiment("profile", p=number(2, lo=1), grid_half_width=integer(20, lo=1),
             tree_depth=integer(10, lo=1),
-            grid_S_list=listing([2, 4, 8], float),
-            tree_S_list=listing([2, 4, 8, 16], float),
-            wreath_radius=integer(5, lo=1), wreath_L_list=listing([1], int, lo=1),
+            grid_S_list=listing([2, 4, 8], float, min_len=1),
+            tree_S_list=listing([2, 4, 8, 16], float, lo=1, min_len=1),
+            wreath_radius=integer(5, lo=1),
+            wreath_L_list=listing([1], int, lo=1, min_len=1),
             mazur_dim=integer(16, lo=1), mazur_pairs=integer(2000, lo=1))
 def run_profile(c):
     """Epsilon profiles of the plane, tree and lamplighter group, and the
@@ -422,8 +426,6 @@ def run_profile(c):
     tree = tree_ball(3, c["tree_depth"])
 
     def tree_kernel_stats(S):
-        if S < 1:
-            return None
         return kernel_stats(tree_kernel_tent(tree, int(S), p))
 
     # each curve's measured constant per S, its running minimum (a larger

@@ -8,22 +8,25 @@ around the point lies entirely inside the window.  Downstream statistics
 (Lebesgue numbers, kernel Lipschitz constants) restrict themselves to
 sufficiently interior points so that window truncation never fakes a result.
 Every constructor returns its ``FiniteMetricSpace``.  A tree window
-derives one index array from its labels, ``up``: each point's first step
-toward the marked end.  Rays (``ray``), ray meetings (``ray_meet``) and the
-shells of geodesic trees walk it.  One more array, ``ray_reach``, counts
-the steps each point's ray stays inside (reach[i] = reach[up[i]] + 1), so
-a ray domain (``ray_domain``) filters it instead of walking every ray.
+derives two index arrays from its labels.  ``up`` holds each point's
+first step toward the marked end; rays (``ray``) walk it, and it lists
+the window's unit edges, since two tree points at distance 1 are one
+``up`` step apart.  ``ray_reach`` counts the steps each point's ray stays
+inside (reach[i] = reach[up[i]] + 1), so a ray domain (``ray_domain``)
+filters it instead of walking every ray.
 
 Two rays toward the marked end coincide from their first shared point on,
 so everything a ray kernel's rows at i and j have in common is fixed by the
 steps (a, b) that i and j take to that point; ``ray_meet`` finds them by
-walking up from whichever point has the greater label height (``height``,
-which ``tree_up`` lowers by exactly 1).
+walking up from whichever point has the greater ``ray_reach``, which one
+``up`` step lowers by exactly 1.
 
 Shells and closed balls take a point's index and return indices.  A
 ``grid_space`` box records the index stride of each coordinate, so the
 shell of radius r around a point of interior radius at least r is that
-index plus fixed steps; every other shell looks its ambient labels up.
+index plus fixed steps; other grid and lamplighter shells look their
+ambient labels up, and every other shell, a tree's included, scans the
+window.
 
 A ``rational_window`` keeps its labels cleared to integer numerators over
 one denominator, so the scans over a whole window (``scan_view``) compare
@@ -67,9 +70,6 @@ class FiniteMetricSpace:
     up                on a tree window, the index of each point's first step
                       toward the marked end (``tree_up``), None where it
                       leaves the window; derived from the labels when read
-    height            on a tree window, each label's height: len(label) for
-                      a node, the int itself for a spine point; derived
-                      from the labels when read
     ray_reach         on a tree window, how many steps each point's ray
                       toward the marked end stays inside: 0 where ``up`` is
                       None, else one more than at ``up``; derived when read
@@ -77,7 +77,9 @@ class FiniteMetricSpace:
                       radius per ray length, shared by the ray kernels of
                       that length (``kernels._ray_kernel``)
     unit_edges        (first, second): the pairs i < j at distance 1, in
-                      index order, collected from ``shell(i, 1)`` when read
+                      index order, collected when read: the pairs
+                      {i, up[i]} on a tree window, from ``shell(i, 1)``
+                      on any other
     """
 
     def __init__(self, points, dist, window_tag, interior_radius,
@@ -143,11 +145,9 @@ class FiniteMetricSpace:
         index arithmetic (``deltas``): its whole ambient shell lies in the
         box.  Other grid and lamplighter windows intersect the ambient
         shell with the window, one index lookup per ambient label (correct
-        on any subset of points); geodesic tree windows walk their unit
-        edges (``up`` steps and children), which every geodesic between
-        their points follows; anything else, tree subspaces included,
-        scans the window.  Grid shells come in ``_grid_shell_offsets``
-        order on both paths.
+        on any subset of points); anything else, trees included, scans the
+        window.  Grid shells come in ``_grid_shell_offsets`` order on both
+        paths.
         """
         if r == 0:
             return [i]
@@ -161,8 +161,6 @@ class FiniteMetricSpace:
         elif self.kind == "lamplighter":
             from .lamplighter import translated_shell
             found = map(get, translated_shell(label, r))
-        elif self.geodesic and self.kind == "tree":
-            return self._edge_shell(i, r)
         else:
             dist = self.dist
             return [j for j, q in enumerate(self.points) if dist(label, q) == r]
@@ -178,21 +176,6 @@ class FiniteMetricSpace:
                 sum(map(operator.mul, off, strides))
                 for off in _grid_shell_offsets(len(strides), r)]
         return steps
-
-    def _edge_shell(self, i, r):
-        up = self.up
-        starts, kids = self._children
-        seen = {i}
-        frontier = [i]
-        for _ in range(r):
-            nxt = []
-            for a in frontier:
-                for j in itertools.chain((up[a],), kids[starts[a]:starts[a + 1]]):
-                    if j is not None and j not in seen:
-                        seen.add(j)
-                        nxt.append(j)
-            frontier = nxt
-        return frontier
 
     @cached_property
     def up(self):
@@ -217,11 +200,13 @@ class FiniteMetricSpace:
         return reach
 
     @cached_property
-    def height(self):
-        return [p if isinstance(p, int) else len(p) for p in self.points]
-
-    @cached_property
     def unit_edges(self):
+        if self.kind == "tree":
+            # one key min * n + max per pair {i, up[i]}, ascending
+            n = len(self.points)
+            keys = sorted(i * n + u if i < u else u * n + i
+                          for i, u in enumerate(self.up) if u is not None)
+            return array("i", [k // n for k in keys]), array("i", [k % n for k in keys])
         first, second = array("i"), array("i")
         for i in range(len(self.points)):
             for j in sorted(self.shell(i, 1)):
@@ -230,23 +215,11 @@ class FiniteMetricSpace:
                     second.append(j)
         return first, second
 
-    @cached_property
-    def _children(self):
-        """(starts, kids): the points whose ``up`` step is a are
-        kids[starts[a]:starts[a + 1]], ascending."""
-        up = self.up
-        kids = array("i", sorted((j for j, b in enumerate(up) if b is not None),
-                                 key=up.__getitem__))
-        counts = [0] * (len(up) + 1)
-        for j in kids:
-            counts[up[j] + 1] += 1
-        return array("i", itertools.accumulate(counts)), kids
-
     def shell_work(self, r):
         """How many ambient labels one ``shell(i, r)`` accounts for: the
         ambient sphere on grid and lamplighter windows (the index steps of
-        a box's interior points, the lookups elsewhere), at most the window
-        on trees; None past the radius the lamplighter enumerates and off
+        a box's interior points, the lookups elsewhere), the window on
+        trees; None past the radius the lamplighter enumerates and off
         integer metrics."""
         if self.kind == "grid":
             return len(_grid_shell_offsets(len(self.points[0]), r))
@@ -266,15 +239,13 @@ class FiniteMetricSpace:
             out.extend(self.shell(i, s))
         return out
 
-    def subspace(self, labels, window_tag=None, interior_radius=None):
+    def subspace(self, labels, window_tag=None):
         """Restriction to a subset of points, with the induced metric."""
         labels = list(labels)
-        if interior_radius is None:
-            interior_radius = [self.radius_of(p) for p in labels]
         return FiniteMetricSpace(
             labels, self.dist,
             window_tag or f"{self.window_tag}|subspace",
-            interior_radius,
+            [self.radius_of(p) for p in labels],
             geodesic=False, kind=self.kind)
 
     def check_metric(self):
@@ -547,12 +518,13 @@ def ray_meet(space, i, j, length):
     """(a, b): the steps from points i and j of a tree window toward the
     marked end to the first point their rays share, or None once either
     count passes length or a ray leaves the window first.  Each step walks
-    ``up`` from the point of greater ``height`` (i on ties), since the
-    shared point's height is at most both."""
-    up, height = space.up, space.height
+    ``up`` from the point of greater ``ray_reach`` (i on ties): a point's
+    reach exceeds the shared point's by its steps to it, so the point of
+    greater reach has not reached the shared point yet."""
+    up, reach = space.up, space.ray_reach
     a = b = 0
     while i != j:
-        if height[i] >= height[j]:
+        if reach[i] >= reach[j]:
             if a == length or (i := up[i]) is None:
                 return None
             a += 1

@@ -59,6 +59,9 @@ def test_missing_required_key_exits_two(tmp_path):
     assert code == 2
 
 
+# a profile config that passes in well under a second
+PROFILE_SMALL = "grid_half_width=3 tree_depth=3 wreath_radius=2 mazur_pairs=10"
+
 # experiment, its required settings, one unknown key, one out-of-range value
 BAD_CONFIGS = [
     ("zk-cover", "k=2 L=1", "half_widht=5", "strict=maybe"),
@@ -72,6 +75,11 @@ BAD_CONFIGS = [
     ("profile", "", "wreath_pairs=3000", "mazur_dim=0"),   # no kernel samples
     # S = 4 past the depth-1 tree's longest ray, 3
     ("profile", "grid_half_width=1 wreath_radius=1", "grid_halfwidth=5", "tree_depth=1"),
+    # a curve with no S, no wreath level, and a tree S with no kernel
+    ("profile", PROFILE_SMALL, "grid_halfwidth=5", "grid_S_list=[]"),
+    ("profile", PROFILE_SMALL, "grid_halfwidth=5", "tree_S_list=[]"),
+    ("profile", PROFILE_SMALL, "grid_halfwidth=5", "wreath_L_list=[]"),
+    ("profile", PROFILE_SMALL, "grid_halfwidth=5", "tree_S_list=[0.5,2]"),
     ("embed", "", "samples=30", "depth=0"),
     ("embed", "", "samples=30", "sample_points=1"),     # no pair to measure
     # the weight u(S) = S / log S at a = 1, p = 2 is flat from 2 to 4 (the
@@ -180,9 +188,8 @@ BROKEN = [
            lambda kern, **kw: dataclasses.replace(kernel_stats(kern, **kw),
                                                   lipschitz=0.0)),
     broken("cp-check", "", "overlog_shape", lambda a, p: lambda t: t),
-    broken("profile", "grid_S_list=[] tree_depth=2 tree_S_list=[] wreath_radius=1 "
-           "wreath_L_list=[] mazur_pairs=1", "mazur_pairs_check",
-           lambda *args, **kw: (3.0, 0)),
+    broken("profile", PROFILE_SMALL + " grid_S_list=[2] tree_S_list=[2]",
+           "mazur_pairs_check", lambda *args, **kw: (3.0, 0)),
     broken("mazur", "", "mazur_pairs_check", lambda *args, **kw: (3.0, 0)),
     # the witnesses the statistics keep: the norm-error point, the support
     # point, the multiplicity point, the mesh set and pair, and the point
@@ -219,6 +226,17 @@ def test_every_failed_check_names_a_witness(tmp_path, monkeypatch, experiment,
     assert code == 1
     failed = [r for r in read_csv_rows(out + ".csv") if r.get("check") == "FAILED"]
     assert failed and all(r["witness"] not in ("", "None") for r in failed)
+
+
+def test_mazur_row_without_a_counted_pair_fails_with_its_config(tmp_path):
+    # in R^1 the two unit vectors of seed 1's one draw are equal
+    code, out = run(tmp_path, "profile", *sets(PROFILE_SMALL + " grid_S_list=[2] "
+                    "tree_S_list=[2] mazur_dim=1 mazur_pairs=1"), "--seed", "1")
+    assert code == 1
+    failed = [r for r in read_csv_rows(out + ".csv") if r.get("check") == "FAILED"]
+    assert [(r["detail"], r["witness"]) for r in failed] == [
+        ("mazur ratio q/p: 0.0 (bound 2.0)",
+         "'no pair counted: dim 1, pairs 1, seed 1'")]
 
 
 def test_cp_check_passes_and_reports(tmp_path):

@@ -742,8 +742,9 @@ def test_pullback_kernel_identity_map(small_grid):
 
 def tree_profile(**cfg):
     """run_profile with its grid, wreath and Mazur parts kept small."""
-    result = run_profile({"grid_S_list": [], "wreath_L_list": [], "mazur_dim": 2,
-                          "mazur_pairs": 1, **cfg})
+    result = run_profile({"grid_half_width": 3, "grid_S_list": [2],
+                          "wreath_radius": 1, "mazur_dim": 2, "mazur_pairs": 1,
+                          **cfg})
     return [r for r in result.rows if r["space"] == "tree"], result.checks
 
 

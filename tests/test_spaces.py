@@ -94,8 +94,9 @@ def shuffled(space, rng):
 def shell_window(name):
     """Windows of every shell path: grid boxes (index strides), a sparse
     lattice window, a box subspace and a JSON round-tripped box (lookups),
-    a tree, a JSON round-tripped tree and a shuffled tree (edge walk), a
-    tree subspace (scan) and a lamplighter ball (translated shells)."""
+    a tree, a JSON round-tripped tree, a shuffled tree and a tree subspace
+    (scans, unit edges from ``up``) and a lamplighter ball (translated
+    shells)."""
     rng = random.Random(5)
     boxes = {"box1": (1, 5), "box2": (2, 3), "box3": (3, 2)}
     if name in boxes:
