@@ -46,6 +46,7 @@ class Cover:
         self._membership = None
         self._weights = None        # set weights, shared by every p
         self._radii = {}            # row radii shared by its pou kernels
+        self._classes = None        # translation classes of its pou rows
 
     def __len__(self):
         return len(self.sets)

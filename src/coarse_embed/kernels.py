@@ -41,6 +41,12 @@ Work that does not depend on p is done once and shared:
   ``covers.boundary_distance``, the walk of the Lebesgue scan) are
   computed once per cover, and their p-th powers once per kernel, that is
   per (cover, p);
+- each cover's translation classes (``cover_classes``: points whose owner
+  sets have the same index-offset shape and weights) are computed once
+  per cover; a pou kernel builds one row per class and shifts it to the
+  other members, and computes one pair quotient per (class of i, class of
+  j, j - i, d), each the same floats summed in the same order as the
+  direct computation;
 - the rows of a tent kernel share one list of normalized profile values.
 
 Rows are kept only while something reads them: ``kernel_stats`` measures
@@ -55,6 +61,7 @@ from __future__ import annotations
 import random
 from array import array
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, compress, islice, repeat, starmap
@@ -108,12 +115,18 @@ class Kernel:
     share (None: a cache of this kernel's own).
     ray_length is set on a ray kernel (``_ray_kernel``), whose row at i
     zips ``spaces.ray(base, i, ray_length)`` with one value list.
+    classes, when given, is a cover's ``cover_classes`` (cls, reps, ints):
+    the row at i, in a class whose first point rep is not i, is the row at
+    rep (read through the row cache) with every key shifted by i - rep,
+    and pair_quotient keeps one quotient per (class of i, class of j,
+    j - i, d) in _quotients.  A point of class -1 is alone in its class:
+    its row comes from row_fn, and its pairs skip the memo.
     """
 
     ray_length = None
 
     def __init__(self, base, p, row_fn, name="", domain_indices=None,
-                 radii=None):
+                 radii=None, classes=None):
         self.base = base
         self.p = p
         self.row_fn = row_fn
@@ -122,6 +135,8 @@ class Kernel:
                                else sorted(domain_indices))
         self._rows = {}
         self._radii = {} if radii is None else radii
+        self._classes = classes
+        self._quotients = {}
 
     def row(self, i):
         row = self._rows.get(i)
@@ -131,7 +146,14 @@ class Kernel:
             if k == len(domain) or domain[k] != i:
                 where = self.base.points[i] if 0 <= i < len(self.base) else f"index {i}"
                 raise KeyError(f"kernel not defined at {where}")
-            row = self._rows[i] = self.row_fn(i)
+            classes = self._classes
+            if classes is not None and (c := classes[0][i]) >= 0 and (
+                    rep := classes[1][c]) != i:
+                t, ints = i - rep, classes[2]
+                row = {ints[z + t]: v for z, v in self.row(rep).items()}
+            else:
+                row = self.row_fn(i)
+            self._rows[i] = row
         return row
 
     def support_radius(self, indices=None):
@@ -189,9 +211,23 @@ class Kernel:
 
     def pair_quotient(self, i, j, d):
         """diff_norm(row(i), row(j), p) / d, where d = dist(i, j) is
-        already measured."""
+        already measured.  With classes, a pair whose points both lie in
+        classes of several points reads and fills the quotient memo: a
+        pair (i + t, j + t) of the same classes has both rows shifted by t,
+        so diff_norm sums the same floats in the same order."""
         if d == 0:
             raise ValueError("identical points")
+        classes = self._classes
+        if classes is not None:
+            cls = classes[0]
+            ci, cj = cls[i], cls[j]
+            if ci >= 0 and cj >= 0:
+                key = (ci, cj, j - i, d)
+                q = self._quotients.get(key)
+                if q is None:
+                    q = self._quotients[key] = (
+                        diff_norm(self.row(i), self.row(j), self.p) / float(d))
+                return q
         return diff_norm(self.row(i), self.row(j), self.p) / float(d)
 
 
@@ -385,6 +421,41 @@ def cover_weights(cover):
     return cover._weights
 
 
+def cover_classes(cover):
+    """(cls, reps, ints) of the cover's translation classes, or None when
+    no two points share a class.
+
+    A pou row at i reads only i's owner sets in membership order, each
+    set's members as index offsets from its first member, and each set's
+    weights in set order.  Each set gets a shape id (its offsets from s[0]
+    and its weights), and each point the key of (shape id, s[0] - i) over
+    its owners.  Two points with one key have rows of the same values in
+    the same order, the keys shifted by the difference of the points.
+    This is index arithmetic alone, so it holds on every window.
+
+    cls is point -> class id, -1 for a point alone in its class (and for
+    an uncovered point, whose row raises); reps[c] is the first point of
+    class c; ints is one list(range(n)), so shifted rows share their key
+    objects.  Computed once per cover and cached on it.
+    """
+    if cover._classes is None:
+        sets, shapes = cover.sets, {}
+        shape_of = [shapes.setdefault(
+            (tuple(z - s[0] for z in s), tuple(w.values())), len(shapes))
+            for s, w in zip(sets, cover_weights(cover))]
+        keys = [tuple((shape_of[sid], sets[sid][0] - i) for sid in owners)
+                for i, owners in enumerate(cover.membership())]
+        count = Counter(keys)
+        ids, reps, cls = {}, [], []
+        for i, key in enumerate(keys):
+            c = -1 if not key or count[key] == 1 else ids.setdefault(key, len(ids))
+            if c == len(reps):
+                reps.append(i)
+            cls.append(c)
+        cover._classes = (cls, reps, list(range(len(keys)))) if reps else ()
+    return cover._classes or None
+
+
 def pou_kernel(cover, p, exact=False):
     """Partition-of-unity kernel of a cover.
 
@@ -394,7 +465,9 @@ def pou_kernel(cover, p, exact=False):
     are exactly unit norm by construction; a row is supported on z exactly
     when some set contains both points, whatever p and exact are, so every
     pou kernel of the cover shares the cover's support-radius cache.
-    With exact=True (p = 1 only) all values are rationals.
+    With exact=True (p = 1 only) all values are rationals.  Rows and
+    pair quotients are shared across the cover's translation classes
+    (``cover_classes``).
     """
     if exact and p != 1:
         raise ValueError("exact mode is the p=1 fast path")
@@ -425,7 +498,7 @@ def pou_kernel(cover, p, exact=False):
         return {z: v ** (1.0 / p) for z, v in out.items()}
 
     return Kernel(space, p, row_fn, name=f"pou({cover.name}, p={p})",
-                  radii=cover._radii)
+                  radii=cover._radii, classes=cover_classes(cover))
 
 
 def pou_lipschitz_bound(stats, p=1):

@@ -15,15 +15,16 @@ from coarse_embed import kernels
 from coarse_embed.covers import Cover, balls_cover, cover_stats, interval_cover
 from coarse_embed.errors import ConfigError
 from coarse_embed.experiments import run_profile
-from coarse_embed.kernels import (Kernel, diff_norm, kernel_stats,
+from coarse_embed.kernels import (Kernel, cover_classes, diff_norm, kernel_stats,
                                   mazur_map, mazur_pairs_check, p_norm,
                                   pou_kernel, pou_lipschitz_bound,
                                   pullback_kernel, tent_norm_floor, tent_profile,
                                   tree_kernel_tent)
 from coarse_embed.lamplighter import lamplighter_ball
-from coarse_embed.lattice import zk_cover
+from coarse_embed.lattice import BoxCoverSpec, box_grid_cover, zk_cover
 from coarse_embed.spaces import (FiniteMetricSpace, grid_space, rational_window,
                                  ray, ray_domain, space_from_json, tree_ball)
+from coarse_embed.wreath import wreath_cover
 
 
 def test_constant_kernel_has_zero_lipschitz():
@@ -450,6 +451,112 @@ def test_pou_rows_equal_reference_builder(cover, p):
     for i in range(len(cover.space)):
         # same entries in the same order, bit for bit
         assert list(kern.row(i).items()) == list(reference_pou_row(cover, p, i).items())
+
+
+@st.composite
+def periodic_covers(draw):
+    """Covers whose constructors repeat under translation, on grid windows
+    of half width 3 to 12, each at least as wide as its cover needs for
+    two points to share a translation class (weights near the boundary
+    are capped by the interior radius)."""
+    family = draw(st.sampled_from(["balls", "interval", "box", "zk L=1", "zk L=3"]))
+    if family == "interval":
+        length = draw(st.integers(2, 5))
+        return interval_cover(grid_space(1, draw(st.integers(6, 12))), length=length,
+                              step=draw(st.integers(1, length)),
+                              anchor=draw(st.integers(-3, 0)))
+    if family == "balls":
+        r = draw(st.integers(1, 3))
+        return balls_cover(grid_space(2, draw(st.integers(2 * r + 1, 12))), r)
+    if family == "box":
+        side = draw(st.integers(1, 5))
+        growth = draw(st.integers(0, min(side, (11 - side) // 2)))
+        plane = grid_space(2, draw(st.integers(side + 2 * growth + 1, 12)))
+        return box_grid_cover(plane, BoxCoverSpec(side, growth))
+    L = int(family[-1])
+    return zk_cover(grid_space(2, draw(st.integers(3 if L == 1 else 9, 12))), 2, L,
+                    strict=False)[0]
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@seed(81366044317929217419446152263750718096716395585340911672470125137254447035990)
+@given(periodic_covers())
+def test_shifted_pou_rows_equal_reference_builder(cover):
+    """Every row of a periodic cover's pou kernel, most of them shifted
+    from their class's first point, equals the formula's row bit for bit,
+    and an exact row equals the one row_fn builds."""
+    cls, reps, _ = cover_classes(cover)
+    assert len(reps) + cls.count(-1) < len(cls)
+    n = len(cover.space)
+    for p in (1, 2, 3, 2.7):
+        kern = pou_kernel(cover, p)
+        for i in range(n):
+            assert list(kern.row(i).items()) == list(reference_pou_row(cover, p, i).items())
+    kern = pou_kernel(cover, 1, exact=True)
+    twin = Kernel(cover.space, 1, kern.row_fn)
+    for i in range(n):
+        assert list(kern.row(i).items()) == list(twin.row(i).items())
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@seed(23092837592357020936105693019810436541872917702934805986213427195847203958602)
+@given(periodic_covers(), st.sampled_from([(1, False), (2, False), (3, False), (1, True)]),
+       st.integers(0, 2))
+def test_memoized_quotients_equal_direct_ones(cover, p_exact, min_interior):
+    """Every pair of the policy, and every other eligible pair at distance
+    2 or 3 (pairs of one class and distance in several directions), gets
+    the quotient of its own rows, whether the memo is filled visiting the
+    pairs forward or reversed (so another pair of each class stores the
+    key)."""
+    p, exact = p_exact
+    space = cover.space
+    eligible = tuple(i for i in range(len(space))
+                     if space.interior_radius[i] >= min_interior)
+    keep = set(eligible)
+    pairs = list(kernels.PairPlan(space, eligible).scan(lambda r: True))
+    pairs += [((i, j), d) for i in eligible for d in (2, 3)
+              for j in sorted(space.shell(i, d)) if j > i and j in keep]
+    for order in (pairs, pairs[::-1]):
+        kern = pou_kernel(cover, p, exact=exact)
+        for (i, j), d in order:
+            assert kern.pair_quotient(i, j, d) == (
+                diff_norm(kern.row(i), kern.row(j), p) / float(d))
+        assert len(kern._quotients) < len(pairs) or len(pairs) < 2
+
+
+def test_pairs_evaluated_counts_pair_quotient_calls(monkeypatch):
+    """The memo lives inside pair_quotient, so every evaluated pair is
+    still one pair_quotient call."""
+    calls = []
+    bare = Kernel.pair_quotient
+
+    def counted(self, i, j, d):
+        calls.append((i, j))
+        return bare(self, i, j, d)
+
+    monkeypatch.setattr(Kernel, "pair_quotient", counted)
+    for cover in (balls_cover(grid_space(2, 6), 2), interval_cover(grid_space(1, 20))):
+        for p in (1, 2):
+            kern = pou_kernel(cover, p)
+            calls.clear()
+            ks = kernel_stats(kern, min_interior=1)
+            assert ks.pairs_evaluated == len(calls) > len(kern._quotients) > 0
+
+
+def test_covers_where_nothing_repeats_take_no_classes():
+    """A cover with every class one point gets no classes: its kernels
+    build every row through row_fn and keep no quotient."""
+    g = grid_space(2, 4)
+    for cover in (wreath_cover(lamplighter_ball(3, certify=False), 1)[0],
+                  moved_cover(balls_cover(g, 1), permuted_window(g, 3))):
+        assert cover_classes(cover) is None
+        for p in (1, 2):
+            kern = pou_kernel(cover, p)
+            kernel_stats(kern)
+            assert kern._quotients == {}
+            for i in range(len(cover.space)):
+                assert list(kern.row(i).items()) == list(
+                    reference_pou_row(cover, p, i).items())
 
 
 def test_second_scan_of_a_cover_measures_no_distance():
