@@ -31,15 +31,13 @@ from .errors import CoverageError
 class Cover:
     """A finite family of point sets over a FiniteMetricSpace.
 
-    sets     list of tuples of point indices
-    tags     parallel list of construction tags (e.g. lattice translate)
+    sets     list of tuples of point indices, each named by its place (id)
     """
 
-    def __init__(self, space, sets, tags=None, name=""):
+    def __init__(self, space, sets, name=""):
         self.space = space
         self.sets = [tuple(sorted(s)) for s in sets]
         self.frozen = [frozenset(s) for s in self.sets]
-        self.tags = list(tags) if tags is not None else [None] * len(self.sets)
         self.name = name
         if any(not s for s in self.sets):
             raise ValueError("empty cover set")
@@ -304,13 +302,12 @@ def balls_cover(space, r):
     if r <= 0:
         raise ValueError("radius must be positive")
     rad = math.floor(r) if space.integer_metric else r
-    return grouped_cover(space, lambda i: space.closed_ball(i, rad),
-                         f"balls r={r}", tag=space.points.__getitem__)
+    return grouped_cover(space, lambda i: space.closed_ball(i, rad), f"balls r={r}")
 
 
 def interval_cover(space, length=3, step=2, anchor=-1):
     """Cover of a 1-dimensional grid window by integer intervals
-    [c, c + length) with c in anchor + step * Z, tagged c.
+    [c, c + length) with c in anchor + step * Z, in increasing c.
 
     Default (length 3, step 2, anchor -1) is the classic multiplicity-2
     cover of the line by the sets {2c-1, 2c, 2c+1}.
@@ -368,18 +365,16 @@ class Envelopes:
         return self.rho_plus[i - 1][1] if i else 0
 
 
-def grouped_cover(space, keys_of, name, tag=None):
+def grouped_cover(space, keys_of, name):
     """Cover of space with one set per key: point i joins the set of every
-    key in keys_of(i).  Sets come in sorted key order and hold their
-    points in window order; the set of key carries tag(key) (the key
-    itself without tag).  Every cover is built here."""
+    key in keys_of(i).  Sets come in sorted key order, so a set's id is its
+    key's rank among the keys met, and hold their points in window order.
+    Every cover is built here."""
     groups = {}
     for i in range(len(space)):
         for key in keys_of(i):
             groups.setdefault(key, []).append(i)
-    keys = sorted(groups)
-    return Cover(space, [groups[key] for key in keys],
-                 tags=keys if tag is None else map(tag, keys), name=name)
+    return Cover(space, [groups[key] for key in sorted(groups)], name=name)
 
 
 def pullback_cover(f, domain, cover, name=""):
@@ -395,8 +390,7 @@ def pullback_cover(f, domain, cover, name=""):
             raise CoverageError(f"image point {q} not in target window", witness=p)
         return mem[j]
 
-    return grouped_cover(domain, owners, name or f"pullback({cover.name})",
-                         tag=cover.tags.__getitem__)
+    return grouped_cover(domain, owners, name or f"pullback({cover.name})")
 
 
 def check_pullback_inequalities(env, cover, pulled):
@@ -444,6 +438,5 @@ def extend_by_cosets(cover, m, window):
         key = coset_key(label, m)
         return [(key, sid) for sid in mem[j]]
 
-    return grouped_cover(window, keys_of, f"{cover.name}|cosets m={m}",
-                         tag=lambda key: (key[0], cover.tags[key[1]]))
+    return grouped_cover(window, keys_of, f"{cover.name}|cosets m={m}")
 

@@ -125,10 +125,11 @@ class KernelField:
         self.levels = list(levels)
         self.top = top
         for S, kern, _ in self.levels:
-            radius, _ = kern.support_radius()
+            radius, at = kern.support_radius()
             if radius > S:
                 raise ContractViolation(
-                    f"kernel at level {S} has support radius {radius}")
+                    f"kernel at level {S} has support radius {radius}",
+                    witness=kern.base.points[at])
 
     def breakpoints(self):
         return [S for S, _, _ in self.levels] + [self.top]

@@ -14,20 +14,16 @@ class CapExceeded(RuntimeError):
     """A construction would exceed the configured size cap."""
 
 
-class CoverageError(RuntimeError):
-    """A cover failed to contain a point it must contain (carries a witness)."""
-
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
-
-
 class ContractViolation(RuntimeError):
     """Measured statistics violate the contract of a construction."""
 
     def __init__(self, message, witness=None):
         super().__init__(message)
         self.witness = witness
+
+
+class CoverageError(ContractViolation):
+    """A cover misses a point it must contain, which is the witness."""
 
 
 def point_cap():

@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 import math
 import random
+import sys
 from collections import namedtuple
 from fractions import Fraction
 from itertools import product
@@ -24,7 +25,7 @@ from .covers import (Envelopes, balls_cover, check_pullback_inequalities,
                      interval_cover, pullback_cover)
 from .embeddings import (KernelField, build_embedding, compression_report,
                          overlog_shape, shape_condition, weight_from_type)
-from .errors import ConfigError, ContractViolation, CoverageError, guard_cap
+from .errors import ConfigError, ContractViolation, guard_cap
 from .kernels import (diff_norm, kernel_stats, mazur_pairs_check, p_norm,
                       pou_kernel, pou_lipschitz_bound, pullback_kernel,
                       tent_norm_floor, tent_profile, tree_kernel_tent)
@@ -48,8 +49,9 @@ def _check(checks, name, value, bound, ok, witness):
     return ok
 
 
-# A parameter is (default, description, test).  The default is REQUIRED,
-# or None when the body derives the value from the others.
+# A parameter's default is REQUIRED, or None when the body derives it from
+# the others; lo bounds a value (each item of a list) from below.
+Param = namedtuple("Param", "default what test lo min_len", defaults=(None, None))
 REQUIRED = object()
 
 
@@ -63,30 +65,26 @@ def _scalar(kind, lo):
 
 
 def integer(default=REQUIRED, lo=None):
-    return (default, *_scalar(int, lo))
+    return Param(default, *_scalar(int, lo), lo)
 
 
 def number(default, lo=None):
-    return (default, *_scalar(float, lo))
-
-
-def flag(default):
-    return default, "true or false", lambda v: type(v) is bool
+    return Param(default, *_scalar(float, lo), lo)
 
 
 def choice(*options):
     """One of the options; the first is the default."""
-    return options[0], f"one of {', '.join(options)}", lambda v: v in options
+    return Param(options[0], f"one of {', '.join(options)}", lambda v: v in options)
 
 
 def listing(default, kind, lo=None, min_len=0, increasing=False):
     what, test = _scalar(kind, lo)
-    return (default, f"a {'strictly increasing ' * increasing}list of at least "
-                     f"{min_len} items, each {what}",
-            lambda v: (isinstance(v, list) and len(v) >= min_len
-                       and all(map(test, v))
-                       and (not increasing
-                            or all(a < b for a, b in zip(v, v[1:])))))
+    return Param(default, f"a {'strictly increasing ' * increasing}list of at least "
+                          f"{min_len} items, each {what}",
+                 lambda v: (isinstance(v, list) and len(v) >= min_len
+                            and all(map(test, v))
+                            and (not increasing
+                                 or all(a < b for a, b in zip(v, v[1:])))), lo, min_len)
 
 
 def _resolve(params, cfg):
@@ -95,7 +93,7 @@ def _resolve(params, cfg):
         raise ConfigError(f"unknown key(s) {', '.join(unknown)}; "
                           f"known: {', '.join(params)}")
     out = {}
-    for key, (default, what, test) in params.items():
+    for key, (default, what, test, _, _) in params.items():
         value = out[key] = cfg.get(key, default)
         if value is REQUIRED:
             raise ConfigError(f"missing required key {key!r}")
@@ -110,7 +108,8 @@ EXPERIMENTS = {}
 def experiment(name, **params):
     """Register `body` as experiment `name`: its config is resolved against
     `params` (plus `seed`) first, and a contract the construction raises
-    becomes one failing check named after the experiment."""
+    becomes one failing check named after the experiment.  The runner keeps
+    `params` as ``run.params``."""
     params["seed"] = integer(0)
 
     def register(body):
@@ -119,9 +118,10 @@ def experiment(name, **params):
             resolved = _resolve(params, cfg)
             try:
                 return body(resolved)
-            except (ContractViolation, CoverageError) as exc:
+            except ContractViolation as exc:
                 return Result([], [Check(name, str(exc), "its contract", False,
                                          exc.witness)])
+        run.params = params
         EXPERIMENTS[name] = run
         return run
 
@@ -141,11 +141,14 @@ def _kernel_checks(checks, at, ks, eps_bound, radius_bound):
 
 
 @experiment("zk-cover", k=integer(lo=1), L=integer(lo=1),
-            half_width=integer(40, lo=1), strict=flag(True))
+            half_width=integer(40, lo=1))
 def run_zk_cover(c):
-    """Certified cover of a Z^k box at Lebesgue level L; with strict its
-    mesh must meet the advertised (2k^2-2k+1) L (criterion 4)."""
+    """Certified cover of a Z^k box at Lebesgue level L, whose mesh must
+    meet the advertised (2k^2-2k+1) L (criterion 4)."""
     k, L = c["k"], c["L"]
+    if c["half_width"] < L - 1:     # the box's centre has interior radius half_width
+        raise ConfigError(f"half_width must be at least L - 1 = {L - 1}, or no "
+                          f"point has the radius the level-L condition constrains")
     cover, stats, spec = zk_cover(grid_space(k, c["half_width"]), k, L,
                                   strict=False)
     bound = (2 * k * k - 2 * k + 1) * L
@@ -161,9 +164,8 @@ def run_zk_cover(c):
         **{f"delta_p{p}": v for p, v in stats.delta.items()},
     }, *delta_consistency_report(stats)]
     checks = []
-    if c["strict"]:
-        _check(checks, f"mesh of {cover.name}", stats.mesh, bound,
-               stats.mesh <= bound, lambda: stats.mesh_witness)
+    _check(checks, f"mesh of {cover.name}", stats.mesh, bound,
+           stats.mesh <= bound, lambda: stats.mesh_witness)
     return Result(rows, checks)
 
 
@@ -335,8 +337,12 @@ def run_lamplighter_cover(c):
     """The wreath cover of a lamplighter ball against its contract:
     multiplicity <= 96 L, level >= L, mesh <= 36864 L^3 (criterion 11)."""
     radius, L = c["radius"], c["L"]
+    if radius < L - 1:      # the ball's centre has interior radius radius
+        raise ConfigError(f"radius must be at least L - 1 = {L - 1}, or no "
+                          f"point has the radius the level-L condition constrains")
     ball = lamplighter_ball(radius, certify=False)
-    # coverage: cover_stats raises CoverageError at the first uncovered point
+    # coverage: cover_stats raises CoverageError at the first uncovered point;
+    # the level scan stops at min(radius + 1, L + 2) >= L
     _, stats, detail = wreath_cover(ball, L)
     mult_bound, mesh_bound = detail["multiplicity_bound"], detail["mesh_bound"]
     rows = [{
@@ -350,8 +356,7 @@ def run_lamplighter_cover(c):
     checks = []
     _check(checks, "multiplicity", stats.multiplicity, mult_bound,
            stats.multiplicity <= mult_bound, lambda: stats.multiplicity_point)
-    _check(checks, "certified level", stats.lebesgue, L,
-           stats.lebesgue >= L or stats.lebesgue_truncated,
+    _check(checks, "certified level", stats.lebesgue, L, stats.lebesgue >= L,
            lambda: stats.lebesgue_limit)
     _check(checks, "mesh", stats.mesh, mesh_bound, stats.mesh <= mesh_bound,
            lambda: stats.mesh_witness)
@@ -409,7 +414,7 @@ def run_profile(c):
     def grid_cover(L):      # each level built once; None where it raises
         try:
             return zk_cover(grid, 2, L, strict=False)
-        except (ContractViolation, CoverageError):
+        except ContractViolation:
             return None
 
     @functools.cache
@@ -456,7 +461,7 @@ def run_profile(c):
     for L in c["wreath_L_list"]:
         try:
             cover, stats, _ = wreath_cover(ball, L)
-        except (ContractViolation, CoverageError) as exc:
+        except ContractViolation as exc:
             _check(checks, f"wreath L={L} cover", str(exc), "its contract",
                    False, lambda: exc.witness)
             continue
@@ -547,12 +552,17 @@ def run_embed(c):
             T_overlog=number(math.e ** 45, lo=1))
 def run_cp_check(c):
     """The admissibility integral of the identity shape (must diverge) and
-    of t (log t)^(-(1+a)/p) (must converge, stably under refinement) from
-    the cutoffs c, c_overlog to T_* (criterion 10)."""
+    of u(t) = t (log t)^(-(1+a)/p) (must converge, stably under refinement)
+    from the cutoffs c, c_overlog to T_* (criterion 10)."""
     p, a, subdiv = c["p"], c["a"], c["subdivisions"]
     # the overlog shape decreases below t = dip and increases past it
     if (1.0 + a) / p >= math.log(c["T_overlog"]):
         raise ConfigError("T_overlog must exceed e^((1+a)/p)")
+    # the sums take t^p and u(t)^p below the grid's top T_overlog 2^(1/subdiv)
+    log_top = math.log(c["T_overlog"]) + math.log(2) / subdiv
+    if p * log_top + max(0.0, -(1 + a) * math.log(log_top)) >= math.log(sys.float_info.max):
+        raise ConfigError(f"p = {p}, a = {a}: t^p or u(t)^p at T_overlog "
+                          f"2^(1/subdivisions) passes the float range")
     dip = math.exp((1.0 + a) / p)
     c_over = c["c_overlog"]
     if c_over is None:

@@ -484,7 +484,8 @@ def pou_kernel(cover, p, exact=False):
     def row_fn(i):
         owners = mem[i]
         if not owners:
-            raise ContractViolation(f"point {space.points[i]} uncovered")
+            raise ContractViolation(f"point {space.points[i]} uncovered",
+                                    witness=space.points[i])
         weights = [num(psi[sid][i]) ** p for sid in owners]
         total_p = sum(weights)
         out = {}

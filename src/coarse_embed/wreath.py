@@ -78,9 +78,7 @@ def wreath_cover(window, L):
         owners = mem[lamp_index[(lamps, 0)]]
         return [(n, sid) for n in on_line[line.index[(cursor,)]] for sid in owners]
 
-    cover = grouped_cover(
-        window, keys_of, f"wreath cover L={L} m={m}",
-        tag=lambda key: (intervals.tags[key[0]], lamp_cov.tags[key[1]]))
+    cover = grouped_cover(window, keys_of, f"wreath cover L={L} m={m}")
 
     stats = cover_stats(cover, scan_cap=max(2, int(L) + 2))
     detail = {

@@ -1,3 +1,4 @@
+import json
 import sys
 from pathlib import Path
 
@@ -6,9 +7,14 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from coarse_embed.lamplighter import lamplighter_ball  # noqa: E402
-from coarse_embed.spaces import grid_space  # noqa: E402
+from coarse_embed.spaces import grid_space, space_from_json  # noqa: E402
 
 _CRITERION_LINES = []
+
+
+def json_round_trip(space):
+    """The space rebuilt from its JSON text."""
+    return space_from_json(json.loads(json.dumps(space.to_json())))
 
 
 @pytest.fixture(scope="session")

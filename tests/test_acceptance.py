@@ -6,11 +6,14 @@ tolerances live in the checks), the entry's extra conditions on the rows
 and its time budget, and prints one pass/fail line.
 """
 
+import math
 import time
 from collections import namedtuple
 
 import pytest
 
+from coarse_embed import experiments
+from coarse_embed.errors import ContractViolation
 from coarse_embed.experiments import EXPERIMENTS
 
 # detail(*runs) and each extra condition(*runs) read each config's rows
@@ -87,9 +90,8 @@ CRITERIA = [
               [{"grid_half_width": 15}], 120,
               lambda rows: "{} profile rows, fitted C={fitted_C:.3f} "
                            "(non-assertive)".format(len(rows), **next(
-                               r for r in rows if r["space"] == "wreath")),
-              {"curves_for_all_three_spaces": lambda rows:
-                  {"grid2", "tree", "wreath"} <= {r["space"] for r in rows}}),
+                               (r for r in rows if r["space"] == "wreath"),
+                               {"fitted_C": math.nan}))),
 ]
 
 
@@ -139,3 +141,18 @@ def test_a_failure_fails_its_criterion(monkeypatch, broken, shown):
         certify(entry, lambda *line: lines.append(line))
     [(number, ok, _, _, detail)] = lines
     assert (number, ok) == (10, False) and shown in detail
+
+
+def test_a_dropped_wreath_curve_fails_criterion_12(monkeypatch):
+    # profile checks every curve itself: a wreath cover that raises is a
+    # failed check, and the detail line reads no wreath row
+    def raising(ball, L):
+        raise ContractViolation("no cover", witness=L)
+
+    monkeypatch.setattr(experiments, "wreath_cover", raising)
+    lines = []
+    with pytest.raises(AssertionError):
+        certify(CRITERIA[11], lambda *line: lines.append(line))
+    [(number, ok, _, _, detail)] = lines
+    assert (number, ok) == (12, False)
+    assert "fitted C=nan" in detail and "failed Check(name='wreath L=1 cover'" in detail

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import math
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -64,13 +65,17 @@ PROFILE_SMALL = "grid_half_width=3 tree_depth=3 wreath_radius=2 mazur_pairs=10"
 
 # experiment, its required settings, one unknown key, one out-of-range value
 BAD_CONFIGS = [
-    ("zk-cover", "k=2 L=1", "half_widht=5", "strict=maybe"),
+    ("zk-cover", "k=2 L=1", "half_widht=5", "half_width=0"),
+    # a box whose centre's radius is below L - 1 holds no point the level-L
+    # condition constrains
+    ("zk-cover", "k=2 L=9", "strict=false", "half_width=3"),
     ("voronoi-check", "n=2", "sample=10", "n=1"),
     ("voronoi-check", "n=2", "boxes=2", "n=14"),        # past the cell oracle's n <= 12
     ("cover-kernel", "", "half_widht=5", "cover=zk"),    # zk needs L
     ("tree-embed", "", "dept=6", "p_list=[0]"),
     ("lamplighter-metric", "", "raduis=3", "m_list=[0]"),
     ("lamplighter-cover", "", "L_list=[1]", "L=0"),
+    ("lamplighter-cover", "L=3", "L_list=[1]", "radius=1"),   # the same for a ball
     ("profile", "", "grid_halfwidth=5", "wreath_L_list=[0]"),
     ("profile", "", "wreath_pairs=3000", "mazur_dim=0"),   # no kernel samples
     # S = 4 past the depth-1 tree's longest ray, 3
@@ -87,6 +92,8 @@ BAD_CONFIGS = [
     ("embed", "depth=1", "samples=30", "S_levels=[2,4]"),
     ("embed", "depth=2", "samples=30", "S_levels=[2,3,4]"),
     ("cp-check", "", "T=5", "subdivisions=0"),
+    ("cp-check", "", "T=5", "p=20"),        # t^p past the float range
+    ("cp-check", "", "T=5", "a=-1000"),     # u(t)^p = t^p (log t)^999 past it
     ("pullback-check", "", "half_width=3", "seed=1.5"),   # sizes are constants
     ("mazur", "", "mazur_pairs=100", "seed=1.5"),          # sizes are constants
 ]
@@ -239,6 +246,16 @@ def test_mazur_row_without_a_counted_pair_fails_with_its_config(tmp_path):
          "'no pair counted: dim 1, pairs 1, seed 1'")]
 
 
+def test_largest_admitted_p_runs_the_cp_check(tmp_path):
+    # the overlog sums raise t to the p-th power just below the grid's top,
+    # T_overlog 2^(1/subdivisions); the rule admits p up to the float range
+    log_top = math.log(math.e ** 45) + math.log(2) / 64
+    p = math.log(sys.float_info.max) / log_top
+    assert run(tmp_path, "cp-check", "--set", f"p={p * (1 + 1e-12)!r}")[0] == 2
+    code, _ = run(tmp_path, "cp-check", "--set", f"p={p * (1 - 1e-12)!r}")
+    assert code in (0, 1)
+
+
 def test_cp_check_passes_and_reports(tmp_path):
     code, out = run(tmp_path, "cp-check")
     assert code == 0
@@ -358,3 +375,27 @@ def test_report_matches_golden(tmp_path, experiment, settings):
     assert code == 0
     golden = (GOLDEN / f"{experiment}.csv").read_bytes()
     assert Path(out + ".csv").read_bytes() == golden
+
+
+def bound_cases():
+    """Each experiment's golden config with one key at its declared lower
+    bound; a list takes max(min_len, 1) copies of it."""
+    for experiment, settings in GOLDEN_CONFIGS:
+        for key, param in experiments.EXPERIMENTS[experiment].params.items():
+            if param.lo is not None:
+                value = (param.lo if param.min_len is None
+                         else [param.lo] * max(param.min_len, 1))
+                yield pytest.param(experiment, settings, f"{key}={json.dumps(value)}",
+                                   id=f"{experiment}-{key}")
+
+
+@pytest.mark.parametrize("experiment,settings,at_bound", list(bound_cases()))
+def test_every_key_at_its_lower_bound_exits_cleanly(tmp_path, monkeypatch, experiment,
+                                                   settings, at_bound):
+    # a traceback fails the test; so does a FAILED row without a witness
+    monkeypatch.setenv("COARSE_EMBED_CAP", "20000")
+    code, out = run(tmp_path, experiment, *sets(settings), "--set", at_bound)
+    assert code in (0, 1, 2, 3)
+    if code == 1:
+        failed = [r for r in read_csv_rows(out + ".csv") if r.get("check") == "FAILED"]
+        assert failed and all(r["witness"] not in ("", "None") for r in failed)

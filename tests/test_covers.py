@@ -1,6 +1,5 @@
 import functools
 import itertools
-import json
 import random
 from fractions import Fraction
 
@@ -21,8 +20,8 @@ from coarse_embed.lamplighter import (lamp_coordinates, block_window,
                                       lamplighter_ball)
 from coarse_embed.lattice import canonical_spec, zk_cover
 from coarse_embed.spaces import (FiniteMetricSpace, grid_space,
-                                 lattice_window, rational_window,
-                                 space_from_json, tree_ball)
+                                 lattice_window, rational_window, tree_ball)
+from conftest import json_round_trip
 
 
 def test_single_set_cover_stats():
@@ -127,7 +126,7 @@ def diameter_window(name):
     space = FiniteMetricSpace(
         pts, lambda a, b: max(abs(x - y) for x, y in zip(a, b)), "l-inf sample",
         [6 - max(map(abs, p)) for p in pts])
-    return space_from_json(json.loads(json.dumps(space.to_json())))
+    return json_round_trip(space)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -260,14 +259,14 @@ def test_interval_cover_matches_brute_force(length, step, anchor):
     line = lattice_window([(x,) for x in (4, -7, 0, -4, 9, -1, 3, -5, 5, 12)], 1,
                           "gapped line")
     xs = [p[0] for p in line.points]
-    want = []
+    want = []       # by increasing start c, the order of grouped_cover's keys
     for c in range(min(xs) - length, max(xs) + 1):
         if (c - anchor) % step == 0:
             ids = tuple(i for i, x in enumerate(xs) if c <= x < c + length)
             if ids:
-                want.append((c, ids))
+                want.append(ids)
     cover = interval_cover(line, length, step, anchor)
-    assert list(zip(cover.tags, cover.sets)) == want
+    assert cover.sets == want
     assert cover.name == f"intervals len={length} step={step}"
 
 
@@ -277,7 +276,7 @@ def test_balls_cover_matches_brute_force(name):
     n = len(space)
     for r in (1, 2, Fraction(5, 2)):
         cover = balls_cover(space, r)
-        assert cover.tags == space.points
+        # the keys are the centres' indices, so set c is the ball of point c
         assert cover.sets == [tuple(sorted(brute_ball(space, c, r))) for c in range(n)]
 
 
@@ -285,12 +284,10 @@ def test_grouped_cover_orders_sets_by_key():
     g = grid_space(1, 3)
     cover = grouped_cover(g, lambda i: {g.points[i][0] // 2, 9} - {0}, "halves")
     assert cover.name == "halves"
-    assert cover.tags == [-2, -1, 1, 9]
+    # keys -2, -1, 1, 9 in that order
     assert cover.sets == [(0,), (1, 2), (5, 6), tuple(range(7))]
-    labelled = grouped_cover(g, lambda i: [(i % 2, "x")], "parity",
-                             tag=lambda key: key[0])
-    assert labelled.tags == [0, 1]
-    assert labelled.sets == [(0, 2, 4, 6), (1, 3, 5)]
+    parity = grouped_cover(g, lambda i: [(1 - i % 2, "x")], "parity")
+    assert parity.sets == [(1, 3, 5), (0, 2, 4, 6)]
 
 
 def test_certified_lebesgue_scan_cap():

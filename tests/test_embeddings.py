@@ -97,6 +97,14 @@ def small_embedding():
     return build_embedding(field, weight, x0=(), p=p)
 
 
+def test_level_past_its_support_names_the_widest_row():
+    tree = tree_ball(3, 3)
+    kern = tree_kernel_tent(tree, 4, 2)
+    with pytest.raises(ContractViolation, match="support radius 4") as err:
+        KernelField([(2, kern, 1.0)], top=8)
+    assert kern.support_radius([tree.index[err.value.witness]])[0] == 4
+
+
 def test_embedding_single_level_reduces_to_kernel_difference():
     tree = tree_ball(3, 5)
     kern = tree_kernel_tent(tree, 2, 2)

@@ -1,6 +1,5 @@
 import functools
 import itertools
-import json
 import math
 import random
 from collections import Counter
@@ -13,7 +12,7 @@ from hypothesis import strategies as st
 
 from coarse_embed import kernels
 from coarse_embed.covers import Cover, balls_cover, cover_stats, interval_cover
-from coarse_embed.errors import ConfigError
+from coarse_embed.errors import ConfigError, ContractViolation
 from coarse_embed.experiments import run_profile
 from coarse_embed.kernels import (Kernel, cover_classes, diff_norm, kernel_stats,
                                   mazur_map, mazur_pairs_check, p_norm,
@@ -23,8 +22,9 @@ from coarse_embed.kernels import (Kernel, cover_classes, diff_norm, kernel_stats
 from coarse_embed.lamplighter import lamplighter_ball
 from coarse_embed.lattice import BoxCoverSpec, box_grid_cover, zk_cover
 from coarse_embed.spaces import (FiniteMetricSpace, grid_space, rational_window,
-                                 ray, ray_domain, space_from_json, tree_ball)
+                                 ray, ray_domain, tree_ball)
 from coarse_embed.wreath import wreath_cover
+from conftest import json_round_trip
 
 
 def test_constant_kernel_has_zero_lipschitz():
@@ -55,6 +55,14 @@ def test_single_set_cover_kernel():
     assert st.norm_error < 1e-12
     # the row is the boundary-capped weight profile, identical for every point
     assert kern.row(0) == kern.row(5)
+
+
+def test_uncovered_row_names_its_point():
+    g = grid_space(1, 2)
+    kern = pou_kernel(Cover(g, [[0, 1, 2]]), 1)
+    with pytest.raises(ContractViolation, match="uncovered") as err:
+        kern.row(3)
+    assert err.value.witness == g.points[3] == (1,)
 
 
 def test_interval_cover_kernel_values_p1(line_window):
@@ -665,10 +673,6 @@ def test_kernel_stats_drops_the_rows_it_built(build):
     for i, row in measured.items():
         rebuilt = kern.row(i)
         assert rebuilt == row and list(rebuilt) == list(row)
-
-
-def json_round_trip(space):
-    return space_from_json(json.loads(json.dumps(space.to_json())))
 
 
 @st.composite

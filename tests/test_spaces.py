@@ -20,6 +20,7 @@ from coarse_embed.spaces import (JSON_TAGS, FiniteMetricSpace, _grid_shell_offse
                                  grid_space, l1_dist, lattice_window,
                                  rational_window, ray, ray_domain, ray_meet,
                                  space_from_json, tree_ball, tree_dist)
+from conftest import json_round_trip
 
 
 def test_grid_line_basics():
@@ -74,10 +75,6 @@ def test_grid_shells_partition_ball():
             assert g.dist((1, -2), q) == r
             seen.add(q)
     assert seen == set(labels(g, g.closed_ball(c, 3)))
-
-
-def json_round_trip(space):
-    return space_from_json(json.loads(json.dumps(space.to_json())))
 
 
 def shuffled(space, rng):

@@ -3,7 +3,7 @@ import pytest
 from coarse_embed.covers import cover_stats, interval_cover, lebesgue_condition
 from coarse_embed.lamplighter import lamplighter_ball
 from coarse_embed.spaces import grid_space
-from coarse_embed.wreath import wreath_cover
+from coarse_embed.wreath import block_cover, wreath_cover
 
 
 @pytest.mark.parametrize("L", [1, 2, 3])
@@ -13,7 +13,10 @@ def test_cursor_line_intervals(L):
     stats = cover_stats(intervals)
     assert stats.multiplicity == 2
     assert stats.lebesgue == L + 1 and not stats.lebesgue_truncated
-    assert all(tag % (2 * L) == 0 for tag in intervals.tags)
+    # point i is x = i - 30; one set per start c in 2L Z, by increasing c
+    starts = range(-30 - 4 * L + 1, 31)
+    assert intervals.sets == [tuple(x + 30 for x in range(max(c, -30), min(c + 4 * L, 31)))
+                              for c in starts if c % (2 * L) == 0]
 
 
 @pytest.fixture(scope="module")
@@ -37,11 +40,19 @@ def test_wreath_cover_coverage_is_checked(wreath6):
 
 
 def test_wreath_sets_respect_cursor_slabs(wreath6):
+    # at L = 1: the cursor slab [c, c + 4) for c in 2Z times a set of the
+    # lamp-part cover, one set per pair that meets, in sorted (c, set) order
     ball, (cover, stats, detail) = wreath6
-    for sid, s in enumerate(cover.sets):
-        c0 = cover.tags[sid][0]
-        cursors = {ball.points[i][1] for i in s}
-        assert all(c0 <= c <= c0 + 4 - 1 for c in cursors)
+    lamp_cov, _ = block_cover(ball, detail["m"], 2 * detail["m"])
+    lamp_index = lamp_cov.space.index
+    mem = lamp_cov.membership()
+    want = {}
+    for i, (lamps, cursor) in enumerate(ball.points):
+        for c in range(cursor - 3, cursor + 1):
+            if c % 2 == 0:
+                for sid in mem[lamp_index[(lamps, 0)]]:
+                    want.setdefault((c, sid), []).append(i)
+    assert cover.sets == [tuple(want[key]) for key in sorted(want)]
 
 
 def test_wreath_rejects_bad_target():
