@@ -149,6 +149,11 @@ def run_zk_cover(c):
     if c["half_width"] < L - 1:     # the box's centre has interior radius half_width
         raise ConfigError(f"half_width must be at least L - 1 = {L - 1}, or no "
                           f"point has the radius the level-L condition constrains")
+    if k == 1 and L >= 3:
+        raise ConfigError(f"k = 1 needs L at most 2, got {L}: the level-L condition "
+                          f"puts the open L-ball of the box's centre (2L - 1 points) "
+                          f"in one set, so the mesh is at least 2L - 2 = {2 * L - 2} "
+                          f"> (2k^2-2k+1) L = {L}")
     cover, stats, spec = zk_cover(grid_space(k, c["half_width"]), k, L,
                                   strict=False)
     bound = (2 * k * k - 2 * k + 1) * L

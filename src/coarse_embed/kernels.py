@@ -44,9 +44,11 @@ Work that does not depend on p is done once and shared:
 - each cover's translation classes (``cover_classes``: points whose owner
   sets have the same index-offset shape and weights) are computed once
   per cover; a pou kernel builds one row per class and shifts it to the
-  other members, and computes one pair quotient per (class of i, class of
-  j, j - i, d), each the same floats summed in the same order as the
-  direct computation;
+  other members, measures one row norm per class in each ``norm_error``
+  call, and computes one pair quotient per (class of i, class of j,
+  j - i, d), each the same floats summed in the same order as the direct
+  computation; support radii are not shared by class but measured row by
+  row, so support checks test every shifted row's keys;
 - the rows of a tent kernel share one list of normalized profile values.
 
 Rows are kept only while something reads them: ``kernel_stats`` measures
@@ -118,9 +120,11 @@ class Kernel:
     classes, when given, is a cover's ``cover_classes`` (cls, reps, ints):
     the row at i, in a class whose first point rep is not i, is the row at
     rep (read through the row cache) with every key shifted by i - rep,
-    and pair_quotient keeps one quotient per (class of i, class of j,
-    j - i, d) in _quotients.  A point of class -1 is alone in its class:
-    its row comes from row_fn, and its pairs skip the memo.
+    norm_error measures one row norm per class in each call, and
+    pair_quotient keeps one quotient per (class of i, class of j, j - i,
+    d) in _quotients.  A point of class -1 is alone in its class: its row
+    comes from row_fn, its norm is its own, and its pairs skip the memo.
+    Support radii are measured row by row whatever the classes.
     """
 
     ray_length = None
@@ -201,10 +205,23 @@ class Kernel:
 
     def norm_error(self, indices=None):
         """Largest |row norm - 1| over indices (default: the domain), and
-        the first point index attaining it (None over no indices)."""
+        the first point index attaining it (None over no indices).
+
+        With classes, a point of class c >= 0 reads the error of the first
+        point of c that the call met: its row holds the same values in the
+        same order, so p_norm returns the same float.  A point of class -1,
+        and every point of a kernel without classes (ray kernels among
+        them), has its own row's norm measured."""
+        cls = None if self._classes is None else self._classes[0]
+        errors = {}
         worst, at = 0.0, None
         for i in (indices if indices is not None else self.domain_indices):
-            err = abs(p_norm(self.row(i).values(), self.p) - 1.0)
+            c = -1 if cls is None else cls[i]
+            err = errors.get(c)
+            if err is None:
+                err = abs(p_norm(self.row(i).values(), self.p) - 1.0)
+                if c >= 0:
+                    errors[c] = err
             if at is None or err > worst:
                 worst, at = err, i
         return worst, at

@@ -69,6 +69,8 @@ BAD_CONFIGS = [
     # a box whose centre's radius is below L - 1 holds no point the level-L
     # condition constrains
     ("zk-cover", "k=2 L=9", "strict=false", "half_width=3"),
+    # on Z the centre's open L-ball lies in one set: mesh >= 2L - 2 > L from L = 3
+    ("zk-cover", "k=1 half_width=20", "half_widht=5", "L=3"),
     ("voronoi-check", "n=2", "sample=10", "n=1"),
     ("voronoi-check", "n=2", "boxes=2", "n=14"),        # past the cell oracle's n <= 12
     ("cover-kernel", "", "half_widht=5", "cover=zk"),    # zk needs L

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
-from coarse_embed import kernels
+from coarse_embed import kernels, spaces
 from coarse_embed.covers import Cover, balls_cover, cover_stats, interval_cover
 from coarse_embed.errors import ConfigError, ContractViolation
 from coarse_embed.experiments import run_profile
@@ -532,6 +532,49 @@ def test_memoized_quotients_equal_direct_ones(cover, p_exact, min_interior):
         assert len(kern._quotients) < len(pairs) or len(pairs) < 2
 
 
+@settings(max_examples=15, deadline=None, derandomize=True)
+@seed(88607531044605445699647634038623996832418200623763703510182654131656831264235)
+@given(periodic_covers(),
+       st.sampled_from([(1, False), (2, False), (3, False), (2.7, False), (1, True)]),
+       st.integers(0, 2))
+def test_class_norm_errors_equal_per_row_ones(cover, p_exact, min_interior):
+    """Over the eligible points forward, reversed and every other one (so
+    that the first member of a class met is often not its first point),
+    norm_error equals, value and point, that of a twin without classes,
+    and builds only the rows of the first member of each class met (with
+    the first point's row it shifts) and of the points alone in their
+    class.  A row_fn that scales one class's first row by 3/2 moves every
+    member of the class off the sphere, and norm_error names the first one
+    met, with the error the twin measures on the scaled row."""
+    p, exact = p_exact
+    space = cover.space
+    classes = cover_classes(cover)
+    cls, reps, _ = classes
+    eligible = [i for i in range(len(space))
+                if space.interior_radius[i] >= min_interior]
+    for indices in (eligible, eligible[::-1], eligible[1::2]):
+        kern = pou_kernel(cover, p, exact=exact)
+        assert kern.norm_error(indices) == Kernel(space, p, kern.row_fn).norm_error(indices)
+        first = {}
+        for i in indices:
+            first.setdefault(cls[i] if cls[i] >= 0 else -1 - i, i)
+        assert set(kern._rows) == {*first.values(),
+                                   *(reps[c] for c in first if c >= 0)}
+
+        c = next((cls[i] for i in indices[len(indices) // 2:] if cls[i] >= 0), None)
+        if c is None:
+            continue
+
+        def scaled(i, row_fn=kern.row_fn, rep=reps[c]):
+            row = row_fn(i)
+            return {z: v * 3 / 2 for z, v in row.items()} if i == rep else row
+
+        want = Kernel(space, p, scaled).norm_error([reps[c]])[0]
+        assert want > 0.4
+        assert Kernel(space, p, scaled, classes=classes).norm_error(indices) == (
+            want, next(i for i in indices if cls[i] == c))
+
+
 def test_pairs_evaluated_counts_pair_quotient_calls(monkeypatch):
     """The memo lives inside pair_quotient, so every evaluated pair is
     still one pair_quotient call."""
@@ -634,6 +677,27 @@ def test_tent_row_raises_outside_its_ray_domain():
         with pytest.raises(KeyError):
             kern.row(i)
     assert all(kern.row(i) for i in domain)
+
+
+@pytest.mark.parametrize("fault", ["truncated", "repeating"])
+def test_tent_row_off_its_full_ray_is_the_norm_error_point(monkeypatch, fault):
+    """Ray rows have their norms measured one by one: a row zipped with a
+    ray that stops early, or that repeats an index, loses part of the
+    profile's mass, and is the one row off the unit sphere."""
+    tree = tree_ball(3, 5)
+    bad = ray_domain(tree, 4)[10]
+    full = spaces.ray
+
+    def faulty(space, i, length):
+        out = full(space, i, length)
+        if i != bad:
+            return out
+        return out[:-1] if fault == "truncated" else [*out[:-1], out[-2]]
+
+    monkeypatch.setattr(spaces, "ray", faulty)
+    for p in (1, 2):
+        ks = kernel_stats(tree_kernel_tent(tree, 4, p))
+        assert ks.norm_error_point == tree.points[bad] and ks.norm_error > 0.01
 
 
 @pytest.mark.parametrize("domain", [None, [1, 2]], ids=["full", "restricted"])
