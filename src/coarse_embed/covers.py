@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 from .errors import CoverageError
 
+
 class Cover:
     """A finite family of point sets over a FiniteMetricSpace.
 
@@ -81,8 +82,10 @@ class CoverStats:
                         (lebesgue_truncated)
 
     mesh is exact: every set's diameter comes from ``set_diameter``, the
-    grid signed-sum extremes or a pairwise scan pruned through the better
-    of two pivots (the set's first point and the window's deepest point).
+    spreads of the window's signed-sum columns (``space.signed_sums``,
+    built once per grid window of at most 8 coordinates and shared by
+    every cover on it) or a pairwise scan pruned through the better of
+    two pivots (the set's first point and the window's deepest point).
     mesh_exact is therefore always True and mesh_witnessed always mesh;
     both stay for reports that print them.
     """
@@ -120,33 +123,34 @@ def set_diameter(space, point_indices):
     """Exact diameter of one set, with a pair of its points at that
     distance: (value, (a, b)).
 
-    Grids use the signed-coordinate trick (l1 diameter from linear
-    extremes; the pair is the argmax and argmin of the winning signed
-    sum).  Other spaces run a pairwise scan, on the space's scan_view
-    (integer numerators on rational windows), over the points ranked by
-    their distance r to a pivot c, pruned by the triangle inequality
-    d(x, y) <= r(x) + r(y); c need not lie in the set, so the scan is
-    exact for any c.  The pivot is whichever of the set's first point and
-    the window's deepest point (``space.deepest``) has the smaller
-    eccentricity over the set.  On a ball window the deepest point is the
-    centre, so the scan stops as soon as the largest distance found
-    reaches twice the next point's radius.
+    A grid window with ``signed_sums`` reads the set's entries of each
+    column: the diameter is the largest spread (max - min) over the
+    columns, and the pair is the first argmax and argmin of the first
+    column attaining it; no sum is recomputed per set.  Other spaces,
+    grids of more than 8 coordinates among them, run a pairwise scan, on
+    the space's scan_view (integer numerators on rational windows), over
+    the points ranked by their distance r to a pivot c, pruned by the
+    triangle inequality d(x, y) <= r(x) + r(y); c need not lie in the
+    set, so the scan is exact for any c.  The pivot is whichever of the
+    set's first point and the window's deepest point (``space.deepest``)
+    has the smaller eccentricity over the set.  On a ball window the
+    deepest point is the centre, so the scan stops as soon as the largest
+    distance found reaches twice the next point's radius.
     """
-    pts = [space.points[i] for i in point_indices]
-    best, pair = 0, (pts[0], pts[0])
-    if len(pts) == 1:
-        return best, pair
-    if space.kind == "grid" and len(pts[0]) <= 8:
-        # l1 diameter from the extremes of all signed coordinate sums
-        k = len(pts[0])
-        winner = [0] * len(pts)     # no spread yet: the pair is (pts[0], pts[0])
-        for mask in range(2 ** (k - 1)):
-            signs = [1] + [1 if (mask >> b) & 1 else -1 for b in range(k - 1)]
-            vals = [sum(s * c for s, c in zip(signs, p)) for p in pts]
+    labels = space.points
+    if len(point_indices) == 1:
+        return 0, (labels[point_indices[0]],) * 2
+    sums = space.signed_sums
+    if sums is not None:
+        best, winner = 0, [0]       # no spread yet: the pair is the first point twice
+        for col in sums:
+            vals = list(map(col.__getitem__, point_indices))
             spread = max(vals) - min(vals)
             if spread > best:
                 best, winner = spread, vals
-        return best, (pts[winner.index(max(winner))], pts[winner.index(min(winner))])
+        a, b = (labels[point_indices[winner.index(v)]]
+                for v in (max(winner), min(winner)))
+        return best, (a, b)
     coords, dist, _ = space.scan_view()
     pts = [coords[i] for i in point_indices]
     radii = [dist(pts[0], p) for p in pts]
@@ -168,7 +172,7 @@ def set_diameter(space, point_indices):
             d = dist(ranked[i], ranked[j])
             if d > best:
                 best, arg = d, (i, j)
-    a, b = (space.points[point_indices[order[k]]] for k in arg)
+    a, b = (labels[point_indices[order[k]]] for k in arg)
     return space.unscale(best), (a, b)
 
 

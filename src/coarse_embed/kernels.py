@@ -31,6 +31,11 @@ Work that does not depend on p is done once and shared:
 
 - the partition-of-unity kernels of one cover share one cache of row
   support radii, because their rows have the same supports for every p;
+- on a grid window of at most 8 coordinates, each row's radius is read
+  from the window's signed-sum columns (``space.signed_sums``, built once
+  per window and shared with every cover's mesh) through
+  ``space.farthest``: per column, the extremes over the row's own keys
+  against the point's entry, with no ``dist`` call;
 - the ray kernels of one length on one tree window share one cache of row
   support radii (``space.ray_radii``), whatever their p or profile, and a
   kernel at length L starts each radius from the one cached at the
@@ -165,12 +170,14 @@ class Kernel:
         (default: the domain), and the first point index attaining it
         (None over no indices).
 
-        A ray kernel's row at i starts with the row at i of every shorter
-        ray kernel, so where the radius at the longest shorter length
-        measured so far holds i, only the row's entries past that length
-        are measured (``_prefix_radii``)."""
+        Each row's radius is ``space.farthest`` over the row's own keys:
+        the extremes of the signed-sum columns on a grid window that keeps
+        them, a distance scan on any other.  A ray kernel's row at i
+        starts with the row at i of every shorter ray kernel, so where the
+        radius at the longest shorter length measured so far holds i, only
+        the row's entries past that length are measured
+        (``_prefix_radii``)."""
         radii, space = self._radii, self.base
-        coords, dist, _ = space.scan_view()
         start, prefix = self._prefix_radii()
         worst, at = 0, None
         for i in (indices if indices is not None else self.domain_indices):
@@ -180,9 +187,7 @@ class Kernel:
                 known = prefix.get(i)
                 if known is not None:
                     row = islice(row, start, None)
-                r = space.unscale(max(
-                    map(dist, repeat(coords[i]), map(coords.__getitem__, row)),
-                    default=0))
+                r = space.farthest(i, row)
                 if known is not None and known > r:
                     r = known
                 radii[i] = r

@@ -31,6 +31,14 @@ window.
 A ``rational_window`` keeps its labels cleared to integer numerators over
 one denominator, so the scans over a whole window (``scan_view``) compare
 integers; every other window scans its labels with its metric.
+
+A grid window of at most 8 coordinates keeps one column of signed
+coordinate sums per sign vector (+1, s2, ..., sk), built once when first
+read (``signed_sums``).  On integer points l1(a, b) is the largest
+|col[a] - col[b]| over the columns, so set diameters
+(``covers.set_diameter``) and the farthest of a point's row keys
+(``farthest``, the pou support radius) are read from column extremes,
+exactly and without a ``dist`` call.
 """
 
 from __future__ import annotations
@@ -42,6 +50,7 @@ import random
 from array import array
 from fractions import Fraction
 from functools import cached_property
+from itertools import repeat
 
 from .errors import guard_cap
 
@@ -80,6 +89,15 @@ class FiniteMetricSpace:
                       index order, collected when read: the pairs
                       {i, up[i]} on a tree window, from ``shell(i, 1)``
                       on any other
+    signed_sums       on a grid window of at most 8 coordinates, one list
+                      per sign vector (+1, s2, ..., sk), with the mask's
+                      bit b the sign of coordinate b + 2: point i's sum
+                      of s_m * x_m; built when read, None on every other
+                      window
+    farthest          function (i, keys) -> the largest distance from point
+                      i to the points of keys: from ``signed_sums`` where
+                      the window has them, a ``scan_view`` scan elsewhere;
+                      chosen when read
     """
 
     def __init__(self, points, dist, window_tag, interior_radius,
@@ -122,6 +140,48 @@ class FiniteMetricSpace:
 
     def unscale(self, v):
         return v
+
+    @cached_property
+    def signed_sums(self):
+        if self.kind != "grid" or not self.points or len(self.points[0]) > 8:
+            return None
+        first, *rest = zip(*self.points)
+        columns = []
+        for mask in range(2 ** len(rest)):
+            col = first
+            for b, coord in enumerate(rest):
+                col = map(operator.add if (mask >> b) & 1 else operator.sub, col, coord)
+            columns.append(list(col))
+        return columns
+
+    @cached_property
+    def farthest(self):
+        """The function (i, keys) -> the largest distance from point i to
+        the points of keys (indices, read once, so any iterable), 0 over
+        none.  With ``signed_sums`` it takes, over the columns, the largest
+        max(col[keys]) - col[i] or col[i] - min(col[keys]); otherwise it
+        scans keys on ``scan_view``.  Chosen once per window, when first
+        read, so a row's measurement pays no dispatch."""
+        sums = self.signed_sums
+        if sums is None:
+            coords, dist, _ = self.scan_view()
+            unscale = self.unscale
+
+            def farthest(i, keys):
+                near = map(coords.__getitem__, keys)
+                return unscale(max(map(dist, repeat(coords[i]), near), default=0))
+            return farthest
+
+        def farthest(i, keys):
+            keys = list(keys)
+            best = 0
+            if keys:
+                for col in sums:
+                    vals = list(map(col.__getitem__, keys))
+                    c = col[i]
+                    best = max(best, max(vals) - c, c - min(vals))
+            return best
+        return farthest
 
     @cached_property
     def integer_metric(self):

@@ -610,9 +610,25 @@ def test_covers_where_nothing_repeats_take_no_classes():
                     reference_pou_row(cover, p, i).items())
 
 
+class CountedColumn(list):
+    """A signed-sum column that counts its entry reads in reads."""
+
+    def __init__(self, col, reads):
+        super().__init__(col)
+        self.reads = reads
+
+    def __getitem__(self, i):
+        self.reads.append(1)
+        return super().__getitem__(i)
+
+
 def test_second_scan_of_a_cover_measures_no_distance():
+    """The grid's radii are read from its signed-sum columns, once per
+    cover: the p = 1 scan reads the columns and fills the cover's radius
+    cache, and the p = 2 and 3 scans read neither a column nor the
+    metric, and leave the cache as it was."""
     g = grid_space(2, 20)
-    calls = []
+    calls, reads = [], []
     bare = g.dist
 
     def counted(a, b):
@@ -620,14 +636,18 @@ def test_second_scan_of_a_cover_measures_no_distance():
         return bare(a, b)
 
     g.dist = counted
+    g.signed_sums = [CountedColumn(col, reads) for col in g.signed_sums]
     cover = balls_cover(g, 2)
     first = kernel_stats(pou_kernel(cover, 1), min_interior=1)
-    assert calls
-    calls.clear()
+    assert reads and not calls
+    measured = dict(cover._radii)
+    assert len(measured) == sum(r >= 1 for r in g.interior_radius)
+    reads.clear()
     for p in (2, 3):
         ks = kernel_stats(pou_kernel(cover, p), min_interior=1)
         assert ks.support_radius == first.support_radius
-    assert not calls
+    assert not reads and not calls
+    assert cover._radii == measured
 
 
 # ---------------------------------------------------------------------------

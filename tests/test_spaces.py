@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from coarse_embed.covers import (Cover, boundary_distance, lebesgue_condition,
                                  set_diameter)
 from coarse_embed.errors import CapExceeded
-from coarse_embed.kernels import kernel_stats, tree_kernel_tent
+from coarse_embed.kernels import Kernel, kernel_stats, tree_kernel_tent
 from coarse_embed.lamplighter import lamplighter_ball
 from coarse_embed.spaces import (JSON_TAGS, FiniteMetricSpace, _grid_shell_offsets,
                                  grid_space, l1_dist, lattice_window,
@@ -455,6 +455,64 @@ def test_lattice_window_rejects_rational_coordinates():
     half_line = [(Fraction(k, 2),) for k in range(-8, 9)]
     with pytest.raises(ValueError):
         lattice_window(half_line, 1, "half line")
+
+
+# boxes and sparse lattice windows of 1-4 coordinates keep signed-sum
+# columns; the 9-coordinate window is past them and scans distances
+COLUMN_WINDOWS = [("box", k) for k in range(1, 5)] + [
+    ("sparse", k) for k in (1, 2, 3, 4, 9)]
+
+
+@functools.cache
+def column_window(kind, k):
+    if kind == "box":
+        return grid_space(k, {1: 8, 2: 4, 3: 2, 4: 1}[k])
+    rng = random.Random(k)
+    pts = sorted({tuple(rng.randrange(-6, 7) for _ in range(k)) for _ in range(60)})
+    return lattice_window(pts, k, f"sparse Z^{k} sample")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@seed(370056325472502096799664655695133115494540672224708541726249313670398584590245958342442032939535589134568393204066)
+@given(st.sampled_from(COLUMN_WINDOWS), st.data())
+def test_signed_sum_columns_match_l1(name, data):
+    """Set diameters, farthest keys and kernel support radii read from the
+    signed-sum columns equal their all-pairs l1 values, and a window past
+    8 coordinates has no columns."""
+    space = column_window(*name)
+    assert (space.signed_sums is None) == (name[1] > 8)
+    points, n = space.points, len(space)
+    ids = st.lists(st.integers(0, n - 1), min_size=1, max_size=25, unique=True)
+    s = data.draw(ids)
+    value, (a, b) = set_diameter(space, s)
+    assert value == max(l1_dist(points[i], points[j]) for i in s for j in s)
+    assert {space.index[a], space.index[b]} <= set(s)
+    assert l1_dist(a, b) == value
+    # keys need not hold the point; a one-pass iterator is read once
+    i = data.draw(st.integers(0, n - 1))
+    assert space.farthest(i, iter(s)) == max(l1_dist(points[i], points[j]) for j in s)
+    assert space.farthest(i, ()) == 0
+    rows = data.draw(st.dictionaries(st.integers(0, n - 1), ids, min_size=1,
+                                     max_size=6))
+    kern = Kernel(space, 1, lambda i: dict.fromkeys(rows[i], 1.0),
+                  domain_indices=rows)
+    radii = {i: max(l1_dist(points[i], points[j]) for j in keys)
+             for i, keys in rows.items()}
+    worst, at = kern.support_radius()
+    assert kern._radii == radii
+    assert worst == max(radii.values())
+    assert at == min(i for i, r in radii.items() if r == worst)
+
+
+def test_signed_sums_only_on_grids():
+    # the mask's bit b is the sign of coordinate b + 2
+    assert grid_space(3, 1).signed_sums[0][-1] == 1 - 1 - 1
+    assert grid_space(3, 1).signed_sums[3][-1] == 3
+    assert json_round_trip(grid_space(2, 2)).signed_sums == grid_space(2, 2).signed_sums
+    for space in (tree_ball(3, 3), lamplighter_ball(2, certify=False),
+                  rational_window([(Fraction(1, 2), 0), (1, Fraction(1, 3))], [0, 0],
+                                  "two rational points")):
+        assert space.signed_sums is None
 
 
 def test_space_json_round_trip_grid():
