@@ -33,12 +33,17 @@ the glue shift, which rotates every residue by i D / n, so the
 coordinates that can round neither way, those that must round up and
 those that may round either way (band b = (n-1)/(2n) + tau/2 of at least
 1/2) each form a circular interval of the residues, one run of the
-doubled list; two bisections per family count them all.  The zero-sum
-condition then fixes how many ambiguous coordinates round up; only
-families where that count is feasible build their lattice points and run
-the sorted-prefix cell check.  The spec-only integers (offset numerators,
-band and prefix thresholds) are computed once per spec and point
-denominator; no Fraction is built per point.  Grid points are decoded as
+doubled list.  The zero-sum condition fixes how many ambiguous
+coordinates round up, and that count is feasible exactly when the run
+below the family's lower threshold ends at or after position i + T and
+the run below its upper threshold ends at or before it, where
+T = n - sum r_j / D lies in [1, n].  So each family is screened by two
+comparisons at the fixed positions i + T - 1 and i + T of the doubled
+list (the lemma is spelled out in membership), and only the families
+that pass build their lattice points and run the sorted-prefix cell
+check.  The spec-only integers (offset numerators, band, family and
+prefix thresholds) are computed once per spec and point denominator; no
+Fraction is built per point.  Grid points are decoded as
 integer vectors against the spec at twice its scale (pullback_grid_cover),
 so their denominator is 1.  cell_contains runs the same prefix test on
 one cleared vector.  membership_reference (per-family rational rounding)
@@ -270,7 +275,7 @@ class _SortedDecoder:
     """
 
     def __init__(self, spec):
-        n = spec.n
+        n = self.n = spec.n
         self.scale_num = spec.scale.numerator
         self.scale_den = spec.scale.denominator
         self.offset_den = math.lcm(n, *(o.denominator for o in spec.offset))
@@ -302,7 +307,11 @@ class _SortedDecoder:
         low, high = min(raw, D), max(D + 1 - raw, 0)
         # a prefix sum s of the sorted residual violates the j-th bound iff s >= limits[j-1]
         limits = [first_rejected(b, self.bound_den) for b in self.bound_num]
-        return D, mult, shift, low, high, limits
+        # family i's screen thresholds, i * step + low and i * step + high
+        starts = range(0, D, D // self.n)
+        lows = [c + low for c in starts]
+        highs = [c + high for c in starts]
+        return D, mult, shift, low, high, limits, lows, highs
 
 
 def _inside(v, limits):
@@ -320,56 +329,59 @@ def membership(x, spec):
     x is a zero-sum vector of ints and Fractions in ambient (scaled)
     coordinates.  The arithmetic is exact and on integers only: the
     coordinates are cleared to one denominator, their residues sorted
-    once, and each family tested by two bisections of the doubled sorted
-    residues (see the module notes on decoding).  Pairs come family by
-    family, and within a family in the lexicographic order of the
-    ambiguous coordinates rounded up.  An empty result means the
-    configuration failed to cover, a fatal geometry bug.
+    once, and every family screened by two comparisons at fixed positions
+    of the doubled sorted residues (see the module notes on decoding).
+    Pairs come family by family, and within a family in the lexicographic
+    order of the ambiguous coordinates rounded up.  An empty result means
+    the configuration failed to cover, a fatal geometry bug.
     """
     n = spec.n
     if len(x) != n:
         raise ValueError("dimension mismatch")
     point_den, nums = clear_denominators(x)
-    D, mult, shift, low, high, limits = spec._decoder.tables(point_den)
+    D, mult, shift, low, high, limits, lows, highs = spec._decoder.tables(point_den)
     X = [c * mult - s for c, s in zip(nums, shift)]
     if sum(X):
         raise ValueError("point is not in the zero-sum hyperplane")
-    quot = [c // D for c in X]
-    res = [c - q * D for c, q in zip(X, quot)]
     # residues sorted twice over, the second copy lifted by D: a circular
-    # interval of length at most D is then one run, counted by two bisections
-    ordered = sorted(res)
+    # interval of length at most D is then one run of the list
+    ordered = sorted([c % D for c in X])
+    T = n - sum(ordered) // D
     ordered += [r + D for r in ordered]
-    floor_sum = sum(quot)
+    # Family i (c = i * step) counts lo = #ordered < c + low and
+    # hi = #ordered < c + high: its residues in [c + low, c + high) can
+    # round neither way, those in [c + high, c + low) either way, and
+    # need = max(lo, hi) - T - i of the ambiguous ones round up for the
+    # zero-sum condition, where T = n + sum floor(X_j / D) = n - sum res_j / D
+    # lies in [1, n] because sum X = 0 and 0 <= res_j < D.  The family is
+    # feasible iff lo - hi >= 0 and 0 <= need <= lo - hi, which holds
+    # exactly when hi <= i + T <= lo: if low <= high then lo <= hi, forcing
+    # lo = hi = i + T and need = 0; if low > high then max(lo, hi) = lo and
+    # the bounds are need >= 0 and need <= lo - hi.  On the sorted list
+    # i + T <= lo iff ordered[i + T - 1] < c + low, and hi <= i + T iff
+    # ordered[i + T] >= c + high, both positions inside [0, 2n - 1]: two
+    # comparisons per family against lows[i] = c + low, highs[i] = c + high.
     step = D // n
     up_from = max(low, high)
+    # q, r = divmod(X_j - c + off, D): q (plus 1 below family i) is the
+    # floor of the shifted coordinate, raised by one when its residue is at
+    # least up_from, and r - off is the residual; r >= free_from marks the
+    # residues in [high, up_from), the ambiguous coordinates
+    off = D - up_from
+    free_from = off + high
     out = []
     for i in range(n):
-        c = i * step
-        lo, hi = bisect_left(ordered, c + low), bisect_left(ordered, c + high)
-        # residues in [c + low, c + high) can round neither way (a negative
-        # count blocks the family), in [c + high, c + low) either way, and in
-        # [c + up_from, c + D) only up; max(lo, hi) = pos(c + up_from) is n
-        # plus the residues below c less those that round up, so need is
-        # how many ambiguous coordinates the zero-sum condition rounds up
-        ambiguous = lo - hi
-        need = max(lo, hi) - n - floor_sum - i
-        if ambiguous < 0 or need < 0 or need > ambiguous:
+        if ordered[T - 1 + i] >= lows[i] or ordered[T + i] < highs[i]:
             continue
+        need = bisect_left(ordered, lows[i]) - T - i if low > high else 0
+        shifted = off - i * step
         base, v, free = [], [], []
-        for j in range(n):
-            f = res[j] - c
-            m = quot[j] + (j < i)
-            if f < 0:
-                f += D
-                m -= 1
-            if f >= up_from:
-                m += 1
-                f -= D
-            elif f >= high:
+        for j, c in enumerate(X):
+            q, r = divmod(c + shifted, D)
+            base.append(q + (j < i))
+            v.append(r - off)
+            if r >= free_from:
                 free.append(j)
-            base.append(m)
-            v.append(f)
         for chosen in itertools.combinations(free, need):
             mu, w = list(base), list(v)
             for j in chosen:

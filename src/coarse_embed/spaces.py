@@ -419,7 +419,9 @@ def clear_denominators(values):
     """(D, numerators): the least common denominator D of rational values
     (ints or Fractions) and the integers value * D, in order."""
     dens = [v.denominator for v in values]
-    D = math.lcm(*dens)
+    D = math.lcm(*set(dens))
+    if D == 1:
+        return 1, [v.numerator for v in values]
     return D, [v.numerator * (D // d) for v, d in zip(values, dens)]
 
 

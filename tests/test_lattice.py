@@ -21,7 +21,7 @@ from coarse_embed.lattice import (BoxCoverSpec, LatticeCoverSpec,
                                   membership, membership_reference,
                                   pullback_grid_cover, split_average_gap,
                                   vertex_profile, zk_cover)
-from coarse_embed.spaces import grid_space
+from coarse_embed.spaces import clear_denominators, grid_space
 
 
 def zero_sum_sample(rng, n, span=8):
@@ -199,6 +199,121 @@ def test_membership_agrees_with_bruteforce_cells(case):
             if cell_contains_bruteforce(v, tau):
                 expected.append((i, mu))
     assert sorted(found) == sorted(expected)
+
+
+def pinned_residues(rng, n, D, T, pos, value):
+    """n residues in [0, D) with n - sum / D == T whose sorted list, listed
+    twice with the second copy lifted by D, holds value at position pos,
+    and the share of their room by which random draws were moved to meet
+    the sum; None when no such residues exist."""
+    if (pos >= n) != (value >= D):
+        return None
+    r, k = value % D, pos % n
+    # k residues below r, the pinned one, and n - 1 - k from r up
+    bounds = [(0, r - 1)] * k + [(r, D - 1)] * (n - 1 - k)
+    if any(lo > hi for lo, hi in bounds):
+        return None
+    res = [rng.randint(lo, hi) for lo, hi in bounds]
+    gap = (n - T) * D - r - sum(res)
+    rooms = [hi - v if gap > 0 else lo - v for v, (lo, hi) in zip(res, bounds)]
+    room = sum(rooms)
+    if abs(gap) > abs(room):
+        return None
+    # every residue moves the same share of its room, which keeps distinct
+    # draws apart; the rounding remainder goes one unit at a time
+    moves = [m * gap // room if room else 0 for m in rooms]
+    res = [v + m for v, m in zip(res, moves)]
+    left = gap - sum(moves)
+    for j in rng.sample(range(len(res)), len(res)):
+        lo, hi = bounds[j]
+        moved = max(lo - res[j], min(hi - res[j], left))
+        res[j] += moved
+        left -= moved
+    assert left == 0
+    return abs(Fraction(gap, room or 1)), res + [r]
+
+
+def boundary_points(spec, point_den, rng, kinds, per_kind):
+    """Yield (family, kind, point): for every family i, points whose
+    doubled sorted residues (over the decode's denominator D) hold
+    lows[i] - 1 (kind 0) or lows[i] (kind 1) at position T + i - 1, or
+    highs[i] - 1 (kind 2) or highs[i] (kind 3) at position T + i, the two
+    places membership's screen reads; kinds(i) picks the kinds per family.
+    Of the T that can place a threshold, the per_kind whose random
+    residues moved least are kept; a threshold no residues can place
+    yields nothing.
+
+    The spec has integer scale s, a multiple of n, and no offset, so a
+    point of coordinates X_j / point_den decodes over D = s point_den with
+    the X_j themselves as integers; lows and highs are rebuilt here from
+    the band b = (n-1)/(2n) + tau/2."""
+    n = spec.n
+    D = int(spec.scale) * point_den
+    assert spec.scale.denominator == 1 and D % n == 0
+    b = Fraction(n - 1, 2 * n) + spec.thickening / 2
+    raw = -(-b.numerator * D // b.denominator)
+    low, high = min(raw, D), max(D + 1 - raw, 0)
+    for i in range(n):
+        c = i * D // n
+        targets = ((1, c + low - 1), (1, c + low), (0, c + high - 1), (0, c + high))
+        for kind in kinds(i):
+            shift, value = targets[kind]
+            placed = []
+            for T in range(1, n + 1):
+                got = pinned_residues(rng, n, D, T, T + i - shift, value)
+                if got is not None:
+                    placed.append((got[0], T, got[1]))
+            found = 0
+            for _, T, res in sorted(placed):
+                quot = [rng.randint(-2, 2) for _ in range(n - 1)]
+                quot.append(T - n - sum(quot))
+                X = [q * D + r for q, r in zip(quot, res)]
+                rng.shuffle(X)
+                x = [Fraction(v, point_den) for v in X]
+                if clear_denominators(x)[0] != point_den:
+                    continue
+                ordered = sorted(v % D for v in X)
+                ordered += [v + D for v in ordered]
+                assert n - sum(ordered[:n]) // D == T
+                assert ordered[T + i - shift] == value
+                yield i, kind, x
+                found += 1
+                if found == per_kind:
+                    break
+
+
+@pytest.mark.parametrize("n", [2, 4, 46])
+def test_membership_screen_at_family_thresholds(n):
+    # band b below 1/2 (forced rounding), at 1/2 (tau = 1/n) and above
+    # (ambiguous coordinates); the scale, a multiple of 4n, makes b D an
+    # integer, so every threshold is also an exact tie of the rational
+    # comparison.  At n = 2 the thresholds above 1/2 are placeable only
+    # for D <= 8.  At n = 46 the oracle is slow, so each family gets one
+    # point denominator and one kind per screen position, rotating over
+    # the families.
+    rng = random.Random(1000 + n)
+    if n <= 4:
+        scale, per_kind = Fraction(4 * n), 2
+        kinds_of = lambda i, point_den: range(4)
+    else:
+        scale, per_kind = Fraction(20 * n), 1
+        kinds_of = lambda i, point_den: (
+            (i % 2, 2 + i // 2 % 2) if i % 2 == (point_den > 1) else ())
+    seen = set()
+    for tau in (Fraction(1, 2 * n), Fraction(1, n), Fraction(3, 2 * n)):
+        spec = LatticeCoverSpec(n, scale, tau)
+        families = set()
+        for point_den in (1, 3):
+            kinds = lambda i: kinds_of(i, point_den)
+            for i, kind, x in boundary_points(spec, point_den, rng, kinds, per_kind):
+                assert membership(x, spec) == membership_reference(x, spec), \
+                    (tau, point_den, i, kind)
+                seen.add((i, kind, point_den))
+                families.add(i)
+        assert families == set(range(n))
+    assert {(i, kind) for i, kind, _ in seen} == {
+        (i, kind) for i in range(n) for d in (1, 3) for kind in kinds_of(i, d)}
+    assert {d for _, _, d in seen} == {1, 3}
 
 
 def test_membership_equals_reference_on_lamp_block(ball8):

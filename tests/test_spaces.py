@@ -1,10 +1,11 @@
 import functools
 import json
+import math
 import random
 from array import array
 from collections import deque
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 
 import pytest
 # derandomized tests also pin @seed, so an edit does not change their examples
@@ -17,7 +18,7 @@ from coarse_embed.errors import CapExceeded
 from coarse_embed.kernels import Kernel, kernel_stats, tree_kernel_tent
 from coarse_embed.lamplighter import lamplighter_ball
 from coarse_embed.spaces import (JSON_TAGS, FiniteMetricSpace, _grid_shell_offsets,
-                                 grid_space, l1_dist, lattice_window,
+                                 clear_denominators, grid_space, l1_dist, lattice_window,
                                  rational_window, ray, ray_domain, ray_meet,
                                  space_from_json, tree_ball, tree_dist)
 from conftest import json_round_trip
@@ -631,6 +632,43 @@ def label_lebesgue_condition(cover, r):
 
 def same(a, b):
     return a == b and type(a) is type(b)
+
+
+def lcm_clearing(values):
+    """Clearing by one lcm over every denominator, with no integer path."""
+    dens = [v.denominator for v in values]
+    D = math.lcm(*dens)
+    return D, [v.numerator * (D // d) for v, d in zip(values, dens)]
+
+
+def test_clear_denominators_keeps_integers_as_ints():
+    for values in ([3, -7, 0, 12], [Fraction(3), Fraction(-7, 1), 0, Fraction(12)]):
+        D, nums = clear_denominators(values)
+        assert same(D, 1)
+        assert nums == [3, -7, 0, 12] and all(type(v) is int for v in nums)
+    mixed = [Fraction(1, 2), 3, Fraction(-5, 6), Fraction(4), -2, Fraction(7, 4)]
+    D, nums = clear_denominators(mixed)
+    assert (D, nums) == lcm_clearing(mixed) == (12, [6, 36, -10, 48, -24, 21])
+    assert same(D, 12) and all(type(v) is int for v in nums)
+    assert clear_denominators([]) == (1, [])
+
+
+WHOLES = st.one_of(st.integers(-24, 24), st.builds(Fraction, st.integers(-24, 24)))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@seed(94934895733099190270949182280395777697124628550619209217597498898406737944594438600590562923219107277541683096035)
+@given(st.sampled_from([WHOLES, RATIONALS]).flatmap(
+    lambda coords: st.lists(st.tuples(coords, coords), min_size=2, max_size=30,
+                            unique=True)))
+def test_rational_window_clearing_matches_lcm_clearing(pts):
+    # whole-number windows take clear_denominators' integer path
+    space = rational_window(pts, [0] * len(pts), "clearing sample")
+    D, flat = lcm_clearing([c for p in space.points for c in p])
+    it = iter(flat)
+    assert same(space.denominator, D)
+    assert space.numerators == [tuple(islice(it, len(p))) for p in space.points]
+    assert all(type(v) is int for t in space.numerators for v in t)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
