@@ -2,13 +2,11 @@
 compression embeddings on finite metric windows."""
 
 from .errors import CapExceeded, ContractViolation, CoverageError
-from .spaces import (FiniteMetricSpace, grid_space, lattice_window,
-                     space_from_json, tree_ball)
+from .spaces import FiniteMetricSpace, grid_space, lattice_window, tree_ball
 from .lamplighter import lamp_coordinates, lamplighter_ball, word_length
 from .covers import (Cover, CoverStats, balls_cover, cover_stats,
                      interval_cover, pullback_cover)
-from .lattice import (LatticeCoverSpec, cell_contains, membership,
-                      split_average_gap, zk_cover)
+from .lattice import LatticeCoverSpec, cell_contains, membership, zk_cover
 from .kernels import (Kernel, KernelStats, kernel_stats, mazur_map,
                       pou_kernel, pullback_kernel, tree_kernel_tent)
 from .embeddings import (CompressionEmbedding, KernelField, StepFunction,

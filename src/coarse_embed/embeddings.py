@@ -53,9 +53,6 @@ class StepFunction:
             return self.values[-1]
         return self.values[i]
 
-    def __len__(self):
-        return len(self.breakpoints)
-
 
 def generalized_inverse(steps, t):
     """Inverse of a non-decreasing step function given as (x, value) pairs:

@@ -25,7 +25,7 @@ from .covers import (Envelopes, balls_cover, check_pullback_inequalities,
                      interval_cover, pullback_cover)
 from .embeddings import (KernelField, build_embedding, compression_report,
                          overlog_shape, shape_condition, weight_from_type)
-from .errors import ConfigError, ContractViolation, guard_cap
+from .errors import ConfigError, ContractViolation, guard_cap, point_cap
 from .kernels import (diff_norm, kernel_stats, mazur_pairs_check, p_norm,
                       pou_kernel, pou_lipschitz_bound, pullback_kernel,
                       tent_norm_floor, tent_profile, tree_kernel_tent)
@@ -126,6 +126,13 @@ def experiment(name, **params):
         return run
 
     return register
+
+
+def _powers_fit(p, log_top, what):
+    """ConfigError unless values up to e^log_top, each to the power p, add
+    up inside the float range over a window of at most the point cap."""
+    if p * log_top + math.log(max(point_cap(), 1)) >= math.log(sys.float_info.max):
+        raise ConfigError(f"p = {p}: {what}, to the power p, passes the float range")
 
 
 def _kernel_checks(checks, at, ks, eps_bound, radius_bound):
@@ -249,6 +256,9 @@ def run_cover_kernel(c):
     if kind == "zk" and c["L"] is None:
         raise ConfigError("cover=zk needs L")
     half_width = c["half_width"] or (100 if kind == "interval" else 40)
+    # a pou weight is capped by its point's interior radius + 1
+    _powers_fit(max(c["p_list"]), math.log(half_width + 1),
+                f"a weight up to half_width + 1 = {half_width + 1}")
     if kind == "zk":
         window = grid_space(c["k"], half_width)
         cover, stats, _ = zk_cover(window, c["k"], c["L"], strict=False)
@@ -283,6 +293,8 @@ def run_tree_embed(c):
     # the window's longest ray toward the marked end: depth plus its spine
     if max(c["S_list"]) > 3 * c["depth"]:
         raise ConfigError(f"S_list must stay at most 3 * depth = {3 * c['depth']}")
+    top = max(c["S_list"]) + 2
+    _powers_fit(max(c["p_list"]), math.log(top), f"the tent profile's top S + 2 = {top}")
     tree = tree_ball(c["valence"], c["depth"])
     rows, checks = [], []
     for S in c["S_list"]:
@@ -412,6 +424,10 @@ def run_profile(c):
     if max(map(int, c["tree_S_list"]), default=0) > 3 * c["tree_depth"]:
         raise ConfigError(f"tree_S_list rounded down must stay at most "
                           f"3 * tree_depth = {3 * c['tree_depth']}")
+    # tent values reach S + 2, pou weights a window's interior radius + 1
+    top = max(int(max(c["tree_S_list"])) + 2, c["grid_half_width"] + 1,
+              c["wreath_radius"] + 1)
+    _powers_fit(p, math.log(top), f"a tent value or pou weight up to {top}")
     rows, checks = [], []
     grid = grid_space(2, c["grid_half_width"])
 
@@ -502,6 +518,12 @@ def run_embed(c):
     if max(levels[:-1]) > 2 * c["depth"]:    # the root's ray: the spine
         raise ConfigError(f"S_levels below the top must stay at most "
                           f"2 * depth = {2 * c['depth']}")
+    # tent values reach S + 2, and the weight takes u(S) = S (log S)^(-e)
+    # at each level, times a kernel difference of at most 2 in a distance
+    e = (1.0 + c["a"]) / p
+    _powers_fit(p, max(math.log(max(levels[:-1]) + 2),
+                       max(math.log(2 * S) - e * math.log(math.log(S)) for S in levels)),
+                f"a tent value or 2 u(S) over S_levels (a={c['a']})")
     u = overlog_shape(c["a"], p)
     curve = [(float(S), float(S)) for S in levels]   # linear mesh growth
     # the weight takes u(S) at each level, a closed form of a, p and the

@@ -5,12 +5,12 @@ normed by the l1 norm.  The integer points of the hyperplane form a
 lattice; adding the n glue shifts yields a finer lattice whose Voronoi
 cell V is a permutohedron, cut out by the inequalities
 
-    split_average_gap(x, I) <= 1/2     for every proper subset I,
+    gap(x, I) <= 1/2     for every proper subset I,
 
-where split_average_gap is the difference between the coordinate average
-over I and over its complement.  Maximizing the gap over subsets of fixed
-size is achieved by the largest coordinates, so membership reduces to n-1
-sorted-prefix checks.
+where the split-average gap(x, I) is the difference between the
+coordinate average over I and over its complement.  Maximizing the gap
+over subsets of fixed size is achieved by the largest coordinates, so
+membership reduces to n-1 sorted-prefix checks.
 
 Thickening.  Covers need the cells enlarged by a small margin tau.  The
 enlargement used here relaxes each defining inequality by tau times the
@@ -46,8 +46,9 @@ prefix thresholds) are computed once per spec and point denominator; no
 Fraction is built per point.  Grid points are decoded as
 integer vectors against the spec at twice its scale (pullback_grid_cover),
 so their denominator is 1.  cell_contains runs the same prefix test on
-one cleared vector.  membership_reference (per-family rational rounding)
-and cell_contains_bruteforce (every subset inequality) stay as the oracles.
+one cleared vector.  cell_contains_bruteforce (every subset inequality)
+is the cell test's oracle; membership's oracle, a per-family rounding in
+Fraction arithmetic, and the gap itself live in tests/test_lattice.py.
 
 Box covers.  zk_cover also tries one cover that does not come from the
 lattice: cubes of side 2L-2 tiling Z^2, each grown by its closed l1
@@ -67,30 +68,13 @@ from fractions import Fraction
 from functools import cached_property
 
 from .covers import cover_stats, grouped_cover, lebesgue_condition
-from .errors import ContractViolation, CoverageError
+from .errors import ContractViolation, CoverageError, guard_cap
 from .spaces import clear_denominators
-
-
-def split_average_gap(x, subset):
-    """Average over the subset minus average over the complement (exact)."""
-    n = len(x)
-    subset = set(subset)
-    j = len(subset)
-    if j == 0 or j == n:
-        raise ValueError("subset must be proper and nonempty")
-    total = sum(x)
-    s = sum(x[i] for i in subset)
-    return Fraction(s, 1) / j - (total - s) / (n - j)
 
 
 def default_thickening(n):
     """Half the guaranteed in-family separation of the cell translates."""
     return Fraction(1, 2 * (n - 1))
-
-
-def glue_shift(i, n):
-    """The i-th shift vector: ((i-n)/n on the first i coords, i/n after)."""
-    return tuple(Fraction(i - n, n) if j < i else Fraction(i, n) for j in range(n))
 
 
 def vertex_profile(n):
@@ -201,70 +185,6 @@ def cell_contains_bruteforce(v, tau=0):
     return True
 
 
-def _decode_family(y, n, tau):
-    """Integer zero-sum lattice points whose (enlarged) cell can contain y.
-
-    The singleton inequalities force |y_j - mu_j| < (n-1)/(2n) + tau/2
-    coordinatewise, so mu_j is floor or ceiling of y_j.  For tau < 1/n the
-    bound is below 1/2 and the choice per coordinate is forced, giving at
-    most one candidate.  Larger tau leaves both choices open on coordinates
-    whose fractional part falls in the ambiguity band; those are enumerated
-    (the zero-sum constraint fixes how many take the ceiling).
-    """
-    b = Fraction(n - 1, 2 * n) + Fraction(tau) / 2
-    base = []
-    ambiguous = []
-    for idx, yj in enumerate(y):
-        fl = _floor_fraction(yj)
-        frac = yj - fl
-        lo_ok = frac < b
-        hi_ok = 1 - frac < b
-        if lo_ok and hi_ok:
-            base.append(fl)
-            ambiguous.append(idx)
-        elif lo_ok:
-            base.append(fl)
-        elif hi_ok:
-            base.append(fl + 1)
-        else:
-            return []
-    need = -sum(base)
-    if need < 0 or need > len(ambiguous):
-        return []
-    if need == 0 and not ambiguous:
-        return [tuple(base)]
-    out = []
-    for chosen in itertools.combinations(ambiguous, need):
-        mu = list(base)
-        for idx in chosen:
-            mu[idx] += 1
-        out.append(tuple(mu))
-    return out
-
-
-def _floor_fraction(x):
-    return x.numerator // x.denominator if isinstance(x, Fraction) else x // 1
-
-
-def membership_reference(x, spec):
-    """Rational-arithmetic reference for the membership listing (slow)."""
-    n = spec.n
-    if len(x) != n:
-        raise ValueError("dimension mismatch")
-    if sum(x) != 0:
-        raise ValueError("point is not in the zero-sum hyperplane")
-    xs = tuple(Fraction(c) / spec.scale - o for c, o in zip(x, spec.offset))
-    out = []
-    for i in range(n):
-        shift = glue_shift(i, n)
-        y = tuple(a - b for a, b in zip(xs, shift))
-        for mu in _decode_family(y, n, spec.thickening):
-            v = tuple(a - b for a, b in zip(y, mu))
-            if cell_contains(v, spec.thickening):
-                out.append((i, mu))
-    return out
-
-
 class _SortedDecoder:
     """Everything the sorted decode needs that depends only on the spec.
 
@@ -333,7 +253,9 @@ def membership(x, spec):
     of the doubled sorted residues (see the module notes on decoding).
     Pairs come family by family, and within a family in the lexicographic
     order of the ambiguous coordinates rounded up.  An empty result means
-    the configuration failed to cover, a fatal geometry bug.
+    the configuration failed to cover, a fatal geometry bug.  A band above
+    1/2 makes a family choose which ambiguous coordinates round up, and
+    raises CapExceeded when those choices outnumber the cap.
     """
     n = spec.n
     if len(x) != n:
@@ -382,6 +304,10 @@ def membership(x, spec):
             v.append(r - off)
             if r >= free_from:
                 free.append(j)
+        if need:
+            # only bands above 1/2 leave a choice; no library spec has one
+            guard_cap(math.comb(len(free), need),
+                      f"membership (n={n}) family {i} candidate lattice points")
         for chosen in itertools.combinations(free, need):
             mu, w = list(base), list(v)
             for j in chosen:

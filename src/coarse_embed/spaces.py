@@ -46,7 +46,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-import random
 from array import array
 from fractions import Fraction
 from functools import cached_property
@@ -57,10 +56,6 @@ from .errors import guard_cap
 _GRID_SHELL_CACHE = {}
 # window kinds whose metric takes integer values
 INTEGER_KINDS = ("grid", "tree", "lamplighter")
-# the JSON tag of each window kind whose metric space_from_json recomputes
-# from the labels; a window of no kind serializes an explicit matrix
-JSON_TAGS = {"grid": "l1-grid", "rational": "l1-rational", "tree": "tree",
-             "lamplighter": "lamplighter"}
 
 
 class FiniteMetricSpace:
@@ -73,7 +68,7 @@ class FiniteMetricSpace:
     geodesic          True if any two window points are joined by a geodesic
                       running inside the window (grids, truncated trees)
     kind              grid, rational, tree, lamplighter or None (any other
-                      metric): picks shells, pair policy and ``JSON_TAGS``
+                      metric): picks shells and pair policy
     strides           on a ``grid_space`` box, the index step of a unit move
                       along each coordinate; None on every other window
     up                on a tree window, the index of each point's first step
@@ -307,104 +302,6 @@ class FiniteMetricSpace:
             window_tag or f"{self.window_tag}|subspace",
             [self.radius_of(p) for p in labels],
             geodesic=False, kind=self.kind)
-
-    def check_metric(self):
-        """Verify the metric axioms, exhaustively when affordable.
-
-        Identity and symmetry are checked on all pairs up to a budget; the
-        triangle inequality on all triples when n^3 fits the budget, else on
-        a seeded random sample.  Raises AssertionError with a witness.
-        """
-        n = len(self.points)
-        triple_budget = 200_000
-        pair_budget = min(n * n, triple_budget)
-        rng = random.Random(7)
-        if n * (n - 1) // 2 <= pair_budget:
-            pairs = itertools.combinations(range(n), 2)
-        else:
-            pairs = ((rng.randrange(n), rng.randrange(n)) for _ in range(pair_budget))
-        for i, j in pairs:
-            if i == j:
-                continue
-            d = self.dist_i(i, j)
-            assert d > 0, f"zero distance between distinct {self.points[i]} {self.points[j]}"
-            assert d == self.dist_i(j, i), f"asymmetry at {self.points[i]} {self.points[j]}"
-        for i in range(min(n, 1000)):
-            assert self.dist_i(i, i) == 0
-        if n ** 3 <= triple_budget:
-            triples = itertools.product(range(n), repeat=3)
-        else:
-            triples = ((rng.randrange(n), rng.randrange(n), rng.randrange(n))
-                       for _ in range(triple_budget))
-        for i, j, k in triples:
-            if self.dist_i(i, k) > self.dist_i(i, j) + self.dist_i(j, k):
-                raise AssertionError(
-                    f"triangle violation at {self.points[i]} {self.points[j]} {self.points[k]}")
-        return True
-
-    def to_json(self):
-        return {
-            "window_tag": self.window_tag,
-            "points": [_label_to_json(p) for p in self.points],
-            "dist": JSON_TAGS.get(self.kind) or _explicit_matrix(self),
-            "interior_radius": [int(r) for r in self.interior_radius],
-            "geodesic": self.geodesic,
-        }
-
-
-def _explicit_matrix(space):
-    return [[int(space.dist_i(i, j)) for j in range(i)] for i in range(len(space))]
-
-
-def _label_to_json(label):
-    if isinstance(label, tuple):
-        return [_label_to_json(x) for x in label]
-    if isinstance(label, Fraction):
-        return f"{label.numerator}/{label.denominator}"
-    return label
-
-
-def _label_from_json(obj):
-    if isinstance(obj, list):
-        return tuple(_label_from_json(x) for x in obj)
-    if isinstance(obj, str) and "/" in obj:
-        num, den = obj.split("/")
-        return Fraction(int(num), int(den))
-    return obj
-
-
-def space_from_json(doc):
-    """Rebuild a space serialized by ``to_json``.
-
-    A tag of ``JSON_TAGS`` gives back the window's kind, whose metric is
-    recomputed from the labels; an explicit lower-triangular matrix comes
-    back as a lookup, of no kind.  A document without a geodesic entry
-    comes back not geodesic.
-    """
-    points = [_label_from_json(p) for p in doc["points"]]
-    kind = next((k for k, tag in JSON_TAGS.items() if tag == doc["dist"]), None)
-    if kind == "rational":
-        return rational_window(points, doc["interior_radius"], doc["window_tag"])
-    if kind == "grid":
-        dist = l1_dist
-    elif kind == "tree":
-        dist = tree_dist
-    elif kind == "lamplighter":
-        from .lamplighter import label_dist as dist
-    else:
-        matrix = doc["dist"]
-        index = {p: i for i, p in enumerate(points)}
-
-        def dist(a, b, _m=matrix, _ix=index):
-            i, j = _ix[a], _ix[b]
-            if i == j:
-                return 0
-            if i < j:
-                i, j = j, i
-            return _m[i][j]
-
-    return FiniteMetricSpace(points, dist, doc["window_tag"], doc["interior_radius"],
-                             geodesic=doc.get("geodesic", False), kind=kind)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,3 @@
-import json
 import sys
 from pathlib import Path
 
@@ -7,14 +6,20 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from coarse_embed.lamplighter import lamplighter_ball  # noqa: E402
-from coarse_embed.spaces import grid_space, space_from_json  # noqa: E402
+from coarse_embed.spaces import (FiniteMetricSpace, grid_space,  # noqa: E402
+                                 rational_window)
 
 _CRITERION_LINES = []
 
 
-def json_round_trip(space):
-    """The space rebuilt from its JSON text."""
-    return space_from_json(json.loads(json.dumps(space.to_json())))
+def rebuilt(space):
+    """A fresh window of the same points, metric, radii, kind and geodesic
+    flag: no strides, and nothing derived or cached yet."""
+    if space.kind == "rational":
+        return rational_window(space.points, space.interior_radius, space.window_tag)
+    return FiniteMetricSpace(space.points, space.dist, space.window_tag,
+                             space.interior_radius, geodesic=space.geodesic,
+                             kind=space.kind)
 
 
 @pytest.fixture(scope="session")

@@ -7,6 +7,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from coarse_embed import experiments
 from coarse_embed.cli import main
@@ -74,7 +76,10 @@ BAD_CONFIGS = [
     ("voronoi-check", "n=2", "sample=10", "n=1"),
     ("voronoi-check", "n=2", "boxes=2", "n=14"),        # past the cell oracle's n <= 12
     ("cover-kernel", "", "half_widht=5", "cover=zk"),    # zk needs L
+    # a pou weight up to half_width + 1 = 6: 6^1000 is past the float range
+    ("cover-kernel", "cover=balls half_width=5", "half_widht=5", "p_list=[1000]"),
     ("tree-embed", "", "dept=6", "p_list=[0]"),
+    ("tree-embed", "depth=5 S_list=[2,4]", "dept=6", "p_list=[397]"),   # (4 + 2)^397
     ("lamplighter-metric", "", "raduis=3", "m_list=[0]"),
     ("lamplighter-cover", "", "L_list=[1]", "L=0"),
     ("lamplighter-cover", "L=3", "L_list=[1]", "radius=1"),   # the same for a ball
@@ -87,12 +92,16 @@ BAD_CONFIGS = [
     ("profile", PROFILE_SMALL, "grid_halfwidth=5", "tree_S_list=[]"),
     ("profile", PROFILE_SMALL, "grid_halfwidth=5", "wreath_L_list=[]"),
     ("profile", PROFILE_SMALL, "grid_halfwidth=5", "tree_S_list=[0.5,2]"),
+    ("profile", PROFILE_SMALL + " tree_S_list=[2,4]", "grid_halfwidth=5", "p=400"),
     ("embed", "", "samples=30", "depth=0"),
     ("embed", "", "samples=30", "sample_points=1"),     # no pair to measure
     # the weight u(S) = S / log S at a = 1, p = 2 is flat from 2 to 4 (the
     # one level weighs 0) and falls from 2 to 3
     ("embed", "depth=1", "samples=30", "S_levels=[2,4]"),
     ("embed", "depth=2", "samples=30", "S_levels=[2,3,4]"),
+    # past the float range: the tent's top 8^397, and u(8)^2 = 64 (log 8)^9999
+    ("embed", "depth=4 S_levels=[2,4,8]", "samples=30", "p=397"),
+    ("embed", "depth=4 S_levels=[2,4,8]", "samples=30", "a=-10000"),
     ("cp-check", "", "T=5", "subdivisions=0"),
     ("cp-check", "", "T=5", "p=20"),        # t^p past the float range
     ("cp-check", "", "T=5", "a=-1000"),     # u(t)^p = t^p (log t)^999 past it
@@ -397,6 +406,51 @@ def test_every_key_at_its_lower_bound_exits_cleanly(tmp_path, monkeypatch, exper
     # a traceback fails the test; so does a FAILED row without a witness
     monkeypatch.setenv("COARSE_EMBED_CAP", "20000")
     code, out = run(tmp_path, experiment, *sets(settings), "--set", at_bound)
+    assert code in (0, 1, 2, 3)
+    if code == 1:
+        failed = [r for r in read_csv_rows(out + ".csv") if r.get("check") == "FAILED"]
+        assert failed and all(r["witness"] not in ("", "None") for r in failed)
+
+
+def declared_values(param):
+    """Small values a parameter's declaration admits: one of a choice's
+    options; an integer from lo (0 without one) up to 3 more; a number
+    from lo (-2 without one) up to 4 or 1000 more; a list of such items,
+    at least min_len of them, sorted and distinct where it must increase."""
+    if param.what.startswith("one of "):
+        return st.sampled_from(param.what[len("one of "):].split(", "))
+    if "an integer" in param.what:
+        lo = 0 if param.lo is None else param.lo
+        item = st.integers(lo, lo + 3)
+    else:
+        lo = -2 if param.lo is None else param.lo
+        item = (st.floats(lo, lo + 4) | st.floats(lo, lo + 1000)).map(lambda v: round(v, 2))
+    if param.min_len is None:
+        return item
+    if "increasing" in param.what:
+        return st.lists(item, min_size=param.min_len, max_size=param.min_len + 3,
+                        unique=True).map(sorted)
+    return st.lists(item, min_size=param.min_len, max_size=param.min_len + 3)
+
+
+@settings(max_examples=6, deadline=None, derandomize=True)
+@seed(20261020)
+@given(data=st.data())
+@pytest.mark.parametrize("experiment,golden", GOLDEN_CONFIGS,
+                         ids=[case[0] for case in GOLDEN_CONFIGS])
+def test_declared_configs_exit_cleanly(tmp_path_factory, experiment, golden, data):
+    # the golden config with some keys drawn anew from their declarations;
+    # a traceback fails the test, and so does a FAILED row without a witness
+    params = experiments.EXPERIMENTS[experiment].params
+    keys = data.draw(st.lists(st.sampled_from(sorted(params)), unique=True))
+    items = [golden]
+    for key in keys:
+        value = data.draw(declared_values(params[key]), label=key)
+        items.append(f"{key}={json.dumps(value, separators=(',', ':'))}")
+    out = str(tmp_path_factory.mktemp("declared") / "report")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("COARSE_EMBED_CAP", "2000")
+        code = main([experiment, *sets(" ".join(items)), "--out", out])
     assert code in (0, 1, 2, 3)
     if code == 1:
         failed = [r for r in read_csv_rows(out + ".csv") if r.get("check") == "FAILED"]

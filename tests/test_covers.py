@@ -21,7 +21,6 @@ from coarse_embed.lamplighter import (lamp_coordinates, block_window,
 from coarse_embed.lattice import canonical_spec, zk_cover
 from coarse_embed.spaces import (FiniteMetricSpace, grid_space,
                                  lattice_window, rational_window, tree_ball)
-from conftest import json_round_trip
 
 
 def test_single_set_cover_stats():
@@ -121,12 +120,11 @@ def diameter_window(name):
         pts = sorted({tuple(Fraction(rng.randrange(-12, 13), rng.choice((1, 2, 3)))
                             for _ in range(10)) for _ in range(60)})
         return rational_window(pts, [0] * len(pts), "sparse rational window")
-    # an untagged l-infinity metric serializes as an explicit matrix
+    # an l-infinity metric, of no kind
     pts = sorted({tuple(rng.randrange(-6, 7) for _ in range(3)) for _ in range(50)})
-    space = FiniteMetricSpace(
+    return FiniteMetricSpace(
         pts, lambda a, b: max(abs(x - y) for x, y in zip(a, b)), "l-inf sample",
         [6 - max(map(abs, p)) for p in pts])
-    return json_round_trip(space)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -143,12 +141,6 @@ def test_set_diameter_matches_all_pairs(name, drop_deepest, data):
     assert value == brute_diameter(space, ids)
     assert {space.index[a], space.index[b]} <= set(ids)
     assert space.dist(a, b) == value
-
-
-def test_explicit_window_is_a_matrix_round_trip():
-    space = diameter_window("explicit")
-    assert space.kind is None and isinstance(space.to_json()["dist"], list)
-    assert space.deepest != space.points[0]
 
 
 def test_lamplighter_cover_mesh_is_exact():

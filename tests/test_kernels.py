@@ -24,7 +24,7 @@ from coarse_embed.lattice import BoxCoverSpec, box_grid_cover, zk_cover
 from coarse_embed.spaces import (FiniteMetricSpace, grid_space, rational_window,
                                  ray, ray_domain, tree_ball)
 from coarse_embed.wreath import wreath_cover
-from conftest import json_round_trip
+from conftest import rebuilt
 
 
 def test_constant_kernel_has_zero_lipschitz():
@@ -762,12 +762,12 @@ def test_kernel_stats_drops_the_rows_it_built(build):
 @st.composite
 def fresh_tree_windows(draw):
     """A tree window built for the example, so that its ray radii start
-    empty: tree_ball(3, depth), its JSON round trip, or a seeded subspace
-    of it in shuffled order (rays with gaps included)."""
+    empty: tree_ball(3, depth), a fresh rebuild of it, or a seeded
+    subspace of it in shuffled order (rays with gaps included)."""
     tree = tree_ball(3, draw(st.integers(1, 4)))
-    kind = draw(st.sampled_from(["ball", "json", "subspace"]))
-    if kind == "json":
-        return json_round_trip(tree)
+    kind = draw(st.sampled_from(["ball", "rebuilt", "subspace"]))
+    if kind == "rebuilt":
+        return rebuilt(tree)
     if kind == "subspace":
         rng = random.Random(draw(st.integers(0, 2 ** 16)))
         return tree.subspace(rng.sample(tree.points, rng.randrange(1, len(tree) + 1)))
@@ -821,7 +821,7 @@ def test_each_ray_pair_is_measured_once(window):
     length whose domain holds it."""
     tree = tree_ball(3, 5)
     if window == "json":
-        tree = json_round_trip(tree)
+        tree = rebuilt(tree)
     measured = []
     bare = tree.dist
 

@@ -10,18 +10,106 @@ from hypothesis import strategies as st
 
 from coarse_embed.covers import cover_stats, lebesgue_condition
 from coarse_embed import lattice
-from coarse_embed.errors import ContractViolation, CoverageError
+from coarse_embed.errors import CapExceeded, ContractViolation, CoverageError
 from coarse_embed.lamplighter import lamp_coordinates, lamp_parts_window
 from coarse_embed.lattice import (BoxCoverSpec, LatticeCoverSpec,
                                   box_grid_cover, candidate_specs,
                                   canonical_spec, cell_contains,
                                   cell_contains_bruteforce,
                                   default_thickening, embed_grid_point,
-                                  glue_shift, in_family_separation_bound,
-                                  membership, membership_reference,
-                                  pullback_grid_cover, split_average_gap,
-                                  vertex_profile, zk_cover)
+                                  in_family_separation_bound, membership,
+                                  pullback_grid_cover, vertex_profile,
+                                  zk_cover)
 from coarse_embed.spaces import clear_denominators, grid_space
+
+
+# ---------------------------------------------------------------------------
+# Oracles: the split-average gap that defines the cell, and membership by
+# per-family rational rounding
+
+
+def split_average_gap(x, subset):
+    """Average over the subset minus average over the complement (exact)."""
+    n = len(x)
+    subset = set(subset)
+    j = len(subset)
+    if j == 0 or j == n:
+        raise ValueError("subset must be proper and nonempty")
+    total = sum(x)
+    s = sum(x[i] for i in subset)
+    return Fraction(s, 1) / j - (total - s) / (n - j)
+
+
+def glue_shift(i, n):
+    """The i-th shift vector: ((i-n)/n on the first i coords, i/n after)."""
+    return tuple(Fraction(i - n, n) if j < i else Fraction(i, n) for j in range(n))
+
+
+def _decode_family(y, n, tau):
+    """Integer zero-sum lattice points whose (enlarged) cell can contain y.
+
+    The singleton inequalities force |y_j - mu_j| < (n-1)/(2n) + tau/2
+    coordinatewise, so mu_j is floor or ceiling of y_j.  For tau < 1/n the
+    bound is below 1/2 and the choice per coordinate is forced, giving at
+    most one candidate.  Larger tau leaves both choices open on coordinates
+    whose fractional part falls in the ambiguity band; those are enumerated
+    (the zero-sum constraint fixes how many take the ceiling).
+    """
+    b = Fraction(n - 1, 2 * n) + Fraction(tau) / 2
+    base = []
+    ambiguous = []
+    for idx, yj in enumerate(y):
+        fl = _floor_fraction(yj)
+        frac = yj - fl
+        lo_ok = frac < b
+        hi_ok = 1 - frac < b
+        if lo_ok and hi_ok:
+            base.append(fl)
+            ambiguous.append(idx)
+        elif lo_ok:
+            base.append(fl)
+        elif hi_ok:
+            base.append(fl + 1)
+        else:
+            return []
+    need = -sum(base)
+    if need < 0 or need > len(ambiguous):
+        return []
+    if need == 0 and not ambiguous:
+        return [tuple(base)]
+    out = []
+    for chosen in combinations(ambiguous, need):
+        mu = list(base)
+        for idx in chosen:
+            mu[idx] += 1
+        out.append(tuple(mu))
+    return out
+
+
+def _floor_fraction(x):
+    return x.numerator // x.denominator if isinstance(x, Fraction) else x // 1
+
+
+def membership_reference(x, spec):
+    """Rational-arithmetic reference for the membership listing (slow)."""
+    n = spec.n
+    if len(x) != n:
+        raise ValueError("dimension mismatch")
+    if sum(x) != 0:
+        raise ValueError("point is not in the zero-sum hyperplane")
+    xs = tuple(Fraction(c) / spec.scale - o for c, o in zip(x, spec.offset))
+    out = []
+    for i in range(n):
+        shift = glue_shift(i, n)
+        y = tuple(a - b for a, b in zip(xs, shift))
+        for mu in _decode_family(y, n, spec.thickening):
+            v = tuple(a - b for a, b in zip(y, mu))
+            if cell_contains(v, spec.thickening):
+                out.append((i, mu))
+    return out
+
+
+# ---------------------------------------------------------------------------
 
 
 def zero_sum_sample(rng, n, span=8):
@@ -125,6 +213,23 @@ def test_shifts_are_zero_sum_glue_vectors():
             assert sum(s) == 0
             assert all(c.denominator in (1, n) or n % c.denominator == 0 for c in s)
     assert glue_shift(0, 4) == (0, 0, 0, 0)
+
+
+def test_membership_caps_the_roundings_of_ambiguous_coordinates(monkeypatch):
+    # a band above 1/2 (tau = 3/(2n)) and every coordinate at 1/2, in
+    # family 0's ambiguous band: n = 4 has C(4, 2) = 6 roundings to try,
+    # n = 46 has C(46, 23), about 8.2e12, which the cap refuses up front
+    spec = LatticeCoverSpec(4, Fraction(1), Fraction(3, 8))
+    x = (Fraction(1, 2), Fraction(-1, 2)) * 2
+    monkeypatch.setenv("COARSE_EMBED_CAP", "5")
+    with pytest.raises(CapExceeded, match="family 0 candidate lattice points: 6 "):
+        membership(x, spec)
+    monkeypatch.setenv("COARSE_EMBED_CAP", "6")
+    assert membership(x, spec) == membership_reference(x, spec)
+    monkeypatch.setenv("COARSE_EMBED_CAP", "1000")
+    spec = LatticeCoverSpec(46, Fraction(1), Fraction(3, 92))
+    with pytest.raises(CapExceeded, match="8233430727600 exceeds cap 1000"):
+        membership((Fraction(1, 2), Fraction(-1, 2)) * 23, spec)
 
 
 def test_membership_origin_in_family_zero():

@@ -1,5 +1,4 @@
 import functools
-import json
 import math
 import random
 from array import array
@@ -17,11 +16,11 @@ from coarse_embed.covers import (Cover, boundary_distance, lebesgue_condition,
 from coarse_embed.errors import CapExceeded
 from coarse_embed.kernels import Kernel, kernel_stats, tree_kernel_tent
 from coarse_embed.lamplighter import lamplighter_ball
-from coarse_embed.spaces import (JSON_TAGS, FiniteMetricSpace, _grid_shell_offsets,
+from coarse_embed.spaces import (FiniteMetricSpace, _grid_shell_offsets,
                                  clear_denominators, grid_space, l1_dist, lattice_window,
-                                 rational_window, ray, ray_domain, ray_meet,
-                                 space_from_json, tree_ball, tree_dist)
-from conftest import json_round_trip
+                                 rational_window, ray, ray_domain, ray_meet, tree_ball,
+                                 tree_dist)
+from conftest import rebuilt
 
 
 def test_grid_line_basics():
@@ -91,10 +90,10 @@ def shuffled(space, rng):
 @functools.cache
 def shell_window(name):
     """Windows of every shell path: grid boxes (index strides), a sparse
-    lattice window, a box subspace and a JSON round-tripped box (lookups),
-    a tree, a JSON round-tripped tree, a shuffled tree and a tree subspace
-    (scans, unit edges from ``up``) and a lamplighter ball (translated
-    shells)."""
+    lattice window, a box subspace and a box rebuilt without its strides
+    (``box-json``; lookups), a tree, a rebuilt tree (``tree-json``), a
+    shuffled tree and a tree subspace (scans, unit edges from ``up``) and a
+    lamplighter ball (translated shells)."""
     rng = random.Random(5)
     boxes = {"box1": (1, 5), "box2": (2, 3), "box3": (3, 2)}
     if name in boxes:
@@ -106,11 +105,11 @@ def shell_window(name):
         box = grid_space(2, 3)
         return box.subspace(rng.sample(box.points, 30))
     if name == "box-json":
-        return json_round_trip(grid_space(2, 3))
+        return rebuilt(grid_space(2, 3))
     if name == "tree":
         return tree_ball(3, 3)
     if name == "tree-json":
-        return json_round_trip(tree_ball(3, 3))
+        return rebuilt(tree_ball(3, 3))
     if name == "tree-shuffled":
         return shuffled(tree_ball(3, 3), rng)
     if name == "tree-subspace":
@@ -145,10 +144,6 @@ def test_index_shells_match_the_distance_scan(data):
         steps = [order[tuple(a - b for a, b in zip(space.points[j], p))]
                  for j in shell]
         assert steps == sorted(steps)
-
-
-def test_metric_checker_accepts_grid():
-    assert grid_space(2, 4).check_metric()
 
 
 def test_tree_small_examples():
@@ -280,7 +275,7 @@ def test_ray_domain_rejects_rays_with_a_gap():
 def test_ray_reach_matches_the_ray_walk():
     # the label oracle walks each ray until its next point is missing
     windows = [space for _, tree in ray_windows()
-               for space in (tree, json_round_trip(tree))]
+               for space in (tree, rebuilt(tree))]
     for space in [*windows, gap_window()]:
         reach = space.ray_reach
         assert isinstance(reach, array) and reach.typecode == "i"
@@ -311,10 +306,10 @@ def ray_meet_oracle(space, i, j, length):
     return None if a is None else (a, rj.index(ri[a]))
 
 
-# tree_ball windows, their JSON round trips, and seeded subspaces of them,
+# tree_ball windows, fresh rebuilds of them, and seeded subspaces of them,
 # some shuffled (from ray_windows)
 MEET_WINDOWS = [(depth, space) for depth, tree in ray_windows()
-                for space in (tree, json_round_trip(tree))]
+                for space in (tree, rebuilt(tree))]
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
@@ -359,7 +354,7 @@ def test_unit_edges_are_the_pairs_at_distance_one(name):
 
 def test_json_round_tripped_tree_gives_the_same_kernel_stats():
     tree = tree_ball(3, 8)
-    back = json_round_trip(tree)
+    back = rebuilt(tree)
     assert back.geodesic and back.kind == "tree"
     assert kernel_stats(tree_kernel_tent(back, 4, 2)) == kernel_stats(
         tree_kernel_tent(tree, 4, 2))
@@ -509,85 +504,11 @@ def test_signed_sums_only_on_grids():
     # the mask's bit b is the sign of coordinate b + 2
     assert grid_space(3, 1).signed_sums[0][-1] == 1 - 1 - 1
     assert grid_space(3, 1).signed_sums[3][-1] == 3
-    assert json_round_trip(grid_space(2, 2)).signed_sums == grid_space(2, 2).signed_sums
+    assert rebuilt(grid_space(2, 2)).signed_sums == grid_space(2, 2).signed_sums
     for space in (tree_ball(3, 3), lamplighter_ball(2, certify=False),
                   rational_window([(Fraction(1, 2), 0), (1, Fraction(1, 3))], [0, 0],
                                   "two rational points")):
         assert space.signed_sums is None
-
-
-def test_space_json_round_trip_grid():
-    g = grid_space(2, 3)
-    doc = json.loads(json.dumps(g.to_json()))
-    back = space_from_json(doc)
-    assert back.points == g.points
-    assert back.interior_radius == g.interior_radius
-    for a, b in [((0, 0), (3, -3)), ((1, 2), (-3, 0))]:
-        assert back.dist(a, b) == g.dist(a, b)
-    assert back.geodesic
-    # a sparse window and a box split in two by a removed column are not
-    # geodesic, and must not come back so
-    sparse = lattice_window([(0, 0), (0, 1), (5, 5)], 2, "sparse")
-    split = g.subspace([p for p in g.points if p[0] != 0], "box split at x=0")
-    for space in (sparse, split):
-        back = json_round_trip(space)
-        assert back.points == space.points
-        assert back.kind == "grid" and not back.geodesic
-
-
-def test_space_json_round_trip_lamplighter():
-    from coarse_embed.lamplighter import lamplighter_ball
-    ball = lamplighter_ball(3)
-    doc = json.loads(json.dumps(ball.to_json()))
-    back = space_from_json(doc)
-    assert len(back) == len(ball)
-    a, b = ball.points[2], ball.points[40]
-    assert back.dist(a, b) == ball.dist(a, b)
-    assert back.interior_radius == ball.interior_radius
-
-
-def test_space_json_round_trip_tree_and_matrix():
-    tree = tree_ball(3, 3)
-    doc = json.loads(json.dumps(tree.to_json()))
-    back = space_from_json(doc)
-    assert back.dist((0, 1), -2) == tree.dist((0, 1), -2)
-    # explicit matrix fallback: the same points and metric, of no kind
-    plain = FiniteMetricSpace(tree.points, tree.dist, "untagged tree",
-                              tree.interior_radius)
-    doc2 = json.loads(json.dumps(plain.to_json()))
-    back2 = space_from_json(doc2)
-    a, b = tree.points[3], tree.points[7]
-    assert back2.dist(a, b) == tree.dist(a, b)
-
-
-def test_space_json_round_trip_every_kind():
-    # each kind's tag comes from JSON_TAGS and gives the kind back; a
-    # window of no kind goes through an explicit matrix
-    from coarse_embed.lamplighter import lamp_parts_window, lamplighter_ball
-    ball = lamplighter_ball(2)
-    rational = rational_window([(Fraction(1, 2), 0), (1, Fraction(-1, 3)), (2, 2)],
-                               [0, 1, 0], "rational")
-    tree = tree_ball(3, 2)
-    windows = [grid_space(2, 2), lattice_window([(0, 0), (0, 1), (5, 5)], 2, "sparse"),
-               rational, rational.subspace(rational.points[:2], "rational pair"),
-               tree, ball, lamp_parts_window(ball),
-               FiniteMetricSpace(tree.points, tree.dist, "untagged tree",
-                                 tree.interior_radius)]
-    assert {w.kind for w in windows} == {*JSON_TAGS, None}
-    for space in windows:
-        doc = json.loads(json.dumps(space.to_json()))
-        if space.kind:
-            assert doc["dist"] == JSON_TAGS[space.kind]
-        else:
-            assert isinstance(doc["dist"], list)
-        back = space_from_json(doc)
-        assert back.kind == space.kind
-        assert back.points == space.points
-        assert back.interior_radius == space.interior_radius
-        assert back.geodesic == space.geodesic
-        n = len(space)
-        assert [back.dist_i(i, j) for i in range(n) for j in range(n)] == \
-            [space.dist_i(i, j) for i in range(n) for j in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -676,7 +597,7 @@ def test_rational_window_clearing_matches_lcm_clearing(pts):
 @given(rational_cases())
 def test_rational_window_distances_match_labels(case):
     space, _ = case
-    back = json_round_trip(space)
+    back = rebuilt(space)
     assert back.points == space.points and back.kind == "rational"
     for w in (space, back):
         for i, a in enumerate(w.points):
