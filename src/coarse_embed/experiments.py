@@ -322,6 +322,9 @@ def run_tree_embed(c):
 def run_lamplighter_metric(c):
     """Closed-form word length against generator BFS (criterion 5), and the
     sandwich d - 4(m-1) <= l1 <= d on sampled block pairs (criterion 6)."""
+    if c["m_list"] and c["block_radius"] < 1:
+        raise ConfigError("block_radius must be at least 1 when m_list is "
+                          "non-empty: the radius-0 block is the identity alone")
     depth = bfs_ball(c["radius"], certify=False)
     wrong = [g for g, d in depth.items() if word_length(g) != d]
     rows = [{"radius": c["radius"], "elements": len(depth),
@@ -335,8 +338,10 @@ def run_lamplighter_metric(c):
     for m in c["m_list"]:
         block = block_window(ball, m)
         bad = []
+        distinct = 0
         for _ in range(c["pairs"]):
             a, b = rng.choice(block.points), rng.choice(block.points)
+            distinct += a != b
             l1 = sum(abs(x - y) for x, y in zip(lamp_coordinates(a, m),
                                                 lamp_coordinates(b, m)))
             dk = block.dist(a, b)
@@ -344,6 +349,9 @@ def run_lamplighter_metric(c):
                 bad.append((a, b))
         rows.append({"m": m, "pairs": c["pairs"],
                      "sandwich_violations": len(bad)})
+        _check(checks, f"m={m} distinct sampled pairs", distinct, 1, distinct > 0,
+               lambda: f"no pair a != b: m {m}, block_radius {c['block_radius']}, "
+                       f"pairs {c['pairs']}, seed {c['seed']}")
         _check(checks, f"m={m} coordinate sandwich violations", len(bad), 0,
                not bad, lambda: bad[0])
     return Result(rows, checks)

@@ -2,12 +2,15 @@
 
 An element is its label (lamps, cursor): a sorted tuple of (position,
 nonzero value) pairs, the finitely supported Z -> Z lamp configuration,
-and the cursor position.  ``mul`` is the group law on labels.  Generators
-are the cursor moves t, t^-1 and the lamp increments a, a^-1 acting at
-the cursor.  Word length has a closed form: total lamp mass plus the
-shortest walk on the line that starts at 0, visits every lit lamp and ends
-at the cursor; label_dist computes it between any two labels, and
-word_length is label_dist from the identity.  A BFS oracle over the
+and the cursor position.  Labels are canonical: positions strictly
+increase and no value is 0, and every constructor here keeps them so.
+``mul`` is the group law on labels.  Generators are the cursor moves t,
+t^-1 and the lamp increments a, a^-1 acting at the cursor.  Word length
+has a closed form: total lamp mass plus the shortest walk on the line that
+starts at 0, visits every lit lamp and ends at the cursor; label_dist
+computes it between any two labels, and word_length is label_dist from
+the identity.  Distance, product and block coordinates are each one merge
+over the sorted lamps, with no per-call dict.  A BFS oracle over the
 generators certifies the closed form on every enumerated ball.
 """
 
@@ -27,16 +30,28 @@ SHELL_CAP = 12
 
 def mul(a, b):
     """The group law: b's lamps, shifted by a's cursor, added to a's lamps;
-    the cursors add."""
+    the cursors add.
+
+    Both labels must be canonical (lamps sorted by position, every value
+    nonzero).  The shifted lamps of b stay sorted, so the sum is one merge
+    in position order that drops the positions summing to 0.
+    """
     (lamps_a, ca), (lamps_b, cb) = a, b
-    lamps = dict(lamps_a)
+    lamps = []
+    i, n = 0, len(lamps_a)
     for p, v in lamps_b:
-        w = lamps.get(p + ca, 0) + v
-        if w:
-            lamps[p + ca] = w
-        else:
-            del lamps[p + ca]
-    return tuple(sorted(lamps.items())), ca + cb
+        p += ca
+        while i < n and lamps_a[i][0] < p:
+            lamps.append(lamps_a[i])
+            i += 1
+        if i < n and lamps_a[i][0] == p:
+            v += lamps_a[i][1]
+            i += 1
+            if not v:
+                continue
+        lamps.append((p, v))
+    lamps.extend(lamps_a[i:])
+    return tuple(lamps), ca + cb
 
 
 def word_length(g):
@@ -51,25 +66,46 @@ def label_dist(a, b):
     The difference configuration lives at absolute positions; its mass
     plus the shortest walk from cursor a to cursor b visiting its support
     is the distance (left invariance moves the base point to cursor a).
+    That walk covers the interval [lo, hi] spanned by both cursors and the
+    support: twice its length, less the stretch between the cursors, which
+    is walked once.  Both labels must be canonical (lamps sorted by
+    position, every value nonzero), so the difference is one merge in
+    position order.
     """
     lamps_a, ca = a
     lamps_b, cb = b
-    da, db = dict(lamps_a), dict(lamps_b)
+    lo, hi = (ca, cb) if ca < cb else (cb, ca)
+    gap = hi - lo
     mass = 0
-    lo = hi = None
-    for pos in da.keys() | db.keys():
-        v = db.get(pos, 0) - da.get(pos, 0)
-        if v:
-            mass += v if v > 0 else -v
-            if lo is None or pos < lo:
-                lo = pos
-            if hi is None or pos > hi:
-                hi = pos
-    wlo = min(ca, cb) if lo is None else min(ca, cb, lo)
-    whi = max(ca, cb) if hi is None else max(ca, cb, hi)
-    left_first = (ca - wlo) + (whi - wlo) + (whi - cb)
-    right_first = (whi - ca) + (whi - wlo) + (cb - wlo)
-    return mass + min(left_first, right_first)
+    i = j = 0
+    na, nb = len(lamps_a), len(lamps_b)
+    while i < na and j < nb:
+        pa, va = lamps_a[i]
+        pb, vb = lamps_b[j]
+        if pa < pb:
+            pos, v = pa, va
+            i += 1
+        elif pb < pa:
+            pos, v = pb, vb
+            j += 1
+        else:
+            pos, v = pa, vb - va
+            i += 1
+            j += 1
+            if not v:
+                continue
+        mass += v if v > 0 else -v
+        if pos < lo:
+            lo = pos
+        elif pos > hi:
+            hi = pos
+    for pos, v in lamps_a[i:] or lamps_b[j:]:   # one side is used up
+        mass += v if v > 0 else -v
+        if pos < lo:
+            lo = pos
+        elif pos > hi:
+            hi = pos
+    return mass + 2 * (hi - lo) - gap
 
 
 def generator_moves(g):
@@ -193,10 +229,12 @@ def lamp_coordinates(label, m):
     lamps, cursor = label
     if cursor != 0:
         raise ValueError("block elements have cursor 0")
-    if not all(-m + 1 <= p <= m - 1 for p, _ in lamps):
-        raise ValueError(f"lamp support outside -{m - 1}..{m - 1}")
-    d = dict(lamps)
-    return tuple(d.get(p, 0) for p in range(-m + 1, m))
+    coords = [0] * (2 * m - 1)
+    for p, v in lamps:
+        if not -m < p < m:
+            raise ValueError(f"lamp support outside -{m - 1}..{m - 1}")
+        coords[p + m - 1] = v
+    return tuple(coords)
 
 
 def coset_key(label, m):

@@ -81,6 +81,8 @@ BAD_CONFIGS = [
     ("tree-embed", "", "dept=6", "p_list=[0]"),
     ("tree-embed", "depth=5 S_list=[2,4]", "dept=6", "p_list=[397]"),   # (4 + 2)^397
     ("lamplighter-metric", "", "raduis=3", "m_list=[0]"),
+    # the radius-0 block is the identity alone: every sampled pair is (e, e)
+    ("lamplighter-metric", "", "raduis=3", "block_radius=0"),
     ("lamplighter-cover", "", "L_list=[1]", "L=0"),
     ("lamplighter-cover", "L=3", "L_list=[1]", "radius=1"),   # the same for a ball
     ("profile", "", "grid_halfwidth=5", "wreath_L_list=[0]"),
@@ -298,6 +300,17 @@ def test_embed_without_a_distinct_pair_fails_with_a_witness(tmp_path):
     failed = [r for r in read_csv_rows(out + ".csv") if r.get("check") == "FAILED"]
     assert [(r["detail"], r["witness"]) for r in failed] == [
         ("distinct sampled pairs: 0 (bound 1)", "(0,)")]
+
+
+def test_block_without_a_distinct_pair_fails_with_its_config(tmp_path):
+    # the radius-1 block at m = 2 is e, a and a^-1; seed 0's one draw is one twice
+    code, out = run(tmp_path, "lamplighter-metric",
+                    *sets("radius=1 m_list=[2] block_radius=1 pairs=1"), "--seed", "0")
+    assert code == 1
+    failed = [r for r in read_csv_rows(out + ".csv") if r.get("check") == "FAILED"]
+    assert [(r["detail"], r["witness"]) for r in failed] == [
+        ("m=2 distinct sampled pairs: 0 (bound 1)",
+         "'no pair a != b: m 2, block_radius 1, pairs 1, seed 0'")]
 
 
 @pytest.mark.parametrize("levels", ["[4,2]", "[2,2]", "[8]", "[1,4]", "[2.5,4]"])

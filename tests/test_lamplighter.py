@@ -12,7 +12,8 @@ from coarse_embed.lamplighter import (IDENTITY, bfs_ball, block_window,
                                       coset_key, block_part, generator_moves,
                                       identity_shells, lamp_coordinates,
                                       lamp_parts_window, lamplighter_ball,
-                                      label_dist, mul, word_length)
+                                      label_dist, mul, translated_shell,
+                                      word_length)
 
 # the generators t, t^-1, a, a^-1, in generator_moves order
 GENERATORS = [((), 1), ((), -1), (((0, 1),), 0), (((0, -1),), 0)]
@@ -221,3 +222,134 @@ def test_distinct_cosets_far_apart(ball8):
             continue
         assert parts.dist(a, b) >= 2 * m + 1
         checked += 1
+
+
+# ---------------------------------------------------------------------------
+# The one-merge label functions against dict-based oracles
+
+
+def mul_oracle(a, b):
+    """The group law through a lamp dict: b's lamps, shifted by a's cursor,
+    added into a's, zero sums deleted, then sorted."""
+    (lamps_a, ca), (lamps_b, cb) = a, b
+    lamps = dict(lamps_a)
+    for p, v in lamps_b:
+        w = lamps.get(p + ca, 0) + v
+        if w:
+            lamps[p + ca] = w
+        else:
+            del lamps[p + ca]
+    return tuple(sorted(lamps.items())), ca + cb
+
+
+def label_dist_oracle(a, b):
+    """Word distance from the difference configuration as a dict: its mass
+    plus the shorter of the two walks that cover its support, going left
+    first or right first from cursor a and ending at cursor b."""
+    lamps_a, ca = a
+    lamps_b, cb = b
+    da, db = dict(lamps_a), dict(lamps_b)
+    mass = 0
+    lo = hi = None
+    for pos in da.keys() | db.keys():
+        v = db.get(pos, 0) - da.get(pos, 0)
+        if v:
+            mass += v if v > 0 else -v
+            if lo is None or pos < lo:
+                lo = pos
+            if hi is None or pos > hi:
+                hi = pos
+    wlo = min(ca, cb) if lo is None else min(ca, cb, lo)
+    whi = max(ca, cb) if hi is None else max(ca, cb, hi)
+    left_first = (ca - wlo) + (whi - wlo) + (whi - cb)
+    right_first = (whi - ca) + (whi - wlo) + (cb - wlo)
+    return mass + min(left_first, right_first)
+
+
+def lamp_coordinates_oracle(label, m):
+    """Block coordinates read off a lamp dict, position by position."""
+    lamps, cursor = label
+    if cursor != 0:
+        raise ValueError("block elements have cursor 0")
+    if not all(-m + 1 <= p <= m - 1 for p, _ in lamps):
+        raise ValueError(f"lamp support outside -{m - 1}..{m - 1}")
+    d = dict(lamps)
+    return tuple(d.get(p, 0) for p in range(-m + 1, m))
+
+
+def outcome(f, *args):
+    """f's value, or the message of the ValueError it raises."""
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+# positions and cursors near 0, where shifts interleave lamps, or far
+# outside any ball the tests build; values small or past 64 bits
+POSITIONS = st.integers(-6, 6) | st.integers(-10**12, 10**12)
+VALUES = (st.integers(-3, 3) | st.integers(-10**20, 10**20)).filter(bool)
+
+
+@st.composite
+def labels(draw, positions=POSITIONS, cursors=POSITIONS):
+    """A canonical label: any lamp dict (empty too) and a cursor."""
+    return elem(draw(st.dictionaries(positions, VALUES, max_size=6)),
+                draw(cursors))
+
+
+@st.composite
+def cancelling(draw, a):
+    """A label whose lamps cancel some of a's under mul(a, .): a's inverse
+    with some lamps dropped or changed, and a few more lamps near them."""
+    lamps, cursor = inv(a)
+    kept = {p: v for p, v in lamps if draw(st.booleans())}
+    for p in draw(st.lists(st.sampled_from([p for p, _ in lamps] or [0]),
+                           max_size=2)):
+        kept[p] = draw(VALUES)
+    shifted = st.integers(-2, 2).map(lambda d: d - a[1])
+    kept.update(draw(st.dictionaries(shifted, VALUES, max_size=2)))
+    return elem(kept, cursor + draw(st.sampled_from([0, 0, 1, -1])))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@seed(34)
+@given(st.data())
+def test_merges_equal_the_dict_oracles(data):
+    g, a = data.draw(labels()), data.draw(labels())
+    b = data.draw(labels() | cancelling(a))
+    assert mul(a, b) == mul_oracle(a, b)
+    assert label_dist(a, b) == label_dist_oracle(a, b)
+    assert label_dist(b, a) == label_dist_oracle(b, a)
+    # left invariance of the word metric
+    assert label_dist(mul(g, a), mul(g, b)) == label_dist(a, b)
+    m = data.draw(st.integers(1, 13))
+    edge = st.sampled_from([-(m - 1), m - 1, -m, m])   # the block's ends and just past
+    block = labels(edge | st.integers(-(m - 1), m - 1), st.sampled_from([0, 0, 0, 1]))
+    x = data.draw(block | labels())
+    assert outcome(lamp_coordinates, x, m) == outcome(lamp_coordinates_oracle, x, m)
+
+
+def canonical(label):
+    """Lamp positions strictly increase, and every value is a nonzero int."""
+    lamps, cursor = label
+    return (type(cursor) is int
+            and all(type(p) is int and type(v) is int and v for p, v in lamps)
+            and all(p < q for (p, _), (q, _) in zip(lamps, lamps[1:])))
+
+
+def test_every_constructor_keeps_labels_canonical():
+    ball = lamplighter_ball(6)
+    made = list(ball.points)
+    for x in ball.points:
+        for r in range(4):
+            made += translated_shell(x, r)
+    made += lamp_parts_window(ball).points
+    for m in (1, 2, 3, 6):
+        made += [block_part(x, m) for x in ball.points]
+        made += [(coset_key(x, m), 0) for x in ball.points]
+    assert len(made) > 60_000
+    assert all(map(canonical, made))
+    assert not canonical((((1, 1), (1, 2)), 0))
+    assert not canonical((((2, 1), (1, 2)), 0))
+    assert not canonical((((1, 0),), 0))
