@@ -135,13 +135,20 @@ def _powers_fit(p, log_top, what):
         raise ConfigError(f"p = {p}: {what}, to the power p, passes the float range")
 
 
-def _kernel_checks(checks, at, ks, eps_bound, radius_bound):
-    """Unit rows, support radius and Lipschitz constant of one kernel."""
+def _kernel_checks(checks, at, ks, eps_bound, radius_bound, config):
+    """Unit rows, support radius and Lipschitz constant of one kernel.  A
+    kernel whose pair policy accounts for no pair (fewer than two eligible
+    points) fails its pairs check, with the config as witness: its
+    Lipschitz constant of 0 would measure nothing."""
+    pairs = ks.pairs_evaluated + ks.pairs_bounded
     return all([
         _check(checks, f"{at} norm error", ks.norm_error, 1e-9,
                ks.norm_error <= 1e-9, lambda: ks.norm_error_point),
         _check(checks, f"{at} support radius", ks.support_radius, radius_bound,
                ks.support_radius <= radius_bound, lambda: ks.support_point),
+        _check(checks, f"{at} pairs measured", pairs, 1, pairs > 0,
+               lambda: "no pair measured: " + ", ".join(
+                   f"{key} {value}" for key, value in config.items())),
         _check(checks, f"{at} eps", ks.lipschitz, eps_bound,
                ks.lipschitz <= eps_bound + 1e-9, lambda: ks.argmax_pair),
     ])
@@ -273,7 +280,7 @@ def run_cover_kernel(c):
         ks = kernel_stats(kern, min_interior=min_interior)
         bound = pou_lipschitz_bound(stats, p=p)
         ok = _kernel_checks(checks, f"{cover.name} p={p}", ks, bound,
-                            stats.mesh)
+                            stats.mesh, c)
         rows.append({
             "cover": cover.name, "p": p, "lebesgue": stats.lebesgue,
             "multiplicity": stats.multiplicity, "mesh": stats.mesh,
@@ -304,7 +311,7 @@ def run_tree_embed(c):
             bound = 8.0 / S
             floor = tent_norm_floor(S, p)
             raw_norm = p_norm(tent_profile(S), p)
-            ok = _kernel_checks(checks, f"S={S} p={p}", ks, bound, S)
+            ok = _kernel_checks(checks, f"S={S} p={p}", ks, bound, S, c)
             ok &= _check(checks, f"S={S} p={p} profile norm", raw_norm, floor,
                          raw_norm > floor, lambda: tent_profile(S))
             rows.append({

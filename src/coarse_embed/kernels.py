@@ -54,13 +54,20 @@ Work that does not depend on p is done once and shared:
   j - i, d), each the same floats summed in the same order as the direct
   computation; support radii are not shared by class but measured row by
   row, so support checks test every shifted row's keys;
-- the rows of a tent kernel share one list of normalized profile values.
+- the rows of a ray kernel share one value list (``Kernel.ray_values``);
+  each ``norm_error`` call measures the list's norm once and reads it for
+  every row whose values equal the list in order, and measures any other
+  row's own norm, so a ray walk that stops early or repeats an index still
+  shows; ``pair_quotient`` computes one diff_norm per ``spaces.ray_meet``
+  key (a, b), or None for rows apart, and divides it by each pair's
+  distance: on a tree window's unit edges, at most two diff_norms per
+  kernel.
 
-Rows are kept only while something reads them: ``kernel_stats`` measures
-through a scratch row cache and lets go of the rows it built, so a later
-reader (an embedding reads the rows of its sampled points only) rebuilds
-the rows it needs.  Every row is a pure function of its kernel, so a
-rebuilt row equals the measured one.
+Rows and quotients are kept only while something reads them:
+``kernel_stats`` measures through a scratch row cache and quotient memo
+and lets go of what it built, so a later reader (an embedding reads the
+rows of its sampled points only) rebuilds the rows it needs.  Every row is
+a pure function of its kernel, so a rebuilt row equals the measured one.
 """
 
 from __future__ import annotations
@@ -72,9 +79,11 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, compress, islice, repeat, starmap
+from operator import eq
 
 from .covers import boundary_distance
 from .errors import ContractViolation
+from .spaces import ray_meet
 
 NORM_TOL = 1e-9
 # A pair is skipped only when its bound 2(1 + e)/d falls below the running
@@ -120,8 +129,12 @@ class Kernel:
     Each row's support radius is measured once and cached in radii, a dict
     point-index -> radius that kernels whose rows share their supports may
     share (None: a cache of this kernel's own).
-    ray_length is set on a ray kernel (``_ray_kernel``), whose row at i
-    zips ``spaces.ray(base, i, ray_length)`` with one value list.
+    ray_length and ray_values are set on a ray kernel (``_ray_kernel``),
+    whose row at i zips ``spaces.ray(base, i, ray_length)`` with the value
+    list ray_values: norm_error measures the list's norm once per call and
+    reads it for every row whose values equal the list in order, and
+    pair_quotient keeps one diff_norm per ``spaces.ray_meet`` key in
+    _quotients.
     classes, when given, is a cover's ``cover_classes`` (cls, reps, ints):
     the row at i, in a class whose first point rep is not i, is the row at
     rep (read through the row cache) with every key shifted by i - rep,
@@ -133,6 +146,7 @@ class Kernel:
     """
 
     ray_length = None
+    ray_values = None
 
     def __init__(self, base, p, row_fn, name="", domain_indices=None,
                  radii=None, classes=None):
@@ -214,17 +228,29 @@ class Kernel:
 
         With classes, a point of class c >= 0 reads the error of the first
         point of c that the call met: its row holds the same values in the
-        same order, so p_norm returns the same float.  A point of class -1,
-        and every point of a kernel without classes (ray kernels among
-        them), has its own row's norm measured."""
+        same order, so p_norm returns the same float.  On a ray kernel a
+        row whose values equal ray_values in order reads the error of the
+        list itself, measured once per call, for the same reason; a row
+        that differs (a ray that stops early or repeats an index) has its
+        own norm measured.  So does a point of class -1, and every point
+        of any other kernel."""
         cls = None if self._classes is None else self._classes[0]
+        values, p = self.ray_values, self.p
+        shared = None if values is None else abs(p_norm(values, p) - 1.0)
         errors = {}
         worst, at = 0.0, None
         for i in (indices if indices is not None else self.domain_indices):
             c = -1 if cls is None else cls[i]
             err = errors.get(c)
             if err is None:
-                err = abs(p_norm(self.row(i).values(), self.p) - 1.0)
+                row = self.row(i).values()
+                # compared in place: a list of each row's values, built
+                # while the rows are alive, raised the bench's peak RSS
+                if (shared is not None and len(row) == len(values)
+                        and all(map(eq, row, values))):
+                    err = shared
+                else:
+                    err = abs(p_norm(row, p) - 1.0)
                 if c >= 0:
                     errors[c] = err
             if at is None or err > worst:
@@ -233,12 +259,25 @@ class Kernel:
 
     def pair_quotient(self, i, j, d):
         """diff_norm(row(i), row(j), p) / d, where d = dist(i, j) is
-        already measured.  With classes, a pair whose points both lie in
-        classes of several points reads and fills the quotient memo: a
-        pair (i + t, j + t) of the same classes has both rows shifted by t,
-        so diff_norm sums the same floats in the same order."""
+        already measured.  On a ray kernel every pair reads and fills the
+        memo of diff_norms keyed by ``spaces.ray_meet(base, i, j,
+        ray_length)``: the rows hold one value list on rays that coincide
+        from the meeting point, so diff_norm sums the same floats in the
+        same order for every pair of one key, and the key None (rows
+        apart) sums both lists whole.  With classes, a pair whose points
+        both lie in classes of several points reads and fills the quotient
+        memo: a pair (i + t, j + t) of the same classes has both rows
+        shifted by t, so diff_norm sums the same floats in the same
+        order."""
         if d == 0:
             raise ValueError("identical points")
+        length = self.ray_length
+        if length is not None:
+            key = ray_meet(self.base, i, j, length)
+            norm = self._quotients.get(key)
+            if norm is None:
+                norm = self._quotients[key] = diff_norm(self.row(i), self.row(j), self.p)
+            return norm / float(d)
         classes = self._classes
         if classes is not None:
             cls = classes[0]
@@ -381,15 +420,16 @@ def kernel_stats(kernel, min_interior=0, *, seed=None, sample_pairs=None):
     boundary).  seed and sample_pairs are accepted and ignored: no
     measurement samples.
 
-    The rows are read through a scratch copy of the kernel's row cache:
-    the rows cached before the call stay, and the rows built during it are
-    dropped.  The support radii stay in the kernel's radius cache.
+    The rows and pair quotients are read through scratch copies of the
+    kernel's row cache and quotient memo: what they held before the call
+    stays, and what the call added is dropped.  The support radii stay in
+    the kernel's radius cache.
     """
     space = kernel.base
     eligible = [i for i in kernel.domain_indices
                 if space.interior_radius[i] >= min_interior]
-    kept = kernel._rows
-    kernel._rows = dict(kept)
+    kept, kept_quotients = kernel._rows, kernel._quotients
+    kernel._rows, kernel._quotients = dict(kept), dict(kept_quotients)
     try:
         sup_radius, sup_at = kernel.support_radius(eligible)
         norm_error, err_at = kernel.norm_error(eligible)
@@ -411,7 +451,7 @@ def kernel_stats(kernel, min_interior=0, *, seed=None, sample_pairs=None):
                 floor = best * (1.0 - PRUNE_MARGIN)
                 arg = (space.points[i], space.points[j])
     finally:
-        kernel._rows = kept
+        kernel._rows, kernel._quotients = kept, kept_quotients
 
     def label(i):
         return None if i is None else space.points[i]
@@ -558,7 +598,7 @@ def _ray_kernel(tree, p, values, name):
 
     kernel = Kernel(tree, p, row_fn, name=name, domain_indices=domain,
                     radii=tree.ray_radii.setdefault(length, {}))
-    kernel.ray_length = length
+    kernel.ray_length, kernel.ray_values = length, values
     return kernel
 
 

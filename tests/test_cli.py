@@ -313,6 +313,27 @@ def test_block_without_a_distinct_pair_fails_with_its_config(tmp_path):
          "'no pair a != b: m 2, block_radius 1, pairs 1, seed 0'")]
 
 
+@pytest.mark.parametrize("settings,cover,config", [
+    ("cover=balls half_width=1", "balls r=2",
+     "cover balls, p_list [1, 2, 3], half_width 1, r 2, k 2, L None, seed 0"),
+    ("cover=zk k=2 L=2 half_width=1", "lattice cover scale=2",
+     "cover zk, p_list [1, 2, 3], half_width 1, r 2, k 2, L 2, seed 0"),
+    ("cover=interval half_width=1", "intervals len=3 step=2",
+     "cover interval, p_list [1, 2, 3], half_width 1, r 2, k 2, L None, seed 0"),
+], ids=["balls", "zk", "interval"])
+def test_kernel_without_a_pair_fails_with_its_config(tmp_path, settings, cover, config):
+    # Lebesgue level 2 leaves the centre of the half-width-1 box the one
+    # eligible point, so the Lipschitz check has no pair to measure
+    code, out = run(tmp_path, "cover-kernel", *sets(settings))
+    assert code == 1
+    rows = read_csv_rows(out + ".csv")
+    assert [r["ok"] for r in rows if r.get("check") != "FAILED"] == ["false"] * 3
+    failed = [r for r in rows if r.get("check") == "FAILED"]
+    assert [(r["detail"], r["witness"]) for r in failed] == [
+        (f"{cover} p={p} pairs measured: 0 (bound 1)", f"'no pair measured: {config}'")
+        for p in (1, 2, 3)]
+
+
 @pytest.mark.parametrize("levels", ["[4,2]", "[2,2]", "[8]", "[1,4]", "[2.5,4]"])
 def test_bad_s_levels_exit_two(tmp_path, levels):
     out = tmp_path / "r"

@@ -575,9 +575,24 @@ def test_class_norm_errors_equal_per_row_ones(cover, p_exact, min_interior):
             want, next(i for i in indices if cls[i] == c))
 
 
+def counted_diff_norms(monkeypatch):
+    """A list that gets one entry per kernels.diff_norm evaluation."""
+    norms = []
+    bare = kernels.diff_norm
+
+    def counted(row_a, row_b, p):
+        norms.append(1)
+        return bare(row_a, row_b, p)
+
+    monkeypatch.setattr(kernels, "diff_norm", counted)
+    return norms
+
+
 def test_pairs_evaluated_counts_pair_quotient_calls(monkeypatch):
     """The memo lives inside pair_quotient, so every evaluated pair is
-    still one pair_quotient call."""
+    still one pair_quotient call, and a kernel whose pairs repeat (a pou
+    kernel of a cover with classes, a ray kernel) evaluates fewer
+    diff_norms than that."""
     calls = []
     bare = Kernel.pair_quotient
 
@@ -586,25 +601,32 @@ def test_pairs_evaluated_counts_pair_quotient_calls(monkeypatch):
         return bare(self, i, j, d)
 
     monkeypatch.setattr(Kernel, "pair_quotient", counted)
-    for cover in (balls_cover(grid_space(2, 6), 2), interval_cover(grid_space(1, 20))):
-        for p in (1, 2):
-            kern = pou_kernel(cover, p)
+    norms = counted_diff_norms(monkeypatch)
+    covers = (balls_cover(grid_space(2, 6), 2), interval_cover(grid_space(1, 20)))
+    tree = tree_ball(3, 4)
+    for p in (1, 2):
+        for kern, min_interior in ((pou_kernel(covers[0], p), 1),
+                                   (pou_kernel(covers[1], p), 1),
+                                   (tree_kernel_tent(tree, 4, p), 0)):
             calls.clear()
-            ks = kernel_stats(kern, min_interior=1)
-            assert ks.pairs_evaluated == len(calls) > len(kern._quotients) > 0
+            norms.clear()
+            ks = kernel_stats(kern, min_interior=min_interior)
+            assert ks.pairs_evaluated == len(calls) > len(norms) > 0
 
 
-def test_covers_where_nothing_repeats_take_no_classes():
+def test_covers_where_nothing_repeats_take_no_classes(monkeypatch):
     """A cover with every class one point gets no classes: its kernels
-    build every row through row_fn and keep no quotient."""
+    build every row through row_fn and evaluate one diff_norm per pair."""
+    norms = counted_diff_norms(monkeypatch)
     g = grid_space(2, 4)
     for cover in (wreath_cover(lamplighter_ball(3, certify=False), 1)[0],
                   moved_cover(balls_cover(g, 1), permuted_window(g, 3))):
         assert cover_classes(cover) is None
         for p in (1, 2):
             kern = pou_kernel(cover, p)
-            kernel_stats(kern)
-            assert kern._quotients == {}
+            norms.clear()
+            ks = kernel_stats(kern)
+            assert len(norms) == ks.pairs_evaluated > 0
             for i in range(len(cover.space)):
                 assert list(kern.row(i).items()) == list(
                     reference_pou_row(cover, p, i).items())
@@ -842,6 +864,66 @@ def test_each_ray_pair_is_measured_once(window):
             want.update((label, tree.points[j]) for j in ray(tree, i, longest))
     assert set(want.values()) == {1}
     assert Counter(measured) == want
+
+
+def falling_kernel(tree, length, p):
+    """A ray kernel whose values fall as 1/(d + 3), normalized: no two
+    entries equal, so a row with its values rotated sums them in another
+    order."""
+    raw = [1.0 / (d + 3) for d in range(length + 1)]
+    norm = p_norm(raw, p)
+    return kernels._ray_kernel(tree, p, [v / norm for v in raw], f"falling L={length}")
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@seed(85520037717189068741414550417052095587329689987965497503407802572874932340958)
+@given(st.integers(1, 6), st.data())
+def test_ray_memo_and_shared_norm_equal_per_row_ones(depth, data):
+    """Over every ordered pair of a ray domain of tree_ball(3, depth), a
+    tent or falling value list and p in {1, 2, 3}, visited forward and
+    reversed (so another pair of each ray_meet key fills the memo),
+    pair_quotient is diff_norm of the two rows over the distance, bit for
+    bit.  A point with itself, at a nominal distance 1, reads 0: (0, 0) is
+    a key of its own, apart from None.  norm_error, value and point,
+    equals that of a twin without ray_length over the domain forward and
+    reversed, also after a row_fn that rotates one row's values, which
+    then has its own norm measured."""
+    tree = tree_ball(3, depth)
+    length = data.draw(st.integers(0, 3 * depth), label="length")
+    tent = length >= 1 and data.draw(st.booleans(), label="tent")
+    p = data.draw(st.sampled_from([1, 2, 3]), label="p")
+
+    def build():
+        return tree_kernel_tent(tree, length, p) if tent else falling_kernel(tree, length, p)
+
+    kern = build()
+    domain = kern.domain_indices
+    pairs = [(i, j) for i in domain for j in domain if i != j]
+    want = {(i, j): diff_norm(kern.row(i), kern.row(j), p) / float(tree.dist_i(i, j))
+            for i, j in pairs}
+    for order in (pairs, pairs[::-1]):
+        kern = build()
+        for i, j in order:
+            assert kern.pair_quotient(i, j, tree.dist_i(i, j)) == want[i, j]
+        for i in domain:
+            assert kern.pair_quotient(i, i, 1) == 0.0
+
+    bad = data.draw(st.sampled_from(domain), label="rotated row")
+
+    def rotating(i, row_fn=kern.row_fn):
+        row = row_fn(i)
+        if i != bad:
+            return row
+        vals = list(row.values())
+        return dict(zip(row, vals[1:] + vals[:1]))
+
+    for row_fn in (kern.row_fn, rotating):
+        kern = build()
+        kern.row_fn = row_fn
+        twin = Kernel(tree, p, row_fn, domain_indices=domain)
+        assert twin.ray_length is None
+        for indices in (domain, domain[::-1]):
+            assert kern.norm_error(indices) == twin.norm_error(indices)
 
 
 def test_tent_norm_floor_every_node():
