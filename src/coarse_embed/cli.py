@@ -59,6 +59,12 @@ def load_config(args):
     return cfg
 
 
+def failed_rows(checks):
+    """One FAILED row (detail and witness) per failing check."""
+    return [{"check": "FAILED", "detail": f"{c.name}: {c.value} (bound {c.bound})",
+             "witness": repr(c.witness)} for c in checks if not c.ok]
+
+
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
@@ -70,8 +76,7 @@ def main(argv=None):
     except CapExceeded as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return EXIT_CAP
-    failed = [{"check": "FAILED", "detail": f"{c.name}: {c.value} (bound {c.bound})",
-               "witness": repr(c.witness)} for c in result.checks if not c.ok]
+    failed = failed_rows(result.checks)
     csv_path, json_path = write_report(
         args.out, result.rows + failed,
         meta={"experiment": args.experiment, "config": cfg})

@@ -12,15 +12,16 @@ coordinate average over I and over its complement.  Maximizing the gap
 over subsets of fixed size is achieved by the largest coordinates, so
 membership reduces to n-1 sorted-prefix checks.
 
-Thickening.  Covers need the cells enlarged by a small margin tau.  The
-enlargement used here relaxes each defining inequality by tau times the
-l1 operator norm of its functional ("functional thickening").  It contains
-the open l1 tau-neighborhood of V and is contained in a slightly scaled
-copy of V, so it inherits every property the cover needs: the translates
-still cover (they contain the closed cells), translates within one shift
-family stay disjoint, and any point of a closed cell keeps an l1 ball of
-radius tau inside the enlarged cell.  Unlike the exact l1 neighborhood,
-membership stays a finite list of rational comparisons.
+Thickening.  Covers need the cells enlarged by a small margin tau, with
+0 < tau <= 1/n.  The enlargement used here relaxes each defining
+inequality by tau times the l1 operator norm of its functional
+("functional thickening").  It contains the open l1 tau-neighborhood of
+V and is contained in a slightly scaled copy of V, so it inherits every
+property the cover needs: the translates still cover (they contain the
+closed cells), translates within one shift family stay disjoint, and any
+point of a closed cell keeps an l1 ball of radius tau inside the enlarged
+cell.  Unlike the exact l1 neighborhood, membership stays a finite list
+of rational comparisons.
 
 Decoding.  membership lists the (family, lattice point) pairs whose
 enlarged scaled cell holds a point, in the sorted style of the A_n*
@@ -29,18 +30,18 @@ lattice quantizers and codes", IEEE Trans. IT 28, 1982; SPLAG ch. 20).
 The point is cleared to integers X_j over one denominator D (by
 spaces.clear_denominators), and the residues r_j = X_j mod D are sorted
 once and listed twice, the second copy lifted by D.  Family i subtracts
-the glue shift, which rotates every residue by i D / n, so the
-coordinates that can round neither way, those that must round up and
-those that may round either way (band b = (n-1)/(2n) + tau/2 of at least
-1/2) each form a circular interval of the residues, one run of the
-doubled list.  The zero-sum condition fixes how many ambiguous
-coordinates round up, and that count is feasible exactly when the run
-below the family's lower threshold ends at or after position i + T and
-the run below its upper threshold ends at or before it, where
+the glue shift, which rotates every residue by i D / n.  A coordinate
+lies within the band b = (n-1)/(2n) + tau/2 of at most one of its floor
+and ceiling, because tau <= 1/n keeps b at or below 1/2, so its rounding
+is forced: the coordinates that must round down, those that can round
+neither way and those that must round up each form a circular interval
+of the residues, one run of the doubled list.  The zero-sum condition
+then holds exactly when no coordinate lies in the middle run and the
+run below the family's lower threshold ends at position i + T, where
 T = n - sum r_j / D lies in [1, n].  So each family is screened by two
 comparisons at the fixed positions i + T - 1 and i + T of the doubled
 list (the lemma is spelled out in membership), and only the families
-that pass build their lattice points and run the sorted-prefix cell
+that pass build their one lattice point and run the sorted-prefix cell
 check.  The spec-only integers (offset numerators, band, family and
 prefix thresholds) are computed once per spec and point denominator; no
 Fraction is built per point.  Grid points are decoded as
@@ -62,13 +63,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 
 from .covers import cover_stats, grouped_cover, lebesgue_condition
-from .errors import ContractViolation, CoverageError, guard_cap
+from .errors import ContractViolation, CoverageError
 from .spaces import clear_denominators
 
 
@@ -88,7 +88,8 @@ class LatticeCoverSpec:
 
     n            even dimension-plus-one (the hyperplane has dimension n-1)
     scale        homothety factor applied to the whole configuration
-    thickening   margin tau in unscaled units
+    thickening   margin tau in unscaled units, 0 < tau <= 1/n, which keeps
+                 every coordinate's rounding forced (see the module notes)
     offset       zero-sum translation of the configuration, unscaled units
     """
     n: int
@@ -101,6 +102,8 @@ class LatticeCoverSpec:
             raise ValueError("n must be even and >= 2")
         if self.scale <= 0 or self.thickening <= 0:
             raise ValueError("scale and thickening must be positive")
+        if self.thickening > Fraction(1, self.n):
+            raise ValueError("thickening must be at most 1/n")
         if self.offset is None:
             object.__setattr__(self, "offset", (Fraction(0),) * self.n)
         else:
@@ -222,16 +225,17 @@ class _SortedDecoder:
             # least integer t failing t < q, q = num D / den
             return -((-num * D) // den)
 
-        # residue f may keep the floor iff f < low, take the ceiling iff f >= high
-        raw = first_rejected(self.band.numerator, self.band.denominator)
-        low, high = min(raw, D), max(D + 1 - raw, 0)
+        # residue f may keep the floor iff f < low, take the ceiling iff f >= high;
+        # a band of at most 1/2 makes low <= high
+        low = first_rejected(self.band.numerator, self.band.denominator)
+        high = D + 1 - low
         # a prefix sum s of the sorted residual violates the j-th bound iff s >= limits[j-1]
         limits = [first_rejected(b, self.bound_den) for b in self.bound_num]
         # family i's screen thresholds, i * step + low and i * step + high
         starts = range(0, D, D // self.n)
         lows = [c + low for c in starts]
         highs = [c + high for c in starts]
-        return D, mult, shift, low, high, limits, lows, highs
+        return D, mult, shift, high, limits, lows, highs
 
 
 def _inside(v, limits):
@@ -251,17 +255,14 @@ def membership(x, spec):
     coordinates are cleared to one denominator, their residues sorted
     once, and every family screened by two comparisons at fixed positions
     of the doubled sorted residues (see the module notes on decoding).
-    Pairs come family by family, and within a family in the lexicographic
-    order of the ambiguous coordinates rounded up.  An empty result means
-    the configuration failed to cover, a fatal geometry bug.  A band above
-    1/2 makes a family choose which ambiguous coordinates round up, and
-    raises CapExceeded when those choices outnumber the cap.
+    Pairs come family by family, at most one per family.  An empty result
+    means the configuration failed to cover, a fatal geometry bug.
     """
     n = spec.n
     if len(x) != n:
         raise ValueError("dimension mismatch")
     point_den, nums = clear_denominators(x)
-    D, mult, shift, low, high, limits, lows, highs = spec._decoder.tables(point_den)
+    D, mult, shift, high, limits, lows, highs = spec._decoder.tables(point_den)
     X = [c * mult - s for c, s in zip(nums, shift)]
     if sum(X):
         raise ValueError("point is not in the zero-sum hyperplane")
@@ -271,50 +272,32 @@ def membership(x, spec):
     T = n - sum(ordered) // D
     ordered += [r + D for r in ordered]
     # Family i (c = i * step) counts lo = #ordered < c + low and
-    # hi = #ordered < c + high: its residues in [c + low, c + high) can
-    # round neither way, those in [c + high, c + low) either way, and
-    # need = max(lo, hi) - T - i of the ambiguous ones round up for the
-    # zero-sum condition, where T = n + sum floor(X_j / D) = n - sum res_j / D
-    # lies in [1, n] because sum X = 0 and 0 <= res_j < D.  The family is
-    # feasible iff lo - hi >= 0 and 0 <= need <= lo - hi, which holds
-    # exactly when hi <= i + T <= lo: if low <= high then lo <= hi, forcing
-    # lo = hi = i + T and need = 0; if low > high then max(lo, hi) = lo and
-    # the bounds are need >= 0 and need <= lo - hi.  On the sorted list
-    # i + T <= lo iff ordered[i + T - 1] < c + low, and hi <= i + T iff
-    # ordered[i + T] >= c + high, both positions inside [0, 2n - 1]: two
-    # comparisons per family against lows[i] = c + low, highs[i] = c + high.
+    # hi = #ordered < c + high, so lo <= hi: its residues in
+    # [c + low, c + high) can round neither way and the others are forced.
+    # With T = n + sum floor(X_j / D) = n - sum res_j / D, in [1, n] because
+    # sum X = 0 and 0 <= res_j < D, the forced rounding is zero-sum iff
+    # lo = i + T.  So the family is feasible iff lo = hi = i + T, that is
+    # iff hi <= i + T <= lo.  On the sorted list i + T <= lo iff
+    # ordered[i + T - 1] < c + low, and hi <= i + T iff ordered[i + T] >=
+    # c + high, both positions inside [0, 2n - 1]: two comparisons per
+    # family against lows[i] = c + low, highs[i] = c + high.
     step = D // n
-    up_from = max(low, high)
     # q, r = divmod(X_j - c + off, D): q (plus 1 below family i) is the
     # floor of the shifted coordinate, raised by one when its residue is at
-    # least up_from, and r - off is the residual; r >= free_from marks the
-    # residues in [high, up_from), the ambiguous coordinates
-    off = D - up_from
-    free_from = off + high
+    # least high, and r - off is the residual
+    off = D - high
     out = []
     for i in range(n):
         if ordered[T - 1 + i] >= lows[i] or ordered[T + i] < highs[i]:
             continue
-        need = bisect_left(ordered, lows[i]) - T - i if low > high else 0
         shifted = off - i * step
-        base, v, free = [], [], []
+        mu, v = [], []
         for j, c in enumerate(X):
             q, r = divmod(c + shifted, D)
-            base.append(q + (j < i))
+            mu.append(q + (j < i))
             v.append(r - off)
-            if r >= free_from:
-                free.append(j)
-        if need:
-            # only bands above 1/2 leave a choice; no library spec has one
-            guard_cap(math.comb(len(free), need),
-                      f"membership (n={n}) family {i} candidate lattice points")
-        for chosen in itertools.combinations(free, need):
-            mu, w = list(base), list(v)
-            for j in chosen:
-                mu[j] += 1
-                w[j] -= D
-            if _inside(w, limits):
-                out.append((i, tuple(mu)))
+        if _inside(v, limits):
+            out.append((i, tuple(mu)))
     return out
 
 

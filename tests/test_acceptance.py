@@ -3,18 +3,27 @@
 Each entry runs a command-line experiment at the configs pinned for its
 criterion.  `certify` asserts every check of the runs (bounds and
 tolerances live in the checks), the entry's extra conditions on the rows
-and its time budget, and prints one pass/fail line.
+and its time budget, and prints one pass/fail line.  It also compares each
+run with its goldens under tests/golden/criteria: NN-k.csv is the report
+of criterion NN's k-th config as the command line writes its CSV, and
+NN-k.checks.csv lists every check with its witness repr.  Running this file
+as a script rewrites the goldens from the current code.
 """
 
 import math
 import time
 from collections import namedtuple
+from pathlib import Path
 
 import pytest
 
 from coarse_embed import experiments
+from coarse_embed.cli import failed_rows
 from coarse_embed.errors import ContractViolation
 from coarse_embed.experiments import EXPERIMENTS
+from coarse_embed.reports import rows_to_csv_text
+
+GOLDEN = Path(__file__).resolve().parent / "golden" / "criteria"
 
 # detail(*runs) and each extra condition(*runs) read each config's rows
 Criterion = namedtuple("Criterion", "number name experiment configs budget "
@@ -95,9 +104,19 @@ CRITERIA = [
 ]
 
 
+def goldens(entry, results):
+    """(file name, text) of each run's two goldens: its report as the
+    command line writes the CSV, and its checks."""
+    for k, result in enumerate(results, 1):
+        base = f"{entry.number:02d}-{k}"
+        yield f"{base}.csv", rows_to_csv_text(result.rows + failed_rows(result.checks))
+        yield f"{base}.checks.csv", rows_to_csv_text(
+            [{**c._asdict(), "witness": repr(c.witness)} for c in result.checks])
+
+
 def certify(entry, announce):
     """Every check of every run and every extra condition holds, within
-    the entry's time budget."""
+    the entry's time budget, and every run reproduces its goldens."""
     t0 = time.time()
     results = [EXPERIMENTS[entry.experiment](cfg) for cfg in entry.configs]
     elapsed = time.time() - t0
@@ -106,6 +125,8 @@ def certify(entry, announce):
     if all(runs):       # a contract the construction raised leaves none
         detail = entry.detail(*runs)
         failed += [name for name, holds in entry.extra.items() if not holds(*runs)]
+    failed += [f"golden {name}" for name, text in goldens(entry, results)
+               if (GOLDEN / name).read_bytes() != text.encode()]
     announce(entry.number, not failed and elapsed < entry.budget, elapsed,
              entry.budget, detail + "".join(f"; failed {c}" for c in failed[:3]))
     assert not failed, failed
@@ -156,3 +177,32 @@ def test_a_dropped_wreath_curve_fails_criterion_12(monkeypatch):
     [(number, ok, _, _, detail)] = lines
     assert (number, ok) == (12, False)
     assert "fitted C=nan" in detail and "failed Check(name='wreath L=1 cover'" in detail
+
+
+def test_a_moved_last_digit_fails_its_criterion(monkeypatch):
+    # the first row's integral, its 12th printed digit moved by one
+    entry, run = CRITERIA[9], EXPERIMENTS["cp-check"]
+
+    def moved(cfg):
+        result = run(cfg)
+        first, *rest = result.rows
+        text = f"{first['partial_integral']:.12g}"
+        digit = str((int(text[-1]) + 1) % 10)
+        return result._replace(rows=[
+            {**first, "partial_integral": float(text[:-1] + digit)}, *rest])
+
+    monkeypatch.setitem(EXPERIMENTS, "cp-check", moved)
+    lines = []
+    with pytest.raises(AssertionError):
+        certify(entry, lambda *line: lines.append(line))
+    [(number, ok, _, _, detail)] = lines
+    assert (number, ok) == (10, False)
+    assert detail.endswith("; failed golden 10-1.csv")
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    for _entry in CRITERIA:
+        _results = [EXPERIMENTS[_entry.experiment](cfg) for cfg in _entry.configs]
+        for _name, _text in goldens(_entry, _results):
+            (GOLDEN / _name).write_bytes(_text.encode())

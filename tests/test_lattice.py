@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from coarse_embed.covers import cover_stats, lebesgue_condition
 from coarse_embed import lattice
-from coarse_embed.errors import CapExceeded, ContractViolation, CoverageError
+from coarse_embed.errors import ContractViolation, CoverageError
 from coarse_embed.lamplighter import lamp_coordinates, lamp_parts_window
 from coarse_embed.lattice import (BoxCoverSpec, LatticeCoverSpec,
                                   box_grid_cover, candidate_specs,
@@ -215,21 +215,33 @@ def test_shifts_are_zero_sum_glue_vectors():
     assert glue_shift(0, 4) == (0, 0, 0, 0)
 
 
-def test_membership_caps_the_roundings_of_ambiguous_coordinates(monkeypatch):
-    # a band above 1/2 (tau = 3/(2n)) and every coordinate at 1/2, in
-    # family 0's ambiguous band: n = 4 has C(4, 2) = 6 roundings to try,
-    # n = 46 has C(46, 23), about 8.2e12, which the cap refuses up front
-    spec = LatticeCoverSpec(4, Fraction(1), Fraction(3, 8))
-    x = (Fraction(1, 2), Fraction(-1, 2)) * 2
-    monkeypatch.setenv("COARSE_EMBED_CAP", "5")
-    with pytest.raises(CapExceeded, match="family 0 candidate lattice points: 6 "):
-        membership(x, spec)
-    monkeypatch.setenv("COARSE_EMBED_CAP", "6")
-    assert membership(x, spec) == membership_reference(x, spec)
-    monkeypatch.setenv("COARSE_EMBED_CAP", "1000")
-    spec = LatticeCoverSpec(46, Fraction(1), Fraction(3, 92))
-    with pytest.raises(CapExceeded, match="8233430727600 exceeds cap 1000"):
-        membership((Fraction(1, 2), Fraction(-1, 2)) * 23, spec)
+def test_spec_thickening_is_at_most_one_over_n():
+    # tau = 1/n puts the band b = (n-1)/(2n) + tau/2 at 1/2, the widest
+    # that keeps every coordinate's rounding forced: it decodes as the
+    # oracle does, cell walls included, and any wider thickening is refused
+    for n in (4, 46):
+        with pytest.raises(ValueError, match="thickening must be at most 1/n"):
+            LatticeCoverSpec(n, Fraction(1), Fraction(1, n) + Fraction(1, 80 * n))
+    rng = random.Random(13)
+    for n in (2, 4):
+        spec = LatticeCoverSpec(n, Fraction(1), Fraction(1, n))
+        walls = 0
+        for k in range(200):
+            x = zero_sum_sample(rng, n, span=2) if k % 2 else cell_wall_sample(rng, n)
+            walls += on_closed_wall(x)
+            assert membership(x, spec) == membership_reference(x, spec)
+        assert walls > 20
+
+
+def test_library_specs_keep_the_rounding_forced():
+    # every spec zk_cover and wreath_cover can try, and the standard specs
+    # of the voronoi and pullback checks; a wider thickening would be
+    # refused here, at construction, rather than inside an experiment
+    specs = [spec for k in range(1, 5) for L in range(1, 10)
+             for spec in candidate_specs(k, L)]
+    specs += [canonical_spec(23, 24)]
+    specs += [LatticeCoverSpec.standard(n) for n in range(2, 13, 2)]
+    assert all(spec.thickening <= Fraction(1, spec.n) for spec in specs)
 
 
 def test_membership_origin_in_family_zero():
@@ -239,12 +251,13 @@ def test_membership_origin_in_family_zero():
 
 
 def test_membership_fast_equals_reference():
+    # tau in (0, 9/(10n)], and every eighth trial at the largest, 1/n
     rng = random.Random(7)
     for n in (2, 4, 6):
         for trial in range(120):
             scale = Fraction(rng.randrange(1, 20), rng.randrange(1, 6))
-            tau = Fraction(rng.randrange(1, 10), rng.randrange(10, 40))
-            spec = LatticeCoverSpec(n, scale, tau)
+            tau = Fraction(rng.randrange(1, 10), rng.randrange(10, 40) * n)
+            spec = LatticeCoverSpec(n, scale, Fraction(1, n) if trial % 8 == 0 else tau)
             x = zero_sum_sample(rng, n, span=4)
             assert sorted(membership(x, spec)) == \
                 sorted(membership_reference(x, spec))
@@ -261,14 +274,12 @@ def zero_sum(head):
 @st.composite
 def decode_cases(draw, dims=(2, 4, 6, 8)):
     """A spec with random scale, offset and thickening, with the band
-    b = (n-1)/(2n) + tau/2 drawn on either side of 1/2 (and below 1), and a
-    zero-sum point."""
+    b = (n-1)/(2n) + tau/2 below 1/2 or, at the largest thickening 1/n,
+    equal to it, and a zero-sum point."""
     n = draw(st.sampled_from(dims))
     scale = Fraction(draw(st.integers(1, 40)), draw(st.integers(1, 8)))
     k = draw(st.integers(0, 39))
-    # tau < 1/n gives b < 1/2 (forced rounding); tau >= 1/n leaves an
-    # ambiguous band of coordinates that may round either way
-    tau = Fraction(k + 1, 41 * n) if draw(st.booleans()) else Fraction(1, n) + Fraction(k, 80)
+    tau = Fraction(k + 1, 41 * n) if draw(st.booleans()) else Fraction(1, n)
     offset = zero_sum(draw(st.lists(SMALL_FRACTIONS, min_size=n - 1, max_size=n - 1)))
     x = zero_sum(draw(st.lists(SMALL_FRACTIONS, min_size=n - 1, max_size=n - 1)))
     return LatticeCoverSpec(n, scale, tau, offset), x
@@ -287,7 +298,7 @@ def test_membership_equals_reference_property(case):
 @given(decode_cases())
 def test_membership_agrees_with_bruteforce_cells(case):
     # every zero-sum rounding of every shifted point is a lattice point
-    # whose cell may hold it (the band stays below 1); the decode must
+    # whose cell may hold it (the band stays at or below 1/2); the decode must
     # list exactly those whose cell the subset oracle accepts
     spec, x = case
     n, tau = spec.n, spec.thickening
@@ -356,8 +367,8 @@ def boundary_points(spec, point_den, rng, kinds, per_kind):
     D = int(spec.scale) * point_den
     assert spec.scale.denominator == 1 and D % n == 0
     b = Fraction(n - 1, 2 * n) + spec.thickening / 2
-    raw = -(-b.numerator * D // b.denominator)
-    low, high = min(raw, D), max(D + 1 - raw, 0)
+    low = -(-b.numerator * D // b.denominator)
+    high = D + 1 - low
     for i in range(n):
         c = i * D // n
         targets = ((1, c + low - 1), (1, c + low), (0, c + high - 1), (0, c + high))
@@ -389,23 +400,21 @@ def boundary_points(spec, point_den, rng, kinds, per_kind):
 
 @pytest.mark.parametrize("n", [2, 4, 46])
 def test_membership_screen_at_family_thresholds(n):
-    # band b below 1/2 (forced rounding), at 1/2 (tau = 1/n) and above
-    # (ambiguous coordinates); the scale, a multiple of 4n, makes b D an
-    # integer, so every threshold is also an exact tie of the rational
-    # comparison.  At n = 2 the thresholds above 1/2 are placeable only
-    # for D <= 8.  At n = 46 the oracle is slow, so each family gets one
-    # point denominator and one kind per screen position, rotating over
-    # the families.
+    # band b below 1/2 (tau = 1/(2n) and 3/(4n)) and at 1/2 (tau = 1/n,
+    # the largest); the scale, a multiple of 8n, makes b D an integer, so
+    # every threshold is also an exact tie of the rational comparison.  At
+    # n = 46 the oracle is slow, so each family gets one point denominator
+    # and one kind per screen position, rotating over the families.
     rng = random.Random(1000 + n)
     if n <= 4:
-        scale, per_kind = Fraction(4 * n), 2
+        scale, per_kind = Fraction(8 * n), 2
         kinds_of = lambda i, point_den: range(4)
     else:
-        scale, per_kind = Fraction(20 * n), 1
+        scale, per_kind = Fraction(40 * n), 1
         kinds_of = lambda i, point_den: (
             (i % 2, 2 + i // 2 % 2) if i % 2 == (point_den > 1) else ())
     seen = set()
-    for tau in (Fraction(1, 2 * n), Fraction(1, n), Fraction(3, 2 * n)):
+    for tau in (Fraction(1, 2 * n), Fraction(3, 4 * n), Fraction(1, n)):
         spec = LatticeCoverSpec(n, scale, tau)
         families = set()
         for point_den in (1, 3):
@@ -448,8 +457,8 @@ def integer_image(z):
     lambda k: st.lists(st.integers(-60, 60), min_size=k, max_size=k)),
     st.integers(1, 3))
 def test_grid_decode_on_integers_equals_embedding(z, L):
-    # every candidate spec: tau0 forces the rounding (band below 1/2),
-    # tau_big (L > 1) leaves an ambiguous band
+    # every candidate spec: tau0 (1/n at n = 2, below it from n = 4) and
+    # tau_big = 24/(25n) (L > 1) both keep the band at or below 1/2
     x = embed_grid_point(z)
     for spec in candidate_specs(len(z), L):
         doubled = replace(spec, scale=2 * spec.scale)
