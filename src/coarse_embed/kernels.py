@@ -41,7 +41,9 @@ Work that does not depend on p is done once and shared:
   kernel at length L starts each radius from the one cached at the
   longest shorter length, measuring only the ray points past it
   (``Kernel.support_radius``); with lengths ascending each (point, ray
-  point) pair is measured once per window;
+  point) pair is measured once per window, by ``space.farthest``: an
+  ancestor key from the window's tour, any other key by the metric on
+  labels;
 - each cover's weights (``cover_weights``: complement distances read by
   ``covers.boundary_distance``, the walk of the Lebesgue scan) are
   computed once per cover, and their p-th powers once per kernel, that is
@@ -63,6 +65,11 @@ Work that does not depend on p is done once and shared:
   distance: on a tree window's unit edges, at most two diff_norms per
   kernel.
 
+Before building any row, a kernel guards its row entries with the size
+cap (``errors.guard_cap``): sum(|s|^2) over a cover's sets bounds a pou
+kernel's, since a row holds its point's owner sets, and a ray kernel's
+are its domain's size times (length + 1).
+
 Rows and quotients are kept only while something reads them:
 ``kernel_stats`` measures through a scratch row cache and quotient memo
 and lets go of what it built, so a later reader (an embedding reads the
@@ -82,7 +89,7 @@ from itertools import combinations, compress, islice, repeat, starmap
 from operator import eq
 
 from .covers import boundary_distance
-from .errors import ContractViolation
+from .errors import ContractViolation, guard_cap
 from .spaces import ray_meet
 
 NORM_TOL = 1e-9
@@ -186,7 +193,9 @@ class Kernel:
 
         Each row's radius is ``space.farthest`` over the row's own keys:
         the extremes of the signed-sum columns on a grid window that keeps
-        them, a distance scan on any other.  A ray kernel's row at i
+        them; on a tree window, depth differences for the keys its tour
+        shows to be ancestors of the point and the metric on labels for
+        the others; a distance scan on any other.  A ray kernel's row at i
         starts with the row at i of every shorter ray kernel, so where the
         radius at the longest shorter length measured so far holds i, only
         the row's entries past that length are measured
@@ -533,6 +542,10 @@ def pou_kernel(cover, p, exact=False):
     """
     if exact and p != 1:
         raise ValueError("exact mode is the p=1 fast path")
+    name = f"pou({cover.name}, p={p})"
+    # a row holds the members of each of its point's owner sets, so the
+    # rows hold at most sum(|s|^2) entries over the sets
+    guard_cap(sum(len(s) ** 2 for s in cover.sets), f"{name} row entries")
     space = cover.space
     mem = cover.membership()
     psi = cover_weights(cover)
@@ -560,8 +573,8 @@ def pou_kernel(cover, p, exact=False):
             return out
         return {z: v ** (1.0 / p) for z, v in out.items()}
 
-    return Kernel(space, p, row_fn, name=f"pou({cover.name}, p={p})",
-                  radii=cover._radii, classes=cover_classes(cover))
+    return Kernel(space, p, row_fn, name=name, radii=cover._radii,
+                  classes=cover_classes(cover))
 
 
 def pou_lipschitz_bound(stats, p=1):
@@ -592,6 +605,7 @@ def _ray_kernel(tree, p, values, name):
     domain = ray_domain(tree, length)
     if not domain:
         raise ValueError(f"window too shallow for rays of length {length}")
+    guard_cap(len(domain) * (length + 1), f"{name} row entries")
 
     def row_fn(i):
         return dict(zip(ray(tree, i, length), values))

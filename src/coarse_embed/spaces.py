@@ -15,11 +15,21 @@ the window's unit edges, since two tree points at distance 1 are one
 inside (reach[i] = reach[up[i]] + 1), so a ray domain (``ray_domain``)
 filters it instead of walking every ray.
 
+The ``up`` steps make the window a forest (a tree ``subspace`` may have
+several roots), and ``ray_reach`` is each point's depth in it.  One pass
+over the points in ``ray_reach`` order numbers them in depth-first order
+(``tour``): key j is an ancestor of point i exactly when tin[j] <= tin[i]
+< tout[j], and then their distance is reach[i] - reach[j].  A tree
+window's ``farthest`` (the ray kernels' support radius) reads an ancestor
+key's distance so, with two compares and a subtraction, and measures every
+other key with ``dist`` on labels, so each key gets its true distance and a
+ray walk that strays off the ray still shows.
+
 Two rays toward the marked end coincide from their first shared point on,
 so everything a ray kernel's rows at i and j have in common is fixed by the
-steps (a, b) that i and j take to that point; ``ray_meet`` finds them by
-walking up from whichever point has the greater ``ray_reach``, which one
-``up`` step lowers by exactly 1.
+steps (a, b) that i and j take to that point; ``ray_meet`` walks ``up``
+from i only until i is an ancestor of j, and the point it stops at is the
+shared one, b = reach[j] - reach[i] steps from j.
 
 Shells and closed balls take a point's index and return indices.  A
 ``grid_space`` box records the index stride of each coordinate, so the
@@ -77,6 +87,11 @@ class FiniteMetricSpace:
     ray_reach         on a tree window, how many steps each point's ray
                       toward the marked end stays inside: 0 where ``up`` is
                       None, else one more than at ``up``; derived when read
+    tour              on a tree window, (tin, tout): the depth-first entry
+                      and exit numbers of each point in the forest of
+                      ``up`` steps, so j is an ancestor of i (or i itself)
+                      exactly when tin[j] <= tin[i] < tout[j]; built when
+                      read
     ray_radii         on a tree window, one dict point-index -> support
                       radius per ray length, shared by the ray kernels of
                       that length (``kernels._ray_kernel``)
@@ -91,8 +106,10 @@ class FiniteMetricSpace:
                       window
     farthest          function (i, keys) -> the largest distance from point
                       i to the points of keys: from ``signed_sums`` where
-                      the window has them, a ``scan_view`` scan elsewhere;
-                      chosen when read
+                      the window has them, from ``tour`` and ``ray_reach``
+                      for a tree window's ancestor keys (``dist`` on the
+                      labels of the others), a ``scan_view`` scan
+                      elsewhere; chosen when read
     """
 
     def __init__(self, points, dist, window_tag, interior_radius,
@@ -154,9 +171,24 @@ class FiniteMetricSpace:
         """The function (i, keys) -> the largest distance from point i to
         the points of keys (indices, read once, so any iterable), 0 over
         none.  With ``signed_sums`` it takes, over the columns, the largest
-        max(col[keys]) - col[i] or col[i] - min(col[keys]); otherwise it
-        scans keys on ``scan_view``.  Chosen once per window, when first
-        read, so a row's measurement pays no dispatch."""
+        max(col[keys]) - col[i] or col[i] - min(col[keys]); on a tree
+        window an ancestor key j of i (``tour``) is reach[i] - reach[j]
+        away and every other key is measured by ``dist`` on labels;
+        otherwise it scans keys on ``scan_view``.  Chosen once per window,
+        when first read, so a row's measurement pays no dispatch."""
+        if self.kind == "tree":
+            tin, tout = self.tour
+            reach, points, dist = self.ray_reach, self.points, self.dist
+
+            def farthest(i, keys):
+                t, r, label = tin[i], reach[i], points[i]
+                best = 0
+                for j in keys:
+                    d = r - reach[j] if tin[j] <= t < tout[j] else dist(label, points[j])
+                    if d > best:
+                        best = d
+                return best
+            return farthest
         sums = self.signed_sums
         if sums is None:
             coords, dist, _ = self.scan_view()
@@ -253,6 +285,33 @@ class FiniteMetricSpace:
                 r += 1
                 reach[k] = r
         return reach
+
+    @cached_property
+    def tour(self):
+        up, reach = self.up, self.ray_reach
+        n = len(up)
+        # parents before children; a point's subtree then takes the next
+        # size[i] numbers from its parent's free slot (a root's from the
+        # forest's), so no child lists are built
+        order = sorted(range(n), key=reach.__getitem__)
+        size = array("i", [1]) * n
+        for i in reversed(order):
+            if (u := up[i]) is not None:
+                size[u] += size[i]
+        tin, free = array("i", [0]) * n, array("i", [0]) * n
+        roots = 0
+        for i in order:
+            if (u := up[i]) is None:
+                t = roots
+                roots += size[i]
+            else:
+                t = free[u]
+                free[u] += size[i]
+            tin[i] = t
+            free[i] = t + 1
+        for i, t in enumerate(tin):
+            size[i] += t    # tout: one past the subtree's last number
+        return tin, size
 
     @cached_property
     def unit_edges(self):
@@ -476,22 +535,20 @@ def ray(space, i, length):
 def ray_meet(space, i, j, length):
     """(a, b): the steps from points i and j of a tree window toward the
     marked end to the first point their rays share, or None once either
-    count passes length or a ray leaves the window first.  Each step walks
-    ``up`` from the point of greater ``ray_reach`` (i on ties): a point's
-    reach exceeds the shared point's by its steps to it, so the point of
-    greater reach has not reached the shared point yet."""
+    count passes length or a ray leaves the window first.  It walks ``up``
+    from i until i is an ancestor of j (or j itself, ``tour``): the first
+    such point is the first one j's ray holds, b = reach[j] - reach[i]
+    steps from j."""
     up, reach = space.up, space.ray_reach
-    a = b = 0
-    while i != j:
-        if reach[i] >= reach[j]:
-            if a == length or (i := up[i]) is None:
-                return None
-            a += 1
-        else:
-            if b == length or (j := up[j]) is None:
-                return None
-            b += 1
-    return a, b
+    tin, tout = space.tour
+    t = tin[j]
+    a = 0
+    while not tin[i] <= t < tout[i]:
+        if a == length or (i := up[i]) is None:
+            return None
+        a += 1
+    b = reach[j] - reach[i]
+    return None if b > length else (a, b)
 
 
 def ray_domain(space, length):

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -164,6 +165,20 @@ def test_cap_message_names_what_it_counted(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "translate pairs (n=12, box=1): 2722371366 exceeds cap" in err
     assert "points" not in err
+
+
+def test_kernel_rows_past_the_cap_exit_three(tmp_path, monkeypatch, capsys):
+    # 6,561 points, far under the default cap, but the pou rows of the 81
+    # lattice sets hold up to 35,707,873 entries: refused before any row
+    # is built, where measuring them took minutes
+    monkeypatch.delenv("COARSE_EMBED_CAP", raising=False)
+    start = time.perf_counter()
+    code = main(["cover-kernel", *sets("cover=zk k=4 half_width=4 L=3 p_list=[2.0]"),
+                 "--out", str(tmp_path / "r")])
+    assert code == 3
+    assert time.perf_counter() - start < 30
+    assert "p=2.0) row entries: 35707873 exceeds cap 2000000" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_contract_failure_exits_one_with_witness(tmp_path):

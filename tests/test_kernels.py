@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from coarse_embed import kernels, spaces
 from coarse_embed.covers import Cover, balls_cover, cover_stats, interval_cover
-from coarse_embed.errors import ConfigError, ContractViolation
+from coarse_embed.errors import CapExceeded, ConfigError, ContractViolation
 from coarse_embed.experiments import run_profile
 from coarse_embed.kernels import (Kernel, cover_classes, diff_norm, kernel_stats,
                                   mazur_map, mazur_pairs_check, p_norm,
@@ -839,19 +839,20 @@ def test_shared_ray_radii_match_each_row(space, data):
 def test_each_ray_pair_is_measured_once(window):
     """Ray kernels measured with lengths ascending, at p = 1 and 2 and with
     a flat profile of the same length, measure each (point, ray point)
-    pair once, by tree_dist on labels: a point's ray up to the longest
-    length whose domain holds it."""
+    pair once, through the window's farthest: a point's ray up to the
+    longest length whose domain holds it."""
     tree = tree_ball(3, 5)
     if window == "json":
         tree = rebuilt(tree)
     measured = []
-    bare = tree.dist
+    bare = tree.farthest
 
-    def counted(a, b):
-        measured.append((a, b))
-        return bare(a, b)
+    def counted(i, keys):
+        keys = list(keys)
+        measured.extend((tree.points[i], tree.points[j]) for j in keys)
+        return bare(i, keys)
 
-    tree.dist = counted
+    tree.farthest = counted
     lengths = [1, 2, 4, 8, 15]
     for length in lengths:
         for kern in (tree_kernel_tent(tree, length, 1), tree_kernel_flat(tree, length + 1, 2),
@@ -864,6 +865,41 @@ def test_each_ray_pair_is_measured_once(window):
             want.update((label, tree.points[j]) for j in ray(tree, i, longest))
     assert set(want.values()) == {1}
     assert Counter(measured) == want
+
+
+def test_kernel_row_entries_are_capped(monkeypatch):
+    # under a cap of 100, tree_ball(3, 4)'s 39 points pass; its tent rows
+    # of length 3 hold 36 * 4 entries, those of length 1 hold 38 * 2; the
+    # unit-ball sets of a line of 13 points hold 2^2 + 11 * 3^2 + 2^2
+    # member pairs, those of a line of 9 points 71
+    monkeypatch.setenv("COARSE_EMBED_CAP", "100")
+    tree = tree_ball(3, 4)
+    with pytest.raises(CapExceeded, match=r"tent S=3 p=2 row entries: 144 exceeds cap 100"):
+        tree_kernel_tent(tree, 3, 2)
+    assert len(tree_kernel_tent(tree, 1, 2).domain_indices) == 38
+    with pytest.raises(CapExceeded, match=r"p=2\) row entries: 107 exceeds cap 100"):
+        pou_kernel(balls_cover(grid_space(1, 6), 1), 2)
+    assert pou_kernel(balls_cover(grid_space(1, 4), 1), 2).row(0)
+
+
+def test_a_strayed_ray_key_shows_in_the_support_radius():
+    # the row at (0, 0, 1) swaps its ray point (0,) for the sibling (1,),
+    # 4 steps away where the ray's farthest point is 3: an ancestor-only
+    # reading would give reach[(0, 0, 1)] - reach[(1,)] = 2
+    tree = tree_ball(3, 4)
+    kern = tree_kernel_tent(tree, 3, 2)
+    at, bare = tree.index.__getitem__, kern.row_fn
+    stray = at((0, 0, 1))
+
+    def row_fn(i):
+        row = bare(i)
+        return {at((1,)) if (i, k) == (stray, at((0,))) else k: v
+                for k, v in row.items()}
+
+    kern.row_fn = row_fn
+    assert kern.support_radius() == (4, stray)
+    stats = kernel_stats(kern)
+    assert (stats.support_radius, stats.support_point) == (4, (0, 0, 1))
 
 
 def falling_kernel(tree, length, p):

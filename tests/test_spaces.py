@@ -341,6 +341,76 @@ def test_ray_meet_examples():
     assert ray_meet(sub, sub.index[(0,)], sub.index[-1], 5) is None
 
 
+def test_tour_intervals_are_the_up_walk_ancestors():
+    # forests included: subspaces with gaps have one root per piece
+    windows = [space for _, tree in ray_windows() for space in (tree, rebuilt(tree))]
+    for space in [*windows, gap_window()]:
+        tin, tout = space.tour
+        assert sorted(tin) == list(range(len(space)))
+        for i in range(len(space)):
+            above, k = set(), i
+            while k is not None:
+                above.add(k)
+                k = space.up[k]
+            assert {j for j in range(len(space)) if tin[j] <= tin[i] < tout[j]} == above
+    assert sum(u is None for u in gap_window().up) == 2
+
+
+def tour_window(depth, drop_seed):
+    """tree_ball(3, depth), or (drop_seed not None) a subspace of it in
+    shuffled order without the root: (0,), (1,) and the spine are then
+    separate trees, and a seeded share of the other points is dropped."""
+    tree = tree_ball(3, depth)
+    if drop_seed is None:
+        return tree
+    rng = random.Random(drop_seed)
+    keep = [q for q in tree.points
+            if q in ((0,), (1,), -1) or (q != () and rng.random() < 0.7)]
+    return shuffled(tree.subspace(keep), rng)
+
+
+def relatives(space, i):
+    """Index lists around point i: its label ancestors (whether or not the
+    window joins them to i), itself, its label descendants, its siblings
+    and the spine points."""
+    points, label = space.points, space.points[i]
+    return [
+        [j for j, q in enumerate(points) if q != label
+         and ray_point(label, tree_dist(label, q)) == q],
+        [i],
+        [j for j, q in enumerate(points) if q != label
+         and ray_point(q, tree_dist(q, label)) == label],
+        [j for j, q in enumerate(points) if q != label
+         and ray_point(q, 1) == ray_point(label, 1)],
+        [j for j, q in enumerate(points) if isinstance(q, int)],
+    ]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@seed(198549397986980227546233805761507433797725732887511311186064516093120940703)
+@given(st.integers(1, 6), st.one_of(st.none(), st.integers(0, 2 ** 16)), st.data())
+def test_tree_farthest_matches_tree_dist(depth, drop_seed, data):
+    """A tree window's farthest reads ancestor keys from its tour and
+    measures the others; over any mix of ancestors, the point, descendants,
+    siblings and spine points, passed as a list, a dict or a one-pass
+    islice, it is the largest tree_dist, and 0 over no keys."""
+    space = tour_window(depth, drop_seed)
+    if drop_seed is not None:
+        assert sum(u is None for u in space.up) >= 3
+    points = space.points
+    i = data.draw(st.integers(0, len(space) - 1))
+    keys = [j for group in relatives(space, i) if group
+            for j in data.draw(st.lists(st.sampled_from(group), max_size=3))]
+    keys += data.draw(st.lists(st.integers(0, len(space) - 1), max_size=2))
+    keys = data.draw(st.permutations(keys))
+    want = max((tree_dist(points[i], points[j]) for j in keys), default=0)
+    form = data.draw(st.sampled_from(["list", "dict", "islice"]))
+    passed = {"list": keys, "dict": dict.fromkeys(keys, 1.0),
+              "islice": islice(iter(keys), 0, None)}[form]
+    assert space.farthest(i, passed) == want
+    assert space.farthest(i, ()) == 0
+
+
 @pytest.mark.parametrize("name", SHELL_WINDOWS)
 def test_unit_edges_are_the_pairs_at_distance_one(name):
     space = shell_window(name)
