@@ -425,7 +425,7 @@ def run_mazur(c):
 
 @experiment("profile", p=number(2, lo=1), grid_half_width=integer(20, lo=1),
             tree_depth=integer(10, lo=1),
-            grid_S_list=listing([2, 4, 8], float, min_len=1),
+            grid_S_list=listing([2, 4, 8], float, lo=0, min_len=1),
             tree_S_list=listing([2, 4, 8, 16], float, lo=1, min_len=1),
             wreath_radius=integer(5, lo=1),
             wreath_L_list=listing([1], int, lo=1, min_len=1),

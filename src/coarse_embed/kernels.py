@@ -37,13 +37,11 @@ Work that does not depend on p is done once and shared:
   ``space.farthest``: per column, the extremes over the row's own keys
   against the point's entry, with no ``dist`` call;
 - the ray kernels of one length on one tree window share one cache of row
-  support radii (``space.ray_radii``), whatever their p or profile, and a
-  kernel at length L starts each radius from the one cached at the
-  longest shorter length, measuring only the ray points past it
-  (``Kernel.support_radius``); with lengths ascending each (point, ray
-  point) pair is measured once per window, by ``space.farthest``: an
-  ancestor key from the window's tour, any other key by the metric on
-  labels;
+  support radii (``space.ray_radii``), whatever their p or profile, since
+  their rows are one ``ray`` walk; each row is measured whole by
+  ``space.farthest``, so each (point, ray point) pair is measured once
+  per ray length: an ancestor key from the window's tour, any other key
+  by the metric on labels;
 - each cover's weights (``cover_weights``: complement distances read by
   ``covers.boundary_distance``, the walk of the Lebesgue scan) are
   computed once per cover, and their p-th powers once per kernel, that is
@@ -85,7 +83,7 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, compress, islice, repeat, starmap
+from itertools import combinations, compress, repeat, starmap
 from operator import eq
 
 from .covers import boundary_distance
@@ -146,7 +144,7 @@ class Kernel:
     the row at i, in a class whose first point rep is not i, is the row at
     rep (read through the row cache) with every key shifted by i - rep,
     norm_error measures one row norm per class in each call, and
-    pair_quotient keeps one quotient per (class of i, class of j, j - i,
+    pair_quotient keeps one diff_norm per (class of i, class of j, j - i,
     d) in _quotients.  A point of class -1 is alone in its class: its row
     comes from row_fn, its norm is its own, and its pairs skip the memo.
     Support radii are measured row by row whatever the classes.
@@ -191,45 +189,20 @@ class Kernel:
         (default: the domain), and the first point index attaining it
         (None over no indices).
 
-        Each row's radius is ``space.farthest`` over the row's own keys:
+        Each row's radius is ``space.farthest`` over all of the row's keys:
         the extremes of the signed-sum columns on a grid window that keeps
         them; on a tree window, depth differences for the keys its tour
         shows to be ancestors of the point and the metric on labels for
-        the others; a distance scan on any other.  A ray kernel's row at i
-        starts with the row at i of every shorter ray kernel, so where the
-        radius at the longest shorter length measured so far holds i, only
-        the row's entries past that length are measured
-        (``_prefix_radii``)."""
+        the others; a distance scan on any other."""
         radii, space = self._radii, self.base
-        start, prefix = self._prefix_radii()
         worst, at = 0, None
         for i in (indices if indices is not None else self.domain_indices):
             r = radii.get(i)
             if r is None:
-                row = self.row(i)
-                known = prefix.get(i)
-                if known is not None:
-                    row = islice(row, start, None)
-                r = space.farthest(i, row)
-                if known is not None and known > r:
-                    r = known
-                radii[i] = r
+                r = radii[i] = space.farthest(i, self.row(i))
             if at is None or r > worst:
                 worst, at = r, i
         return worst, at
-
-    def _prefix_radii(self):
-        """(start, radii): on a ray kernel of length L, the window's radius
-        dict at the longest length L' < L that holds a radius, and L' + 1,
-        the first ray position past it; (0, {}) when there is none, and on
-        every other kernel."""
-        length = self.ray_length
-        if length is None:
-            return 0, {}
-        shared = self.base.ray_radii
-        shorter = max((k for k, radii in shared.items() if k < length and radii),
-                      default=None)
-        return (0, {}) if shorter is None else (shorter + 1, shared[shorter])
 
     def norm_error(self, indices=None):
         """Largest |row norm - 1| over indices (default: the domain), and
@@ -268,37 +241,30 @@ class Kernel:
 
     def pair_quotient(self, i, j, d):
         """diff_norm(row(i), row(j), p) / d, where d = dist(i, j) is
-        already measured.  On a ray kernel every pair reads and fills the
-        memo of diff_norms keyed by ``spaces.ray_meet(base, i, j,
-        ray_length)``: the rows hold one value list on rays that coincide
-        from the meeting point, so diff_norm sums the same floats in the
-        same order for every pair of one key, and the key None (rows
-        apart) sums both lists whole.  With classes, a pair whose points
-        both lie in classes of several points reads and fills the quotient
-        memo: a pair (i + t, j + t) of the same classes has both rows
-        shifted by t, so diff_norm sums the same floats in the same
-        order."""
+        already measured.  A pair with a memo key reads and fills the memo
+        of diff_norms: on a ray kernel the key is ``spaces.ray_meet(base,
+        i, j, ray_length)``, since the rows hold one value list on rays
+        that coincide from the meeting point, so diff_norm sums the same
+        floats in the same order for every pair of one key, and the key
+        None (rows apart) sums both lists whole.  With classes, a pair
+        whose points both lie in classes of several points has the key
+        (class of i, class of j, j - i, d): a pair (i + t, j + t) of the
+        same classes has both rows shifted by t, so diff_norm sums the same
+        floats in the same order.  Any other pair is computed directly."""
         if d == 0:
             raise ValueError("identical points")
-        length = self.ray_length
+        length, classes = self.ray_length, self._classes
         if length is not None:
             key = ray_meet(self.base, i, j, length)
-            norm = self._quotients.get(key)
-            if norm is None:
-                norm = self._quotients[key] = diff_norm(self.row(i), self.row(j), self.p)
-            return norm / float(d)
-        classes = self._classes
-        if classes is not None:
-            cls = classes[0]
-            ci, cj = cls[i], cls[j]
-            if ci >= 0 and cj >= 0:
-                key = (ci, cj, j - i, d)
-                q = self._quotients.get(key)
-                if q is None:
-                    q = self._quotients[key] = (
-                        diff_norm(self.row(i), self.row(j), self.p) / float(d))
-                return q
-        return diff_norm(self.row(i), self.row(j), self.p) / float(d)
+        elif classes is not None and (ci := classes[0][i]) >= 0 and (
+                cj := classes[0][j]) >= 0:
+            key = (ci, cj, j - i, d)
+        else:
+            return diff_norm(self.row(i), self.row(j), self.p) / float(d)
+        norm = self._quotients.get(key)
+        if norm is None:
+            norm = self._quotients[key] = diff_norm(self.row(i), self.row(j), self.p)
+        return norm / float(d)
 
 
 @dataclass

@@ -498,12 +498,7 @@ def tree_dist(a, b):
         return -a + len(b)
     if isinstance(b, int):
         return len(a) + (-b)
-    # an ancestor pair differs by its depths; the slices compare in C
     n, m = len(a), len(b)
-    if a[:m] == b:
-        return n - m
-    if b[:n] == a:
-        return m - n
     common = 0
     for x, y in zip(a, b):
         if x != y:

@@ -92,6 +92,7 @@ BAD_CONFIGS = [
     ("profile", "grid_half_width=1 wreath_radius=1", "grid_halfwidth=5", "tree_depth=1"),
     # a curve with no S, no wreath level, and a tree S with no kernel
     ("profile", PROFILE_SMALL, "grid_halfwidth=5", "grid_S_list=[]"),
+    ("profile", PROFILE_SMALL, "grid_halfwidth=5", "grid_S_list=[-1,2]"),  # no radius < 0
     ("profile", PROFILE_SMALL, "grid_halfwidth=5", "tree_S_list=[]"),
     ("profile", PROFILE_SMALL, "grid_halfwidth=5", "wreath_L_list=[]"),
     ("profile", PROFILE_SMALL, "grid_halfwidth=5", "tree_S_list=[0.5,2]"),

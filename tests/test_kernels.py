@@ -839,8 +839,8 @@ def test_shared_ray_radii_match_each_row(space, data):
 def test_each_ray_pair_is_measured_once(window):
     """Ray kernels measured with lengths ascending, at p = 1 and 2 and with
     a flat profile of the same length, measure each (point, ray point)
-    pair once, through the window's farthest: a point's ray up to the
-    longest length whose domain holds it."""
+    pair once per ray length, through the window's farthest: a point's
+    whole ray at each length whose domain holds it."""
     tree = tree_ball(3, 5)
     if window == "json":
         tree = rebuilt(tree)
@@ -853,18 +853,15 @@ def test_each_ray_pair_is_measured_once(window):
         return bare(i, keys)
 
     tree.farthest = counted
-    lengths = [1, 2, 4, 8, 15]
-    for length in lengths:
+    for length in [1, 2, 4, 8, 15]:
+        measured.clear()
         for kern in (tree_kernel_tent(tree, length, 1), tree_kernel_flat(tree, length + 1, 2),
                      tree_kernel_tent(tree, length, 2)):
             assert kern.support_radius()[0] == length
-    want = Counter()
-    for i, label in enumerate(tree.points):
-        longest = max((L for L in lengths if tree.ray_reach[i] >= L), default=None)
-        if longest is not None:
-            want.update((label, tree.points[j]) for j in ray(tree, i, longest))
-    assert set(want.values()) == {1}
-    assert Counter(measured) == want
+        want = Counter((label, tree.points[j]) for i, label in enumerate(tree.points)
+                       if tree.ray_reach[i] >= length for j in ray(tree, i, length))
+        assert set(want.values()) == {1}
+        assert Counter(measured) == want
 
 
 def test_kernel_row_entries_are_capped(monkeypatch):
@@ -882,11 +879,16 @@ def test_kernel_row_entries_are_capped(monkeypatch):
     assert pou_kernel(balls_cover(grid_space(1, 4), 1), 2).row(0)
 
 
-def test_a_strayed_ray_key_shows_in_the_support_radius():
+@pytest.mark.parametrize("shorter", [None, 1, 2], ids=["none", "S=1", "S=2"])
+def test_a_strayed_ray_key_shows_in_the_support_radius(shorter):
     # the row at (0, 0, 1) swaps its ray point (0,) for the sibling (1,),
     # 4 steps away where the ray's farthest point is 3: an ancestor-only
-    # reading would give reach[(0, 0, 1)] - reach[(1,)] = 2
+    # reading would give reach[(0, 0, 1)] - reach[(1,)] = 2.  The stray
+    # key sits at ray position 2, so it also shows after a shorter tent
+    # kernel measured its rows first on the same window.
     tree = tree_ball(3, 4)
+    if shorter is not None:
+        assert tree_kernel_tent(tree, shorter, 2).support_radius()[0] == shorter
     kern = tree_kernel_tent(tree, 3, 2)
     at, bare = tree.index.__getitem__, kern.row_fn
     stray = at((0, 0, 1))
